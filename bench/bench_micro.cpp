@@ -1,6 +1,8 @@
 // Hot-path microbenchmarks (google-benchmark): the operations a tag or
 // receiver runs per packet — correlation, despreading, FFT, GFSK
-// discrimination, rectifier simulation, and full overlay decode.
+// discrimination, rectifier simulation, and full overlay decode — plus
+// the ordered-matching calibration search every identification figure
+// runs once.
 // After the benchmark suite, main() asserts that the telemetry layer
 // (src/obs/) costs < 3% on an instrumented hot path while tracing is
 // disabled — the contract that lets the instrumentation stay compiled
@@ -24,6 +26,7 @@
 #include "dsp/mixer.h"
 #include "phy/dsss/wifi_b.h"
 #include "phy/zigbee/zigbee.h"
+#include "sim/ident_experiment.h"
 
 namespace ms {
 namespace {
@@ -143,6 +146,33 @@ void BM_IdentifierScore(benchmark::State& state) {
   for (auto _ : state) benchmark::DoNotOptimize(ident.scores(trace));
 }
 BENCHMARK(BM_IdentifierScore);
+
+/// The §2.3.2 ordered-matching calibration search: all 24 matching
+/// orders over one fixed 240-trial score set (60 per protocol, as the
+/// figure benches calibrate).
+void BM_CalibrationSearch(benchmark::State& state) {
+  Rng rng(11);
+  std::vector<detail::CalTrial> trials;
+  for (std::size_t truth = 0; truth < 4; ++truth)
+    for (int t = 0; t < 60; ++t) {
+      detail::CalTrial tr{truth, {}};
+      for (std::size_t p = 0; p < 4; ++p)
+        tr.scores[p] =
+            p == truth ? rng.uniform(0.3, 1.0) : rng.uniform(0.0, 0.75);
+      trials.push_back(tr);
+    }
+  std::vector<std::array<Protocol, 4>> orders;
+  std::array<std::size_t, 4> perm = {0, 1, 2, 3};
+  do {
+    orders.push_back({kAllProtocols[perm[0]], kAllProtocols[perm[1]],
+                      kAllProtocols[perm[2]], kAllProtocols[perm[3]]});
+  } while (std::next_permutation(perm.begin(), perm.end()));
+  for (auto _ : state)
+    for (const auto& order : orders)
+      benchmark::DoNotOptimize(detail::search_thresholds(trials, order));
+  state.SetItemsProcessed(state.iterations() * orders.size());
+}
+BENCHMARK(BM_CalibrationSearch)->Unit(benchmark::kMillisecond);
 
 /// Telemetry overhead check: time an instrumented hot path
 /// (ProtocolIdentifier::scores carries an OBS_SCOPE and an event site)

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 
 #include "channel/awgn.h"
 #include "common/error.h"
@@ -183,10 +184,8 @@ IdentResult run_ident_experiment(TrialRunner& runner,
 
 namespace {
 
-struct CalTrial {
-  std::size_t truth;
-  std::array<double, 4> scores;
-};
+using detail::CalTrial;
+using detail::ThresholdSearch;
 
 std::vector<CalTrial> collect_calibration_trials(
     IdentTrialConfig cfg, std::size_t trials_per_protocol) {
@@ -202,93 +201,108 @@ std::vector<CalTrial> collect_calibration_trials(
       });
 }
 
-constexpr std::array<double, 12> kThresholdGrid = {
-    0.15, 0.20, 0.25, 0.30, 0.35, 0.40, 0.45, 0.50, 0.60, 0.70, 0.80, 0.90};
-
-struct ThresholdSearch {
-  double acc = -1.0;
-  std::array<double, 4> thr{};
-};
-
-/// Scan (t1, t2, t3) for one fixed outer threshold t0 and matching order.
-ThresholdSearch search_inner(const std::vector<CalTrial>& trials,
-                             const std::array<Protocol, 4>& order,
-                             double t0) {
-  ThresholdSearch best;
-  for (double t1 : kThresholdGrid)
-    for (double t2 : kThresholdGrid)
-      for (double t3 : kThresholdGrid) {
-        std::array<double, 4> thr{};
-        thr[protocol_index(order[0])] = t0;
-        thr[protocol_index(order[1])] = t1;
-        thr[protocol_index(order[2])] = t2;
-        thr[protocol_index(order[3])] = t3;
-        std::array<std::size_t, 4> correct{}, total{};
-        for (const CalTrial& tr : trials) {
-          std::size_t det = 4;
-          for (Protocol p : order) {
-            const std::size_t idx = protocol_index(p);
-            if (tr.scores[idx] > thr[idx]) {
-              det = idx;
-              break;
-            }
-          }
-          ++total[tr.truth];
-          if (det == tr.truth) ++correct[tr.truth];
-        }
-        double acc = 0.0;
-        for (std::size_t i = 0; i < 4; ++i)
-          acc += total[i] ? static_cast<double>(correct[i]) /
-                                static_cast<double>(total[i])
-                          : 0.0;
-        acc /= 4.0;
-        if (acc > best.acc) {
-          best.acc = acc;
-          best.thr = thr;
-        }
-      }
-  return best;
-}
-
-/// Full grid search for one matching order (serial; callers parallelize
-/// one level up so the pool is never entered twice).
-ThresholdSearch search_thresholds(const std::vector<CalTrial>& trials,
-                                  const std::array<Protocol, 4>& order) {
-  ThresholdSearch best;
-  for (double t0 : kThresholdGrid) {
-    const ThresholdSearch s = search_inner(trials, order, t0);
-    if (s.acc > best.acc) best = s;
-  }
-  return best;
-}
-
 }  // namespace
 
-std::array<double, 4> calibrate_thresholds(IdentTrialConfig cfg,
-                                           std::size_t trials_per_protocol) {
-  const std::vector<CalTrial> trials =
-      collect_calibration_trials(cfg, trials_per_protocol);
-  // Fan the outermost threshold loop out across the pool; the argmax
-  // merge walks the grid in its serial iteration order, so ties resolve
-  // exactly as the single-threaded loop did.
-  TrialRunner runner({cfg.threads, cfg.seed});
-  const auto partials = runner.map_points(
-      kThresholdGrid.size(), [&](std::size_t i, Rng&) -> ThresholdSearch {
-        return search_inner(trials, cfg.ident.order, kThresholdGrid[i]);
-      });
+namespace detail {
+
+ThresholdSearch search_thresholds(const std::vector<CalTrial>& trials,
+                                  const std::array<Protocol, 4>& order) {
+  constexpr std::size_t kGrid = kThresholdGrid.size();
+  constexpr std::size_t kLevels = kGrid + 1;
+  std::array<std::size_t, 4> stage{};  // protocol index tested at stage j
+  for (std::size_t j = 0; j < 4; ++j) stage[j] = protocol_index(order[j]);
+
+  // Bucket each trial once: level[j] counts the grid values stage j's
+  // score is strictly above, so `score > kThresholdGrid[k]` holds exactly
+  // when k < level[j].  A NaN score is above none of them (level 0), as
+  // the > test never fires on it.
+  struct Leveled {
+    std::size_t truth;
+    std::array<std::uint8_t, 4> level;
+  };
+  std::vector<Leveled> leveled;
+  leveled.reserve(trials.size());
+  std::array<std::size_t, 4> total{};
+  for (const CalTrial& tr : trials) {
+    Leveled l{tr.truth, {}};
+    for (std::size_t j = 0; j < 4; ++j)
+      for (double g : kThresholdGrid) l.level[j] += tr.scores[stage[j]] > g;
+    ++total[tr.truth];
+    leveled.push_back(l);
+  }
+
+  // A trial is correct only at the stage that tests its own protocol.
+  // For each (t0, t1), one pass over the trials counts the stage-0 and
+  // stage-1 hits and files the survivors that stage 2 or 3 can still get
+  // right into count tables; every (t2, t3) then reads prefix and suffix
+  // sums of those tables.
   ThresholdSearch best;
-  for (const ThresholdSearch& s : partials)
-    if (s.acc > best.acc) best = s;
-  return best.acc >= 0.0 ? best.thr : cfg.ident.thresholds;
+  std::array<std::size_t, 4> correct{};
+  for (std::size_t k0 = 0; k0 < kGrid; ++k0)
+    for (std::size_t k1 = 0; k1 < kGrid; ++k1) {
+      std::size_t hit0 = 0, hit1 = 0;
+      // third[l2]: third-protocol survivors by stage-2 level.
+      // fourth[l2][l3]: fourth-protocol survivors by stage-2/3 levels.
+      std::array<std::size_t, kLevels> third{};
+      std::array<std::array<std::size_t, kLevels>, kLevels> fourth{};
+      for (const Leveled& l : leveled) {
+        if (l.level[0] > k0) {
+          hit0 += l.truth == stage[0];
+        } else if (l.level[1] > k1) {
+          hit1 += l.truth == stage[1];
+        } else if (l.truth == stage[2]) {
+          ++third[l.level[2]];
+        } else if (l.truth == stage[3]) {
+          ++fourth[l.level[2]][l.level[3]];
+        }
+      }
+      correct[stage[0]] = hit0;
+      correct[stage[1]] = hit1;
+
+      // above2[l]: third-protocol survivors at stage-2 level >= l.
+      std::array<std::size_t, kLevels + 1> above2{};
+      for (std::size_t l = kLevels; l-- > 0;)
+        above2[l] = above2[l + 1] + third[l];
+      // reach3[l3]: fourth-protocol survivors that stage 2 lets through
+      // (stage-2 level <= k2), by stage-3 level.
+      std::array<std::size_t, kLevels> reach3{};
+      for (std::size_t k2 = 0; k2 < kGrid; ++k2) {
+        correct[stage[2]] = above2[k2 + 1];
+        for (std::size_t l = 0; l < kLevels; ++l) reach3[l] += fourth[k2][l];
+        std::array<std::size_t, kLevels + 1> above3{};
+        for (std::size_t l = kLevels; l-- > 0;)
+          above3[l] = above3[l + 1] + reach3[l];
+        for (std::size_t k3 = 0; k3 < kGrid; ++k3) {
+          correct[stage[3]] = above3[k3 + 1];
+          double acc = 0.0;
+          for (std::size_t i = 0; i < 4; ++i)
+            acc += total[i] ? static_cast<double>(correct[i]) /
+                                  static_cast<double>(total[i])
+                            : 0.0;
+          acc /= 4.0;
+          if (acc > best.acc) {
+            best.acc = acc;
+            best.thr[stage[0]] = kThresholdGrid[k0];
+            best.thr[stage[1]] = kThresholdGrid[k1];
+            best.thr[stage[2]] = kThresholdGrid[k2];
+            best.thr[stage[3]] = kThresholdGrid[k3];
+          }
+        }
+      }
+    }
+  return best;
 }
+
+}  // namespace detail
 
 OrderedCalibration calibrate_ordered_matching(
     IdentTrialConfig cfg, std::size_t trials_per_protocol) {
   const std::vector<CalTrial> trials =
       collect_calibration_trials(cfg, trials_per_protocol);
   // All 24 permutations × the full threshold grid (§2.3.2's brute
-  // force), one task per matching order.  Merging in permutation order
-  // reproduces the serial next_permutation scan byte for byte.
+  // force, found by counting), one task per matching order.  Merging in
+  // permutation order reproduces the serial next_permutation scan byte
+  // for byte.
   std::vector<std::array<Protocol, 4>> orders;
   std::array<std::size_t, 4> perm = {0, 1, 2, 3};
   do {
@@ -299,7 +313,7 @@ OrderedCalibration calibrate_ordered_matching(
   TrialRunner runner({cfg.threads, cfg.seed});
   const auto searched = runner.map_points(
       orders.size(), [&](std::size_t i, Rng&) -> ThresholdSearch {
-        return search_thresholds(trials, orders[i]);
+        return detail::search_thresholds(trials, orders[i]);
       });
 
   OrderedCalibration best;

@@ -8,6 +8,7 @@
 
 #include <array>
 #include <cstddef>
+#include <vector>
 
 #include "channel/multipath.h"
 #include "common/rng.h"
@@ -68,13 +69,6 @@ IdentResult run_ident_experiment(TrialRunner& runner,
                                  const IdentTrialConfig& cfg,
                                  std::size_t trials_per_protocol);
 
-/// Brute-force threshold search for ordered matching (§2.3.2): sweeps a
-/// coarse threshold grid on calibration trials and returns the
-/// per-protocol thresholds that maximize average accuracy (for the order
-/// already in cfg.ident.order).
-std::array<double, 4> calibrate_thresholds(IdentTrialConfig cfg,
-                                           std::size_t trials_per_protocol);
-
 /// Full §2.3.2 search: all 24 matching orders × the threshold grid.
 /// Returns the best (order, thresholds) pair by average accuracy.
 struct OrderedCalibration {
@@ -84,5 +78,33 @@ struct OrderedCalibration {
 };
 OrderedCalibration calibrate_ordered_matching(IdentTrialConfig cfg,
                                               std::size_t trials_per_protocol);
+
+namespace detail {
+
+/// One calibration trial: the true protocol's index and the four scores,
+/// both indexed by protocol_index().
+struct CalTrial {
+  std::size_t truth;
+  std::array<double, 4> scores;
+};
+
+/// The thresholds calibrate_ordered_matching tries for every protocol.
+inline constexpr std::array<double, 12> kThresholdGrid = {
+    0.15, 0.20, 0.25, 0.30, 0.35, 0.40, 0.45, 0.50, 0.60, 0.70, 0.80, 0.90};
+
+struct ThresholdSearch {
+  double acc = -1.0;
+  std::array<double, 4> thr{};
+};
+
+/// The per-order step of calibrate_ordered_matching, exposed for its
+/// differential test: the kThresholdGrid tuple (t0..t3, one per stage of
+/// `order`, a permutation of the four protocols) with the highest average
+/// per-protocol accuracy on `trials`.  Ties go to the first tuple in
+/// (t0, t1, t2, t3) order.
+ThresholdSearch search_thresholds(const std::vector<CalTrial>& trials,
+                                  const std::array<Protocol, 4>& order);
+
+}  // namespace detail
 
 }  // namespace ms
