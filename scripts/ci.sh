@@ -9,10 +9,10 @@
 # byte-identity gates for the waveform cache, the workload scorecard,
 # the kernel fast path, and the many-tag scale sweep), a bench-perf
 # smoke of the identification-, PHY-throughput, and tag-scaling
-# microbenches plus bench_micro's calibration-search and identifier-score
-# benchmarks and its telemetry-overhead gate, and finally the same four
-# suites under ASan+UBSan (-DMS_SANITIZE=ON).  Exits nonzero on the first
-# failing step.
+# microbenches plus bench_micro's calibration-search, identifier-score
+# and front-end (FIR, rf_envelope) benchmarks and its telemetry-overhead
+# gate, and finally the same four suites under ASan+UBSan
+# (-DMS_SANITIZE=ON).  Exits nonzero on the first failing step.
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
@@ -60,11 +60,11 @@ mkdir -p "${perf_dir}"
     --out "${perf_dir}" --metrics-out "${perf_dir}/scale_metrics.json" \
     --manifest-out "${perf_dir}/scale_manifest.json"
 "${repo_root}/build/tools/validate_metrics" "${perf_dir}/scale_metrics.json"
-# bench_micro, cut to the calibration-search and identifier-scoring
-# benchmarks; after them it exits 1 if disabled telemetry adds >= 3 % to
+# bench_micro, cut to the calibration-search, identifier-scoring and
+# identification front-end benchmarks; after them it exits 1 if disabled telemetry adds >= 3 % to
 # the identifier scoring loop.
 "${repo_root}/build/bench/bench_micro" \
-    --benchmark_filter='BM_CalibrationSearch|BM_IdentifierScore'
+    --benchmark_filter='BM_CalibrationSearch|BM_IdentifierScore|BM_FirFilterComplex|BM_RfEnvelope'
 
 echo "==> cross-run regression report (warn-only)"
 if [ -f "${repo_root}/BENCH_seed.json" ]; then

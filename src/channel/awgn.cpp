@@ -10,18 +10,24 @@ namespace ms {
 Iq complex_noise(std::size_t n, double noise_power, Rng& rng) {
   Iq out(n);
   const double sigma = std::sqrt(noise_power / 2.0);
-  for (Cf& v : out)
-    v = Cf(static_cast<float>(rng.normal(0.0, sigma)),
-           static_cast<float>(rng.normal(0.0, sigma)));
+  for (Cf& v : out) {
+    // Imaginary part first: the order every recorded stream was drawn in.
+    const float im = static_cast<float>(rng.normal(0.0, sigma));
+    const float re = static_cast<float>(rng.normal(0.0, sigma));
+    v = Cf(re, im);
+  }
   return out;
 }
 
 Iq add_noise_power(std::span<const Cf> x, double noise_power, Rng& rng) {
   Iq out(x.begin(), x.end());
   const double sigma = std::sqrt(noise_power / 2.0);
-  for (Cf& v : out)
-    v += Cf(static_cast<float>(rng.normal(0.0, sigma)),
-            static_cast<float>(rng.normal(0.0, sigma)));
+  for (Cf& v : out) {
+    // Imaginary part first, as in complex_noise.
+    const float im = static_cast<float>(rng.normal(0.0, sigma));
+    const float re = static_cast<float>(rng.normal(0.0, sigma));
+    v += Cf(re, im);
+  }
   return out;
 }
 

@@ -50,8 +50,10 @@ MultipathChannel sample_multipath(const MultipathConfig& cfg,
   const std::vector<double> powers = scatter_tap_powers(cfg);
   for (unsigned t = 0; t < powers.size(); ++t) {
     const double sigma = std::sqrt(powers[t] / 2.0);
-    ch.taps.push_back(Cf(static_cast<float>(rng.normal(0.0, sigma)),
-                         static_cast<float>(rng.normal(0.0, sigma))));
+    // Imaginary part first: the order every recorded stream was drawn in.
+    const float im = static_cast<float>(rng.normal(0.0, sigma));
+    const float re = static_cast<float>(rng.normal(0.0, sigma));
+    ch.taps.push_back(Cf(re, im));
     const double delay_s = cfg.delay_spread_s * static_cast<double>(t + 1);
     ch.delays.push_back(std::max<std::size_t>(
         1, static_cast<std::size_t>(delay_s * sample_rate_hz)));
@@ -86,8 +88,10 @@ void MultipathFader::step(Rng& rng) {
   for (std::size_t t = 0; t < scatter_sigma_.size(); ++t) {
     const double sigma = mix * scatter_sigma_[t];
     Cf& tap = ch_.taps[t + 1];
-    tap = Cf(static_cast<float>(rho_ * tap.real() + rng.normal(0.0, sigma)),
-             static_cast<float>(rho_ * tap.imag() + rng.normal(0.0, sigma)));
+    // Imaginary innovation first, as in sample_multipath.
+    const float im = static_cast<float>(rho_ * tap.imag() + rng.normal(0.0, sigma));
+    const float re = static_cast<float>(rho_ * tap.real() + rng.normal(0.0, sigma));
+    tap = Cf(re, im);
   }
 }
 

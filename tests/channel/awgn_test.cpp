@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "common/units.h"
 #include "dsp/ops.h"
 
@@ -60,6 +62,23 @@ TEST(Awgn, DeterministicGivenSeed) {
   Rng a(7), b(7);
   const Iq x(100, Cf(1.0f, 1.0f));
   EXPECT_EQ(add_awgn(x, 5.0, a), add_awgn(x, 5.0, b));
+}
+
+TEST(Awgn, FirstDrawLandsInTheImaginaryPart) {
+  // Pins the draw order of every recorded noise stream: per sample, the
+  // imaginary part takes the first normal draw and the real part the
+  // second.
+  const double sigma = std::sqrt(2.0 / 2.0);
+  Rng a(8), b(8);
+  const Iq n = complex_noise(3, 2.0, a);
+  Rng c(9), d(9);
+  const Iq y = add_noise_power(Iq(3, Cf(0.0f, 0.0f)), 2.0, c);
+  for (std::size_t i = 0; i < n.size(); ++i) {
+    EXPECT_EQ(n[i].imag(), static_cast<float>(b.normal(0.0, sigma))) << i;
+    EXPECT_EQ(n[i].real(), static_cast<float>(b.normal(0.0, sigma))) << i;
+    EXPECT_EQ(y[i].imag(), static_cast<float>(d.normal(0.0, sigma))) << i;
+    EXPECT_EQ(y[i].real(), static_cast<float>(d.normal(0.0, sigma))) << i;
+  }
 }
 
 }  // namespace

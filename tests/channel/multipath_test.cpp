@@ -4,7 +4,9 @@
 
 #include <cmath>
 
+#include "channel/timevarying.h"
 #include "common/error.h"
+#include "common/units.h"
 #include "dsp/ops.h"
 
 namespace ms {
@@ -88,6 +90,32 @@ TEST(Multipath, RejectsZeroTaps) {
   MultipathConfig cfg;
   cfg.n_taps = 0;
   EXPECT_THROW(sample_multipath(cfg, 20e6, rng), Error);
+}
+
+TEST(Multipath, FirstDrawLandsInTheImaginaryPart) {
+  // Pins the draw order of every recorded channel: a scattered tap's
+  // imaginary part takes the first normal draw, both when the tap is
+  // sampled and when the fader steps it.  One echo carries the whole
+  // scatter power 1/(1+K).
+  MultipathFadingConfig cfg;
+  cfg.profile.n_taps = 2;
+  const double scatter = 1.0 / (1.0 + db_to_linear(cfg.profile.k_factor_db));
+  const double sigma = std::sqrt(scatter / 2.0);
+  Rng a(12), b(12);
+  MultipathFader fader(cfg, 20e6, a);
+  b.uniform();  // LoS phase
+  const Cf tap = fader.channel().taps[1];
+  EXPECT_FLOAT_EQ(tap.imag(), static_cast<float>(b.normal(0.0, sigma)));
+  EXPECT_FLOAT_EQ(tap.real(), static_cast<float>(b.normal(0.0, sigma)));
+  b.uniform();  // LoS arrival angle
+
+  fader.step(a);
+  const double rho = clarke_rho(cfg.doppler_hz, cfg.step_time_s);
+  const double step_sigma = std::sqrt(1.0 - rho * rho) * sigma;
+  const double im = rho * tap.imag() + b.normal(0.0, step_sigma);
+  const double re = rho * tap.real() + b.normal(0.0, step_sigma);
+  EXPECT_FLOAT_EQ(fader.channel().taps[1].imag(), static_cast<float>(im));
+  EXPECT_FLOAT_EQ(fader.channel().taps[1].real(), static_cast<float>(re));
 }
 
 }  // namespace

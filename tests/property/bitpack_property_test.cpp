@@ -10,8 +10,10 @@
 // point.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
+#include "common/error.h"
 #include "common/rng.h"
 #include "core/ident/identifier.h"
 #include "core/ident/templates.h"
@@ -180,6 +182,94 @@ TEST(BitpackProperty, IdentifierPackedEqualsReferenceEverywhere) {
       }
     }
   }
+}
+
+// Cases of the retired PackedBits wrapper, run against the bitpack calls
+// it wrapped.
+
+TEST(PackedBits, DotMatchesReference) {
+  Rng rng(1);
+  for (std::size_t n : {1u, 7u, 64u, 65u, 120u, 300u}) {
+    const auto a = random_signs(rng, n);
+    const auto b = random_signs(rng, n);
+    long ref = 0;
+    for (std::size_t i = 0; i < n; ++i)
+      ref += static_cast<int>(a[i]) * static_cast<int>(b[i]);
+    EXPECT_EQ(bitpack::packed_dot(bitpack::pack_signs(a).words,
+                                  bitpack::pack_signs(b).words, n),
+              ref)
+        << n;
+  }
+}
+
+TEST(PackedBits, CorrelationMatchesSignCorrelation) {
+  Rng rng(2);
+  for (int trial = 0; trial < 50; ++trial) {
+    const std::size_t n = 1 + rng.uniform_int(200);
+    const auto a = random_signs(rng, n);
+    const auto b = random_signs(rng, n);
+    EXPECT_DOUBLE_EQ(
+        bitpack::packed_sign_correlation(bitpack::pack_signs(a).words,
+                                         bitpack::pack_signs(b).words, n),
+        sign_correlation(a, b));
+  }
+}
+
+TEST(PackedBits, SelfCorrelationIsOne) {
+  Rng rng(3);
+  const auto a = bitpack::pack_signs(random_signs(rng, 120));
+  EXPECT_DOUBLE_EQ(bitpack::packed_sign_correlation(a.words, a.words, 120),
+                   1.0);
+}
+
+TEST(PackedBits, SizeMismatchThrows) {
+  Rng rng(4);
+  const auto a = bitpack::pack_signs(random_signs(rng, 64));
+  const auto b = bitpack::pack_signs(random_signs(rng, 65));
+  EXPECT_THROW(bitpack::packed_dot(a.words, b.words, 65), Error);
+}
+
+TEST(PackedBits, EmptyIsZero) {
+  const auto a = bitpack::pack_signs(std::span<const int8_t>{});
+  EXPECT_EQ(bitpack::packed_dot(a.words, a.words, 0), 0);
+  EXPECT_DOUBLE_EQ(bitpack::packed_sign_correlation(a.words, a.words, 0), 0.0);
+}
+
+std::vector<double> sliding(std::span<const int8_t> stream,
+                            std::span<const int8_t> tmpl) {
+  return bitpack::sliding_sign_correlation(bitpack::pack_signs(stream),
+                                           bitpack::pack_signs(tmpl));
+}
+
+TEST(PackedSliding, MatchesNaiveSliding) {
+  Rng rng(5);
+  const auto stream = random_signs(rng, 500);
+  const auto tmpl = random_signs(rng, 120);
+  const auto fast = sliding(stream, tmpl);
+  ASSERT_EQ(fast.size(), 381u);
+  for (std::size_t off = 0; off < fast.size(); ++off) {
+    const double ref = sign_correlation(
+        std::span<const int8_t>(stream).subspan(off, 120), tmpl);
+    EXPECT_DOUBLE_EQ(fast[off], ref) << off;
+  }
+}
+
+TEST(PackedSliding, FindsEmbeddedTemplate) {
+  Rng rng(6);
+  auto stream = random_signs(rng, 400);
+  const auto tmpl = random_signs(rng, 100);
+  const std::size_t pos = 137;
+  std::copy(tmpl.begin(), tmpl.end(), stream.begin() + pos);
+  const auto c = sliding(stream, tmpl);
+  EXPECT_EQ(std::max_element(c.begin(), c.end()) - c.begin(),
+            static_cast<std::ptrdiff_t>(pos));
+  EXPECT_DOUBLE_EQ(c[pos], 1.0);
+}
+
+TEST(PackedSliding, StreamShorterThanTemplateIsEmpty) {
+  Rng rng(7);
+  const auto stream = random_signs(rng, 50);
+  EXPECT_TRUE(sliding(stream, random_signs(rng, 100)).empty());
 }
 
 }  // namespace
