@@ -1,8 +1,9 @@
 // Hot-path microbenchmarks (google-benchmark): the operations a tag or
 // receiver runs per packet — correlation, despreading, FFT, GFSK
-// discrimination, rectifier simulation, and full overlay decode — plus
-// the ordered-matching calibration search every identification figure
-// runs once.
+// discrimination, the identification front end, rectifier simulation,
+// overlay packet sync and full overlay decode — plus the
+// ordered-matching calibration search every identification figure runs
+// once.
 // After the benchmark suite, main() asserts that the telemetry layer
 // (src/obs/) costs < 3% on an instrumented hot path while tracing is
 // disabled — the contract that lets the instrumentation stay compiled
@@ -15,17 +16,21 @@
 #include <limits>
 
 #include "analog/rectifier.h"
+#include "channel/awgn.h"
 #include "obs/telemetry.h"
 #include "obs/trace.h"
 #include "common/rng.h"
+#include "common/units.h"
 #include "core/ident/frontend.h"
 #include "core/ident/identifier.h"
 #include "core/overlay/ble_overlay.h"
+#include "core/overlay/receiver.h"
 #include "dsp/bitpack.h"
 #include "dsp/correlate.h"
 #include "dsp/fft.h"
 #include "dsp/fir.h"
 #include "dsp/mixer.h"
+#include "dsp/ops.h"
 #include "phy/dsss/wifi_b.h"
 #include "phy/zigbee/zigbee.h"
 #include "sim/ident_experiment.h"
@@ -130,6 +135,28 @@ void BM_RfEnvelope(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * x.size());
 }
 BENCHMARK(BM_RfEnvelope)->Arg(8)->Arg(20);
+
+/// OverlayReceiver::synchronize on perfbench overlay_decode's capture: a
+/// 40-sequence Mode 1 packet with 500 noise samples before it and 300
+/// after, at 6 dB.  Arg: protocol index (802.11b, 802.11n, BLE, ZigBee).
+void BM_OverlaySync(benchmark::State& state) {
+  const Protocol p = kAllProtocols[static_cast<std::size_t>(state.range(0))];
+  const OverlayReceiver rx(p, mode_params(p, OverlayMode::Mode1));
+  const OverlayCodec& codec = rx.codec();
+  Rng rng(13);
+  const Bits productive = rng.bits(40 * codec.productive_bits_per_sequence());
+  const Bits tag = rng.bits(codec.tag_capacity(40));
+  const Iq packet =
+      rx.assemble_packet(codec.tag_modulate(codec.make_carrier(productive), tag));
+  Iq capture(500 + packet.size() + 300, Cf(0.0f, 0.0f));
+  std::copy(packet.begin(), packet.end(), capture.begin() + 500);
+  const Iq noisy = add_noise_power(
+      capture, mean_power(std::span<const Cf>(packet)) / db_to_linear(6.0), rng);
+  for (auto _ : state) benchmark::DoNotOptimize(rx.synchronize(noisy));
+  state.SetItemsProcessed(state.iterations() * noisy.size());
+  state.SetLabel(std::string(protocol_name(p)));
+}
+BENCHMARK(BM_OverlaySync)->DenseRange(0, 3);
 
 void BM_RectifierRun(benchmark::State& state) {
   Rng rng(7);

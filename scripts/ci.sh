@@ -9,10 +9,12 @@
 # byte-identity gates for the waveform cache, the workload scorecard,
 # the kernel fast path, and the many-tag scale sweep), a bench-perf
 # smoke of the identification-, PHY-throughput, and tag-scaling
-# microbenches plus bench_micro's calibration-search, identifier-score
-# and front-end (FIR, rf_envelope) benchmarks and its telemetry-overhead
-# gate, and finally the same four suites under ASan+UBSan
-# (-DMS_SANITIZE=ON).  Exits nonzero on the first failing step.
+# microbenches plus bench_micro's calibration-search, identifier-score,
+# front-end (FIR, rf_envelope) and overlay-sync benchmarks and its
+# telemetry-overhead gate, then the same four suites under ASan+UBSan
+# (-DMS_SANITIZE=ON), and finally the golden and property suites built
+# for x86-64-v3 (FMA/AVX2), where bit-exactness rests on
+# -ffp-contract=off.  Exits nonzero on the first failing step.
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
@@ -60,11 +62,11 @@ mkdir -p "${perf_dir}"
     --out "${perf_dir}" --metrics-out "${perf_dir}/scale_metrics.json" \
     --manifest-out "${perf_dir}/scale_manifest.json"
 "${repo_root}/build/tools/validate_metrics" "${perf_dir}/scale_metrics.json"
-# bench_micro, cut to the calibration-search, identifier-scoring and
-# identification front-end benchmarks; after them it exits 1 if disabled telemetry adds >= 3 % to
-# the identifier scoring loop.
+# bench_micro, cut to the calibration-search, identifier-scoring,
+# identification front-end and overlay-sync benchmarks; after them it
+# exits 1 if disabled telemetry adds >= 3 % to the identifier scoring loop.
 "${repo_root}/build/bench/bench_micro" \
-    --benchmark_filter='BM_CalibrationSearch|BM_IdentifierScore|BM_FirFilterComplex|BM_RfEnvelope'
+    --benchmark_filter='BM_CalibrationSearch|BM_IdentifierScore|BM_FirFilterComplex|BM_RfEnvelope|BM_OverlaySync'
 
 echo "==> cross-run regression report (warn-only)"
 if [ -f "${repo_root}/BENCH_seed.json" ]; then
@@ -117,4 +119,16 @@ bash "${repo_root}/tests/scripts/watchdog_quarantine.sh" \
     "${repo_root}/build-asan/bench/bench_fig7_ordered" \
     "${chaos_dir}/watchdog"
 
-echo "CI: all suites green (Release + sanitizers)"
+echo "=== x86-64-v3 build ==="
+# The fast kernels and their scalar oracles must agree bit for bit on an
+# FMA target too: the golden fixtures, and the property label, which
+# holds the differential suites.
+cmake -B "${repo_root}/build-v3" -S "${repo_root}" \
+      -DCMAKE_BUILD_TYPE=RelWithDebInfo -DCMAKE_CXX_FLAGS=-march=x86-64-v3
+cmake --build "${repo_root}/build-v3" -j"${jobs}"
+for label in golden property; do
+  echo "==> ctest -L ${label} (build-v3)"
+  ctest --test-dir "${repo_root}/build-v3" -L "${label}" --output-on-failure -j"${jobs}"
+done
+
+echo "CI: all suites green (Release + sanitizers + x86-64-v3)"

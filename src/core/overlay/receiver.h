@@ -31,8 +31,11 @@ class OverlayReceiver {
   /// overlay carrier (already tag-modulated or not).
   Iq assemble_packet(std::span<const Cf> overlay_payload) const;
 
-  /// Locate the packet in a raw capture.  Returns nullopt when no
-  /// correlation peak exceeds `min_metric`.
+  /// Locate the packet in a raw capture: the earliest offset with the
+  /// highest normalized correlation against the preamble, among windows
+  /// whose energy passes a 1e-12 floor.  Returns nullopt when no such
+  /// window correlates with the preamble at all, or when the peak is
+  /// below `min_metric`.
   std::optional<SyncResult> synchronize(std::span<const Cf> rx,
                                         double min_metric = 0.5) const;
 

@@ -109,22 +109,25 @@ Iq ZigbeePhy::modulate_frame(std::span<const uint8_t> payload) const {
   return modulate_symbols(bytes_to_symbols(frame));
 }
 
+void ZigbeePhy::build_references() const {
+  std::call_once(references_built_, [this] {
+    bank_.reset(16, samples_per_symbol() + cfg_.samples_per_chip);
+    for (uint8_t sym = 0; sym < 16; ++sym) {
+      const uint8_t s[1] = {sym};
+      ref_cache_[sym] = modulate_symbols(s);
+      bank_.set_candidate(sym, ref_cache_[sym]);
+    }
+  });
+}
+
 const Iq& ZigbeePhy::reference_waveform(uint8_t symbol) const {
   MS_CHECK(symbol < 16);
-  Iq& ref = ref_cache_[symbol];
-  if (ref.empty()) {
-    const uint8_t s[1] = {symbol};
-    ref = modulate_symbols(s);
-  }
-  return ref;
+  build_references();
+  return ref_cache_[symbol];
 }
 
 const kernels::CmacBank& ZigbeePhy::candidate_bank() const {
-  if (bank_.candidates() == 0) {
-    bank_.reset(16, samples_per_symbol() + cfg_.samples_per_chip);
-    for (uint8_t sym = 0; sym < 16; ++sym)
-      bank_.set_candidate(sym, reference_waveform(sym));
-  }
+  build_references();
   return bank_;
 }
 

@@ -8,6 +8,7 @@
 #pragma once
 
 #include <array>
+#include <mutex>
 #include <span>
 
 #include "common/bits.h"
@@ -87,11 +88,16 @@ class ZigbeePhy {
   const Iq& reference_waveform(uint8_t symbol) const;
 
   /// Planar conj(ref) bank over all 16 PN waveforms for the fast
-  /// despreader; built lazily like ref_cache_ (instances are not
-  /// shared across threads).
+  /// despreader.
   const kernels::CmacBank& candidate_bank() const;
 
+  /// Builds ref_cache_ and bank_ on first use.  One instance may decode
+  /// on several threads at once (an OverlayReceiver shared by a sweep's
+  /// workers), so the build runs exactly once, under std::call_once.
+  void build_references() const;
+
   ZigbeeConfig cfg_;
+  mutable std::once_flag references_built_;
   mutable std::array<Iq, 16> ref_cache_;
   mutable kernels::CmacBank bank_;
 };

@@ -82,6 +82,18 @@ TEST(Receiver, PureNoiseReturnsNothing) {
   EXPECT_FALSE(rx.receive(noise, 4).has_value());
 }
 
+TEST(Receiver, SilentCaptureAtZeroThresholdReturnsNothing) {
+  // No window passes the energy floor, so no offset has a metric at all;
+  // a threshold at or below zero must not turn that into a packet at 0.
+  const OverlayReceiver rx(Protocol::Zigbee,
+                           mode_params(Protocol::Zigbee, OverlayMode::Mode1));
+  const Iq silence(4000, Cf(0.0f, 0.0f));
+  for (double min_metric : {0.0, -1.0}) {
+    EXPECT_FALSE(rx.synchronize(silence, min_metric).has_value()) << min_metric;
+    EXPECT_FALSE(rx.receive(silence, 4, min_metric).has_value()) << min_metric;
+  }
+}
+
 TEST(Receiver, TruncatedPayloadReturnsNothing) {
   Rng rng(31);
   const OverlayReceiver rx(Protocol::Ble,

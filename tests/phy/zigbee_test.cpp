@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <latch>
+#include <thread>
+#include <vector>
+
 #include "channel/awgn.h"
 #include "common/rng.h"
 #include "dsp/ops.h"
@@ -127,6 +131,44 @@ TEST(Zigbee, DetectReportsPhaseOfFlippedSymbol) {
   EXPECT_EQ(det[1].symbol, 5);  // |corr| unchanged → same PN pick
   const double dphi = std::arg(det[1].corr * std::conj(det[0].corr));
   EXPECT_GT(std::abs(dphi), 2.0);  // ~π apart
+}
+
+TEST(Zigbee, ConcurrentFirstDecodesAgree) {
+  // A PHY builds its reference waveforms and candidate bank on its first
+  // decode.  Threads that share one PHY (as a sweep's workers share an
+  // OverlayReceiver) and make that first call together must each get
+  // the single-thread answer, on both kernel paths.
+  Rng rng(41);
+  std::vector<uint8_t> symbols(64);
+  for (auto& s : symbols) s = static_cast<uint8_t>(rng.uniform_int(16));
+  const Iq noisy = add_awgn(ZigbeePhy().modulate_symbols(symbols), 4.0, rng);
+  constexpr int kThreads = 4;
+  for (kernels::KernelPath path :
+       {kernels::KernelPath::Fast, kernels::KernelPath::Reference}) {
+    const ZigbeeConfig cfg{4, path};
+    const auto expected = ZigbeePhy(cfg).detect_symbols(noisy, symbols.size());
+    for (int round = 0; round < 40; ++round) {
+      const ZigbeePhy phy(cfg);
+      std::latch start(kThreads);
+      std::vector<std::vector<ZigbeePhy::SymbolDetect>> got(kThreads);
+      std::vector<std::thread> threads;
+      for (int t = 0; t < kThreads; ++t)
+        threads.emplace_back([&, t] {
+          start.arrive_and_wait();
+          got[t] = phy.detect_symbols(noisy, symbols.size());
+        });
+      for (std::thread& th : threads) th.join();
+      for (int t = 0; t < kThreads; ++t) {
+        ASSERT_EQ(got[t].size(), expected.size());
+        for (std::size_t i = 0; i < expected.size(); ++i) {
+          ASSERT_EQ(got[t][i].symbol, expected[i].symbol)
+              << "round " << round << ", thread " << t << ", symbol " << i;
+          ASSERT_EQ(got[t][i].corr, expected[i].corr)
+              << "round " << round << ", thread " << t << ", symbol " << i;
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

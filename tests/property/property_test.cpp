@@ -162,12 +162,10 @@ TEST(CrcProperty, BurstErrorsUpToWidthDetected) {
 TEST(ThroughputProperty, SymbolAccountingConserved) {
   // productive + tag symbol usage never exceeds the airtime budget:
   // per sequence, 1 reference + γ·tag_bits ≤ κ symbols.
-  for (Protocol p : kAllProtocols) {
-    for (unsigned kappa = 2; kappa <= 32; ++kappa) {
-      for (unsigned gamma = 1; gamma <= 8; ++gamma) {
-        const OverlayParams params{kappa, gamma};
-        EXPECT_LE(1 + gamma * params.tag_bits_per_sequence(), kappa);
-      }
+  for (unsigned kappa = 2; kappa <= 32; ++kappa) {
+    for (unsigned gamma = 1; gamma <= 8; ++gamma) {
+      const OverlayParams params{kappa, gamma};
+      EXPECT_LE(1 + gamma * params.tag_bits_per_sequence(), kappa);
     }
   }
 }
