@@ -1,9 +1,9 @@
 // Hot-path microbenchmarks (google-benchmark): the operations a tag or
 // receiver runs per packet — correlation, despreading, FFT, GFSK
 // discrimination, the identification front end, rectifier simulation,
-// overlay packet sync and full overlay decode — plus the
-// ordered-matching calibration search every identification figure runs
-// once.
+// overlay packet sync and full overlay decode, and the tag link layer's
+// frame coding — plus the ordered-matching calibration search every
+// identification figure runs once.
 // After the benchmark suite, main() asserts that the telemetry layer
 // (src/obs/) costs < 3% on an instrumented hot path while tracing is
 // disabled — the contract that lets the instrumentation stay compiled
@@ -24,7 +24,10 @@
 #include "core/ident/frontend.h"
 #include "core/ident/identifier.h"
 #include "core/overlay/ble_overlay.h"
+#include "core/overlay/fec.h"
+#include "core/overlay/frame.h"
 #include "core/overlay/receiver.h"
+#include "core/tag/adaptation.h"
 #include "dsp/bitpack.h"
 #include "dsp/correlate.h"
 #include "dsp/fft.h"
@@ -179,6 +182,37 @@ void BM_BleOverlayDecode(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * n_seq);
 }
 BENCHMARK(BM_BleOverlayDecode);
+
+/// One tag frame through the link layer's coding and back, as
+/// LinkSession sends it: a 31-byte frame through to_bits, TagFec::encode
+/// (Hamming(7,4) + 7-row interleaver), repeat_bits, then majority_vote,
+/// TagFec::decode and from_bits.  Arg: index into the default adaptation
+/// ladder, {γ2,r1}, {γ4,r1}, {γ4,r3}; only the repeat count changes the
+/// coding work.  Items are coded bits.
+void BM_TagFrameCodec(benchmark::State& state) {
+  const ProtectionLevel level =
+      AdaptationConfig{}.ladder.at(static_cast<std::size_t>(state.range(0)));
+  Rng rng(14);
+  TagFrame frame;
+  frame.tag_id = 3;
+  frame.sequence = 5;
+  frame.payload = rng.bytes(TagFrame::kMaxPayload);
+  const TagFec fec{7};
+  std::size_t coded_bits = 0;
+  for (auto _ : state) {
+    const Bits coded =
+        repeat_bits(fec.encode(frame.to_bits()), level.fec_repeats);
+    const Bits voted = majority_vote(coded, level.fec_repeats);
+    benchmark::DoNotOptimize(
+        TagFrame::from_bits(fec.decode(voted, voted.size() / 7 * 4)));
+    coded_bits = coded.size();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(coded_bits));
+  state.SetLabel("gamma=" + std::to_string(level.gamma) +
+                 " repeats=" + std::to_string(level.fec_repeats));
+}
+BENCHMARK(BM_TagFrameCodec)->DenseRange(0, 2);
 
 void BM_PackedCorrelation(benchmark::State& state) {
   Rng rng(10);

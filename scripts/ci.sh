@@ -10,11 +10,13 @@
 # the kernel fast path, and the many-tag scale sweep), a bench-perf
 # smoke of the identification-, PHY-throughput, and tag-scaling
 # microbenches plus bench_micro's calibration-search, identifier-score,
-# front-end (FIR, rf_envelope) and overlay-sync benchmarks and its
-# telemetry-overhead gate, then the same four suites under ASan+UBSan
-# (-DMS_SANITIZE=ON), and finally the golden and property suites built
-# for x86-64-v3 (FMA/AVX2), where bit-exactness rests on
-# -ffp-contract=off.  Exits nonzero on the first failing step.
+# front-end (FIR, rf_envelope), overlay-sync and tag-frame-codec
+# benchmarks and its telemetry-overhead gate, then the same four suites
+# under ASan+UBSan (-DMS_SANITIZE=ON, which also bounds-checks the
+# standard containers with _GLIBCXX_ASSERTIONS), and finally the golden
+# and property suites built for x86-64-v3 (FMA/AVX2), where
+# bit-exactness rests on -ffp-contract=off.  Exits nonzero on the first
+# failing step.
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
@@ -63,10 +65,11 @@ mkdir -p "${perf_dir}"
     --manifest-out "${perf_dir}/scale_manifest.json"
 "${repo_root}/build/tools/validate_metrics" "${perf_dir}/scale_metrics.json"
 # bench_micro, cut to the calibration-search, identifier-scoring,
-# identification front-end and overlay-sync benchmarks; after them it
-# exits 1 if disabled telemetry adds >= 3 % to the identifier scoring loop.
+# identification front-end, overlay-sync and tag-frame-codec benchmarks;
+# after them it exits 1 if disabled telemetry adds >= 3 % to the
+# identifier scoring loop.
 "${repo_root}/build/bench/bench_micro" \
-    --benchmark_filter='BM_CalibrationSearch|BM_IdentifierScore|BM_FirFilterComplex|BM_RfEnvelope|BM_OverlaySync'
+    --benchmark_filter='BM_CalibrationSearch|BM_IdentifierScore|BM_FirFilterComplex|BM_RfEnvelope|BM_OverlaySync|BM_TagFrameCodec'
 
 echo "==> cross-run regression report (warn-only)"
 if [ -f "${repo_root}/BENCH_seed.json" ]; then

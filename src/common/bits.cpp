@@ -7,10 +7,10 @@
 namespace ms {
 
 Bits bytes_to_bits_lsb(std::span<const uint8_t> bytes) {
-  Bits out;
-  out.reserve(bytes.size() * 8);
+  Bits out(bytes.size() * 8);
+  uint8_t* o = out.data();
   for (uint8_t b : bytes)
-    for (int i = 0; i < 8; ++i) out.push_back((b >> i) & 1u);
+    for (int i = 0; i < 8; ++i) *o++ = (b >> i) & 1u;
   return out;
 }
 
@@ -24,9 +24,14 @@ Bits bytes_to_bits_msb(std::span<const uint8_t> bytes) {
 
 Bytes bits_to_bytes_lsb(std::span<const uint8_t> bits) {
   MS_CHECK(bits.size() % 8 == 0);
-  Bytes out(bits.size() / 8, 0);
-  for (std::size_t i = 0; i < bits.size(); ++i)
-    if (bits[i]) out[i / 8] |= static_cast<uint8_t>(1u << (i % 8));
+  Bytes out(bits.size() / 8);
+  const uint8_t* in = bits.data();
+  for (uint8_t& byte : out) {
+    unsigned v = 0;
+    for (unsigned i = 0; i < 8; ++i) v |= (in[i] != 0 ? 1u : 0u) << i;
+    byte = static_cast<uint8_t>(v);
+    in += 8;
+  }
   return out;
 }
 

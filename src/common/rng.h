@@ -21,13 +21,28 @@ class Rng {
 
   explicit Rng(std::uint64_t seed = 0x9e3779b97f4a7c15ull);
 
-  /// Raw 64-bit draw (UniformRandomBitGenerator interface).
-  std::uint64_t operator()();
+  /// Raw 64-bit draw (UniformRandomBitGenerator interface).  It is
+  /// inline, as are uniform() and chance(): the tag link layer draws once
+  /// per coded bit and 32 times per sensed slot.
+  std::uint64_t operator()() {
+    const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
+    const std::uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = rotl(s_[3], 45);
+    return result;
+  }
   static constexpr std::uint64_t min() { return 0; }
   static constexpr std::uint64_t max() { return ~0ull; }
 
   /// Uniform double in [0, 1).
-  double uniform();
+  double uniform() {
+    // 53 high bits -> double in [0,1)
+    return static_cast<double>((*this)() >> 11) * 0x1.0p-53;
+  }
   /// Uniform double in [lo, hi).
   double uniform(double lo, double hi);
   /// Uniform integer in [0, n).  Requires n > 0.
@@ -37,7 +52,7 @@ class Rng {
   /// Normal draw with the given mean and standard deviation.
   double normal(double mean, double stddev);
   /// Bernoulli draw with probability p of returning true.
-  bool chance(double p);
+  bool chance(double p) { return uniform() < p; }
   /// n independent fair bits.
   Bits bits(std::size_t n);
   /// n independent uniform bytes.
@@ -60,6 +75,10 @@ class Rng {
   std::uint64_t seed() const { return seed_; }
 
  private:
+  static std::uint64_t rotl(std::uint64_t x, int k) {
+    return (x << k) | (x >> (64 - k));
+  }
+
   std::uint64_t seed_ = 0;
   std::uint64_t s_[4];
   double spare_ = 0.0;

@@ -1,5 +1,7 @@
 #include "core/overlay/fec.h"
 
+#include <algorithm>
+
 #include "common/error.h"
 
 namespace ms {
@@ -9,15 +11,17 @@ namespace {
 // Generator: data bits d0..d3, parity p0 = d0^d1^d3, p1 = d0^d2^d3,
 // p2 = d1^d2^d3; codeword order [p0 p1 d0 p2 d1 d2 d3] (systematic
 // Hamming with syndrome = error position).
-void encode_block(const uint8_t* d, Bits& out) {
-  const uint8_t p0 = d[0] ^ d[1] ^ d[3];
-  const uint8_t p1 = d[0] ^ d[2] ^ d[3];
-  const uint8_t p2 = d[1] ^ d[2] ^ d[3];
-  const uint8_t cw[7] = {p0, p1, d[0], p2, d[1], d[2], d[3]};
-  out.insert(out.end(), cw, cw + 7);
+void encode_block(const uint8_t* d, uint8_t* cw) {
+  cw[0] = d[0] ^ d[1] ^ d[3];
+  cw[1] = d[0] ^ d[2] ^ d[3];
+  cw[2] = d[0];
+  cw[3] = d[1] ^ d[2] ^ d[3];
+  cw[4] = d[1];
+  cw[5] = d[2];
+  cw[6] = d[3];
 }
 
-void decode_block(const uint8_t* c, Bits& out) {
+void decode_block(const uint8_t* c, uint8_t* d) {
   // Syndrome bits: s0 checks positions 1,3,5,7; s1: 2,3,6,7; s2: 4..7
   // (1-indexed); the syndrome value is the error position.
   uint8_t cw[7];
@@ -27,45 +31,46 @@ void decode_block(const uint8_t* c, Bits& out) {
   const unsigned s2 = cw[3] ^ cw[4] ^ cw[5] ^ cw[6];
   const unsigned syndrome = s0 | (s1 << 1) | (s2 << 2);
   if (syndrome != 0) cw[syndrome - 1] ^= 1u;  // correct the flagged bit
-  out.push_back(cw[2]);
-  out.push_back(cw[4]);
-  out.push_back(cw[5]);
-  out.push_back(cw[6]);
+  d[0] = cw[2];
+  d[1] = cw[4];
+  d[2] = cw[5];
+  d[3] = cw[6];
 }
 
 }  // namespace
 
 Bits hamming74_encode(std::span<const uint8_t> data) {
-  Bits out;
-  out.reserve((data.size() + 3) / 4 * 7);
+  Bits out((data.size() + 3) / 4 * 7);
+  uint8_t* cw = out.data();
   std::size_t i = 0;
-  for (; i + 4 <= data.size(); i += 4) encode_block(&data[i], out);
+  for (; i + 4 <= data.size(); i += 4, cw += 7) encode_block(&data[i], cw);
   if (i < data.size()) {
     uint8_t last[4] = {0, 0, 0, 0};
     for (std::size_t j = 0; i + j < data.size(); ++j) last[j] = data[i + j];
-    encode_block(last, out);
+    encode_block(last, cw);
   }
   return out;
 }
 
 Bits hamming74_decode(std::span<const uint8_t> coded) {
   MS_CHECK(coded.size() % 7 == 0);
-  Bits out;
-  out.reserve(coded.size() / 7 * 4);
-  for (std::size_t i = 0; i < coded.size(); i += 7) decode_block(&coded[i], out);
+  Bits out(coded.size() / 7 * 4);
+  for (std::size_t i = 0, o = 0; i < coded.size(); i += 7, o += 4)
+    decode_block(&coded[i], &out[o]);
   return out;
 }
 
 Bits block_interleave(std::span<const uint8_t> bits, std::size_t rows) {
   MS_CHECK(rows >= 1);
   const std::size_t cols = (bits.size() + rows - 1) / rows;
-  Bits out;
-  out.reserve(rows * cols);
-  for (std::size_t c = 0; c < cols; ++c)
-    for (std::size_t r = 0; r < rows; ++r) {
-      const std::size_t idx = r * cols + c;
-      out.push_back(idx < bits.size() ? bits[idx] : 0);
-    }
+  Bits out(rows * cols, 0);  // the tail of the rectangle stays zero padding
+  // Row r holds input bits [r·cols, (r+1)·cols); column-wise reading puts
+  // input (r, c) at output c·rows + r.
+  for (std::size_t r = 0; r * cols < bits.size(); ++r) {
+    const std::size_t begin = r * cols;
+    const std::size_t end = std::min(begin + cols, bits.size());
+    for (std::size_t i = begin, o = r; i < end; ++i, o += rows) out[o] = bits[i];
+  }
   return out;
 }
 

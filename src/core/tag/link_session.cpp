@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cmath>
 
 #include "channel/link.h"
 #include "common/error.h"
@@ -73,17 +74,20 @@ std::size_t LinkSession::slot_capacity_bits(unsigned gamma) const {
   return cfg_.sequences_per_slot * per_seq;
 }
 
+std::size_t LinkSession::coded_frame_bits(std::size_t payload_bytes,
+                                          const ProtectionLevel& level) const {
+  const std::size_t raw = TagFrame::frame_bits(payload_bytes);
+  const std::size_t coded =
+      cfg_.fec_enabled ? TagFec{cfg_.interleave_rows}.coded_size(raw) : raw;
+  return coded * level.fec_repeats;
+}
+
 std::size_t LinkSession::frame_payload_budget(
     const ProtectionLevel& level) const {
   MS_CHECK(level.fec_repeats >= 1);
-  const std::size_t usable =
-      slot_capacity_bits(level.gamma) / level.fec_repeats;
-  const TagFec fec{cfg_.interleave_rows};
-  for (std::size_t p = TagFrame::kMaxPayload; p >= 1; --p) {
-    const std::size_t raw = TagFrame::frame_bits(p);
-    const std::size_t coded = cfg_.fec_enabled ? fec.coded_size(raw) : raw;
-    if (coded <= usable) return p;
-  }
+  const std::size_t capacity = slot_capacity_bits(level.gamma);
+  for (std::size_t p = TagFrame::kMaxPayload; p >= 1; --p)
+    if (coded_frame_bits(p, level) <= capacity) return p;
   throw Error("slot capacity below one framed payload byte at protection "
               "level gamma=" + std::to_string(level.gamma) +
               " repeats=" + std::to_string(level.fec_repeats));
@@ -99,15 +103,17 @@ Bits LinkSession::encode_frame(const TagFrame& frame,
 
 std::optional<TagFrame> LinkSession::decode_frame(
     std::span<const uint8_t> coded, const ProtectionLevel& level) const {
-  Bits bits(coded.begin(), coded.end());
-  if (level.fec_repeats > 1) bits = majority_vote(bits, level.fec_repeats);
-  if (cfg_.fec_enabled) {
-    // The receiver knows only the coded length; decode every whole
-    // Hamming block and let the frame parser skip the trailing padding.
-    const std::size_t data_bits = bits.size() / 7 * 4;
-    bits = TagFec{cfg_.interleave_rows}.decode(bits, data_bits);
+  Bits voted;
+  if (level.fec_repeats > 1) {
+    voted = majority_vote(coded, level.fec_repeats);
+    coded = voted;
   }
-  return TagFrame::from_bits(bits);
+  if (!cfg_.fec_enabled) return TagFrame::from_bits(coded);
+  // The receiver knows only the coded length; decode every whole
+  // Hamming block and let the frame parser skip the trailing padding.
+  const std::size_t data_bits = coded.size() / 7 * 4;
+  return TagFrame::from_bits(
+      TagFec{cfg_.interleave_rows}.decode(coded, data_bits));
 }
 
 namespace {
@@ -115,8 +121,9 @@ namespace {
 /// Synthesize the envelope the tag's clear-channel assessment sees:
 /// quiet air sits well below the sensing threshold, a busy channel well
 /// above it.
-Samples sense_envelope(bool busy, const ChannelSenseConfig& sense, Rng& rng) {
-  Samples env(32);
+std::array<float, 32> sense_envelope(bool busy, const ChannelSenseConfig& sense,
+                                     Rng& rng) {
+  std::array<float, 32> env{};
   const float level = busy ? static_cast<float>(4.0 * sense.threshold_v)
                            : static_cast<float>(0.2 * sense.threshold_v);
   for (float& v : env)
@@ -455,16 +462,17 @@ LinkSessionReport LinkSession::run_trace(std::size_t n_readings,
 
     // Variable slot capacity: short / high-MCS excitation packets carry
     // fewer modulatable sequences, and a frame that does not fit waits
-    // for a roomier slot.
-    MS_CHECK_MSG(c.capacity_scale >= 0.0f,
-                 "SlotConditions::capacity_scale must be >= 0");
+    // for a roomier slot.  The coded length is an integer below 2^53,
+    // so comparing it with the scaled capacity in double is exact: it
+    // fits iff it fits the floor of that capacity.
+    MS_CHECK_MSG(std::isfinite(c.capacity_scale) && c.capacity_scale >= 0.0f,
+                 "SlotConditions::capacity_scale must be finite and >= 0");
     const TagFrame* head =
         cfg_.arq_enabled ? sender.peek() : &blind_queue.front();
-    Bits coded = encode_frame(*head, level);
-    const auto capacity = static_cast<std::size_t>(
+    const std::size_t coded_len = coded_frame_bits(head->payload.size(), level);
+    if (static_cast<double>(coded_len) >
         static_cast<double>(c.capacity_scale) *
-        static_cast<double>(slot_capacity_bits(level.gamma)));
-    if (coded.size() > capacity) {
+            static_cast<double>(slot_capacity_bits(level.gamma))) {
       ++rep.slots_undersized;
       obs::add(lm.slot_undersized);
       idle_slot();
@@ -520,7 +528,10 @@ LinkSessionReport LinkSession::run_trace(std::size_t n_readings,
 
     // Through the channel: per-bit flips at the slot's tag BER, the
     // fault injector's i.i.d. burst corruption, and any missed
-    // coexistence interferer stomping a contiguous run.
+    // coexistence interferer stomping a contiguous run.  Coding draws
+    // nothing from rng, so the frame is encoded only now that it is
+    // certain to go out.
+    Bits coded = encode_frame(*frame, level);
     const double ber = backscatter_tag_ber(cfg_.protocol, snr_db, level.gamma);
     for (uint8_t& b : coded)
       if (rng.chance(ber)) b ^= 1u;

@@ -170,6 +170,10 @@ class LinkSession {
   const LinkSessionConfig& config() const { return cfg_; }
 
  private:
+  /// Size of encode_frame()'s output for a `payload_bytes` frame at
+  /// `level` (framing, FEC, repetition), computed without encoding.
+  std::size_t coded_frame_bits(std::size_t payload_bytes,
+                               const ProtectionLevel& level) const;
   Bits encode_frame(const TagFrame& frame, const ProtectionLevel& level) const;
   std::optional<TagFrame> decode_frame(std::span<const uint8_t> coded,
                                        const ProtectionLevel& level) const;

@@ -21,6 +21,20 @@ std::atomic<bool> g_enabled{true};
 thread_local TelemetryShard* tls_shard = nullptr;
 thread_local TraceClock tls_clock{};
 
+/// This thread's copy of each histogram's bucket bounds, indexed by
+/// MetricId and filled from the registry on the thread's first
+/// observation of that id.  Bounds are fixed at registration, so a copy
+/// never goes stale, and observe() takes no registry lock after the
+/// first call.  (A histogram has at least one bound, so an empty entry
+/// means "not fetched yet".)
+const std::vector<double>& histogram_bounds(MetricId id) {
+  thread_local std::vector<std::vector<double>> cache;
+  if (id < cache.size() && !cache[id].empty()) return cache[id];
+  std::vector<double> bounds = metric_def(id).bounds;  // throws on a bad id
+  if (id >= cache.size()) cache.resize(id + 1);
+  return cache[id] = std::move(bounds);
+}
+
 struct Aggregate {
   std::mutex m;
   TelemetryShard shard;
@@ -103,12 +117,12 @@ void TelemetryShard::set(MetricId id, double value) {
 
 void TelemetryShard::observe(MetricId id, double value) {
   Slot& s = slot(id);
-  const MetricDef def = metric_def(id);
+  const std::vector<double>& bounds = histogram_bounds(id);
   if (s.buckets.empty())
-    s.buckets.assign(def.bounds.size() + 1, 0);  // sized on first touch
-  std::size_t b = def.bounds.size();  // overflow bucket
-  for (std::size_t i = 0; i < def.bounds.size(); ++i)
-    if (value <= def.bounds[i]) {
+    s.buckets.assign(bounds.size() + 1, 0);  // sized on first touch
+  std::size_t b = bounds.size();  // overflow bucket
+  for (std::size_t i = 0; i < bounds.size(); ++i)
+    if (value <= bounds[i]) {
       b = i;
       break;
     }

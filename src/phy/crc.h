@@ -3,10 +3,13 @@
 //   CRC-16/CCITT  — 802.15.4 FCS and 802.11 PLCP header check
 //   CRC-24        — BLE packet CRC (poly 0x00065B, per-channel init)
 //   CRC-32        — 802.11 frame check sequence
-//   CRC-8         — utility checksum used by example applications
+//   CRC-8         — tag frame check (core/overlay/frame.h)
 //
-// All are bit-serial reference implementations; they are not on the hot
-// path (waveform synthesis dominates), so clarity wins over tables.
+// CRC-8 guards every tag frame, and the link layer checks one per
+// transmitted slot, so it reads a 256-entry table built at compile time
+// from the bit-serial loop.  The PHY CRCs run once per synthesized
+// packet, where waveform synthesis dominates, so they stay bit-serial:
+// clarity wins over tables there.
 #pragma once
 
 #include <cstdint>

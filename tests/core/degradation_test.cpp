@@ -2,6 +2,9 @@
 // machines, ARQ brownout reset + holdoff jitter bounds, and the link
 // session's trace-driven degradation path (dark air, undersized slots,
 // interferers, brownout → resync → recover).
+#include <cmath>
+#include <limits>
+#include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -276,6 +279,86 @@ TEST(LinkSessionTrace, UndersizedSlotsMakeFramesWait) {
   const auto rep = session.run_trace(4, trace, rng);
   EXPECT_EQ(rep.readings_delivered, 4u);
   EXPECT_GT(rep.slots_undersized, 0u);
+}
+
+TEST(LinkSessionTrace, NonFiniteCapacityScaleIsANamedError) {
+  std::vector<SlotConditions> trace = saturated(20);
+  for (SlotConditions& c : trace)
+    c.capacity_scale = std::numeric_limits<float>::infinity();
+  LinkSession session(trace_base());
+  Rng rng(11);
+  try {
+    session.run_trace(2, trace, rng);
+    FAIL() << "an infinite capacity_scale must be rejected";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("capacity_scale"), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(LinkSessionTrace, HugeCapacityScaleFitsEveryFrame) {
+  std::vector<SlotConditions> huge = saturated(400);
+  for (SlotConditions& c : huge) c.capacity_scale = 1e30f;
+  LinkSession session(trace_base());
+  Rng r1(12), r2(12);
+  const auto a = session.run_trace(6, saturated(400), r1);
+  const auto b = session.run_trace(6, huge, r2);
+  EXPECT_EQ(a.readings_delivered, 6u);
+  EXPECT_EQ(b.slots_undersized, 0u);
+  EXPECT_EQ(a.slots, b.slots);
+  EXPECT_EQ(a.slots_deferred, b.slots_deferred);
+  EXPECT_EQ(a.readings_offered, b.readings_offered);
+  EXPECT_EQ(a.readings_delivered, b.readings_delivered);
+  EXPECT_EQ(a.frames_corrupted, b.frames_corrupted);
+  EXPECT_EQ(a.frames_recovered, b.frames_recovered);
+  EXPECT_EQ(a.acks_lost, b.acks_lost);
+  EXPECT_EQ(a.duplicates_seen, b.duplicates_seen);
+  EXPECT_EQ(a.sender.frames_loaded, b.sender.frames_loaded);
+  EXPECT_EQ(a.sender.transmissions, b.sender.transmissions);
+  EXPECT_EQ(a.sender.retransmissions, b.sender.retransmissions);
+  EXPECT_EQ(a.sender.frames_delivered, b.sender.frames_delivered);
+  EXPECT_EQ(a.sender.frames_dropped, b.sender.frames_dropped);
+  EXPECT_EQ(a.sender.readings_abandoned, b.sender.readings_abandoned);
+  EXPECT_EQ(a.delivered_bytes, b.delivered_bytes);
+  EXPECT_EQ(a.mean_gamma, b.mean_gamma);
+  EXPECT_EQ(a.mean_fec_repeats, b.mean_fec_repeats);
+  EXPECT_EQ(a.level_switches, b.level_switches);
+  EXPECT_EQ(a.final_nack_rate, b.final_nack_rate);
+  EXPECT_EQ(a.slots_dark, b.slots_dark);
+  EXPECT_EQ(a.slots_undersized, b.slots_undersized);
+  EXPECT_EQ(a.brownouts, b.brownouts);
+  EXPECT_EQ(a.slots_browned_out, b.slots_browned_out);
+  EXPECT_EQ(a.resyncs, b.resyncs);
+  EXPECT_EQ(a.retries_shed, b.retries_shed);
+  EXPECT_EQ(a.energy_deferrals, b.energy_deferrals);
+  EXPECT_EQ(a.energy_violations, b.energy_violations);
+  EXPECT_EQ(a.energy_harvested_j, b.energy_harvested_j);
+  EXPECT_EQ(a.energy_spent_j, b.energy_spent_j);
+  EXPECT_EQ(a.recoveries, b.recoveries);
+  EXPECT_EQ(a.recover_slots_total, b.recover_slots_total);
+}
+
+TEST(LinkSessionTrace, FrameExactlyFillingTheSlotFits) {
+  LinkSessionConfig cfg = trace_base();
+  cfg.fec_enabled = false;
+  cfg.adaptation_enabled = false;  // fixed γ = 2, no repetition
+  cfg.sequences_per_slot = 180;    // 3 tag bits per sequence at γ = 2
+  cfg.reading_bytes = 31;          // one full frame: 22 + 31·8 = 270 bits
+  LinkSession session(cfg);
+  ASSERT_EQ(session.slot_capacity_bits(cfg.fixed.gamma), 540u);
+  ASSERT_EQ(session.frame_payload_budget(cfg.fixed), 31u);
+  std::vector<SlotConditions> exact = saturated(50);
+  std::vector<SlotConditions> under = saturated(50);
+  for (SlotConditions& c : exact) c.capacity_scale = 0.5f;  // 270 bits
+  for (SlotConditions& c : under)
+    c.capacity_scale = std::nextafter(0.5f, 0.0f);  // just below 270
+  Rng r1(13), r2(13);
+  const auto fits = session.run_trace(1, exact, r1);
+  const auto waits = session.run_trace(1, under, r2);
+  EXPECT_EQ(fits.slots_undersized, 0u);
+  EXPECT_EQ(fits.readings_delivered, 1u);
+  EXPECT_EQ(waits.readings_delivered, 0u);
+  EXPECT_EQ(waits.slots_undersized, waits.slots);
 }
 
 TEST(LinkSessionTrace, SnrOffsetIsApplied) {

@@ -101,8 +101,7 @@ TEST(FreqShift, AlignedOverlayDecodesThroughShiftChain) {
   cfg.oscillator_ppm = 10.0;
   const Iq shifted = tag_square_shift(wave, fs, cfg);
   const Iq rx = receiver_downmix(shifted, fs, cfg.shift_hz);
-  const double offset = estimate_offset_hz(
-      rx, std::span<const Cf>(wave).first(2000), fs, 60e3, 61);
+  const double offset = estimate_offset_hz(rx, wave, fs, 60e3, 61);
   const Iq aligned = receiver_downmix(rx, fs, 0.0, offset);
 
   const OverlayDecoded out = codec.decode(aligned, n_seq);

@@ -3,6 +3,7 @@
 // documented rules (counters add, gauges last-write-wins, histograms
 // add) that the determinism contract rests on.
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -197,6 +198,60 @@ TEST(Shard, DisabledTelemetryInstallsNothing) {
   }
   set_enabled(true);
   EXPECT_EQ(s.counter_value(c), 0u);
+}
+
+TEST(Shard, HistogramBoundsFollowEachMetricAcrossThreads) {
+  // observe() keeps a per-thread copy of each histogram's bounds.  This
+  // thread caches A's, then B joins the registry, then B is observed
+  // from this thread and from a fresh one, each into its own shard.
+  const MetricId a =
+      histogram("test.bounds_cache.a", std::vector<double>{1.0, 2.0});
+  TelemetryShard mine;
+  {
+    ShardScope scope(&mine);
+    for (double v : {0.5, 1.5, 3.0, 2.0}) observe(a, v);
+  }
+  const TelemetryShard::HistogramValue a_before = mine.histogram_value(a);
+
+  const MetricId b = histogram("test.bounds_cache.b",
+                               std::vector<double>{-10.0, 0.0, 10.0, 20.0});
+  ASSERT_GT(b, a);
+  const std::vector<double> mine_b = {-20.0, -10.0, 0.0, 5.0};
+  const std::vector<double> theirs_b = {10.0, 15.0, 20.0, 25.0, 1e9};
+  {
+    ShardScope scope(&mine);
+    for (double v : mine_b) observe(b, v);
+  }
+  TelemetryShard theirs;
+  std::thread([&] {
+    ShardScope scope(&theirs);
+    for (double v : theirs_b) observe(b, v);
+  }).join();
+
+  const TelemetryShard::HistogramValue a_after = mine.histogram_value(a);
+  EXPECT_EQ(a_after.counts, a_before.counts);
+  EXPECT_EQ(a_after.counts, (std::vector<std::uint64_t>{1, 2, 1}));
+  EXPECT_EQ(mine.histogram_value(b).counts,
+            (std::vector<std::uint64_t>{2, 1, 1, 0, 0}));
+  EXPECT_EQ(theirs.histogram_value(b).counts,
+            (std::vector<std::uint64_t>{0, 0, 1, 2, 2}));
+
+  TelemetryShard merged, tally;
+  merged.merge_from(mine);
+  merged.merge_from(theirs);
+  {
+    ShardScope scope(&tally);
+    for (double v : {0.5, 1.5, 3.0, 2.0}) observe(a, v);
+    for (double v : mine_b) observe(b, v);
+    for (double v : theirs_b) observe(b, v);
+  }
+  for (const MetricId id : {a, b}) {
+    const TelemetryShard::HistogramValue m = merged.histogram_value(id);
+    const TelemetryShard::HistogramValue t = tally.histogram_value(id);
+    EXPECT_EQ(m.counts, t.counts) << "metric " << id;
+    EXPECT_EQ(m.n, t.n) << "metric " << id;
+    EXPECT_EQ(m.sum, t.sum) << "metric " << id;
+  }
 }
 
 TEST(MetricsJson, SortedSchemaAndRoundTrip) {
