@@ -3,7 +3,6 @@
 // thread count must produce the identical confusion matrix).  Writes
 // runner_scaling.csv when --out DIR is given.  --trials overrides the
 // per-protocol trial count (default 60).
-#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -12,7 +11,6 @@
 
 #include "bench_util.h"
 #include "sim/ident_experiment.h"
-#include "sim/runner/checkpoint.h"
 #include "sim/runner/cli.h"
 #include "sim/runner/thread_pool.h"
 #include "sim/trace_io.h"
@@ -88,48 +86,6 @@ int main(int argc, char** argv) {
                    threads);
       return 1;
     }
-  }
-
-  // Checkpoint-overhead check: the same sweep with the journal armed
-  // must cost <3% over the plain run (the acceptance bar for the
-  // crash-safety layer).  Skipped when --checkpoint-out already armed a
-  // session — the scaling loop above then measured the armed cost.
-  if (!ckpt::CheckpointSession::instance().armed()) {
-    cfg.threads = 4;
-    const std::string ckpt_path =
-        (opt.out_dir.empty() ? std::string("/tmp") : opt.out_dir) +
-        "/runner_scaling.ckpt";
-    auto timed_sweep = [&] {
-      TrialRunner runner({cfg.threads, cfg.seed});
-      const auto start = std::chrono::steady_clock::now();
-      const IdentResult r = run_ident_experiment(runner, cfg, trials);
-      (void)r;
-      return std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                           start)
-          .count();
-    };
-    // Alternate plain/armed and keep the per-mode minimum: scheduler
-    // noise on a shared box swamps a few-percent effect in any single
-    // pair of runs.
-    double plain_s = 1e30, armed_s = 1e30;
-    timed_sweep();  // warm allocator + thread-local caches
-    for (int rep = 0; rep < 5; ++rep) {
-      plain_s = std::min(plain_s, timed_sweep());
-      ckpt::CheckpointConfig ck;
-      ck.path = ckpt_path;
-      ck.config_hash = ckpt::config_hash("bench_runner_scaling", cfg.seed,
-                                         trials, /*deadline_ms=*/0);
-      ckpt::CheckpointSession::instance().arm(std::move(ck), std::nullopt);
-      armed_s = std::min(armed_s, timed_sweep());
-      ckpt::CheckpointSession::instance().disarm();
-      std::remove(ckpt_path.c_str());
-    }
-    const double overhead_pct = (armed_s - plain_s) / plain_s * 100.0;
-    std::printf("\n  checkpoint overhead (4 threads): %.3fs plain, %.3fs"
-                " journaled, %+.2f%%\n",
-                plain_s, armed_s, overhead_pct);
-    if (overhead_pct > 3.0)
-      std::printf("  WARNING: checkpoint overhead exceeds the 3%% budget\n");
   }
 
   if (!opt.out_dir.empty()) {

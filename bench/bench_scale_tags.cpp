@@ -7,8 +7,8 @@
 // overlay decode of the capture winner).  Runs on the deterministic
 // trial engine: the CSV, the metrics JSON, and the manifest's
 // deterministic section are byte-identical at any --threads and
-// --waveform-cache setting, and checkpoint/resume works mid-sweep
-// (tests/scripts/scale_tags_determinism.sh gates all three).
+// --waveform-cache setting (tests/scripts/scale_tags_determinism.sh
+// gates the CSV and the metrics JSON).
 #include <cstdio>
 #include <vector>
 

@@ -9,8 +9,7 @@
 // copy-pasteable command line (built by the bench CLI, ending in
 // `--only-cell P,T`) that re-executes exactly the failed cell.
 //
-// Like the heartbeat, bundles are a side channel: nothing here is
-// reachable from --metrics-out / --trace-out or the manifest's
+// Bundles are a side channel: nothing here is reachable from --metrics-out / --trace-out or the manifest's
 // deterministic section.
 #pragma once
 

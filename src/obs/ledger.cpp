@@ -9,6 +9,7 @@
 #include <sstream>
 
 #include "common/error.h"
+#include "common/hash.h"
 #include "obs/profile.h"
 #include "obs/telemetry.h"
 
@@ -39,19 +40,6 @@ std::string hex64(std::uint64_t v) {
   std::snprintf(buf, sizeof buf, "%016llx",
                 static_cast<unsigned long long>(v));
   return buf;
-}
-
-/// Local FNV-1a64 (the obs layer cannot reach sim/'s fnv1a; same
-/// constants, so digests are comparable if anything ever cross-checks).
-std::uint64_t fnv1a64(const void* data, std::size_t len,
-                      std::uint64_t seed = 0xcbf29ce484222325ull) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  std::uint64_t h = seed;
-  for (std::size_t i = 0; i < len; ++i) {
-    h ^= p[i];
-    h *= 0x100000001b3ull;
-  }
-  return h;
 }
 
 void write_kv_block(std::ostream& out, const char* name,
@@ -114,9 +102,18 @@ void record_timing(const std::string& key, double value) {
 const std::map<std::string, double>& results() { return ledger().results; }
 const std::map<std::string, double>& timings() { return ledger().timings; }
 
+std::uint64_t config_hash(const std::string& program, std::uint64_t seed,
+                          std::uint64_t trials, std::uint64_t deadline_ms) {
+  std::uint64_t h = fnv1a(program.data(), program.size());
+  h = fnv1a(&seed, sizeof(seed), h);
+  h = fnv1a(&trials, sizeof(trials), h);
+  h = fnv1a(&deadline_ms, sizeof(deadline_ms), h);
+  return h;
+}
+
 std::uint64_t metrics_digest() {
   const std::string json = metrics_json_string();
-  return fnv1a64(json.data(), json.size());
+  return fnv1a(json.data(), json.size());
 }
 
 std::string git_sha() {

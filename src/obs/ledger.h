@@ -4,8 +4,8 @@
 // bench invocation, split into two sections with different contracts.
 //
 //  - `deterministic` is a pure function of (program, seed, trials,
-//    deadline): the checkpoint-layer config hash, a 64-bit digest of
-//    the aggregated metrics JSON, and the key results the bench chose
+//    deadline): the run's config hash, a 64-bit digest of the
+//    aggregated metrics JSON, and the key results the bench chose
 //    to record (accuracies, ranges, gate outcomes).  It must be
 //    byte-identical at any --threads / --fast-path / --waveform-cache
 //    setting — the manifest-determinism ctest diffs it across thread
@@ -30,9 +30,18 @@
 
 namespace ms::obs::ledger {
 
+/// The run identity: FNV-1a over (program, seed, trials, trial
+/// deadline), the knobs that change WHAT a run computes.  Threads,
+/// waveform cache and fast path are left out on purpose — results are
+/// invariant to them, so runs that differ only there share an identity
+/// and `obs_report diff` compares them.  Committed baselines pin the
+/// values (BENCH_seed.json, BENCH_seed_scale.json).
+std::uint64_t config_hash(const std::string& program, std::uint64_t seed,
+                          std::uint64_t trials, std::uint64_t deadline_ms);
+
 /// Identity + knobs of the current run, filled by the shared bench CLI
-/// (parse_cli_or_exit).  config_hash is ckpt::config_hash(program,
-/// seed, trials, deadline) — the same identity --resume validates.
+/// (parse_cli_or_exit).  config_hash is config_hash(program, seed,
+/// trials, deadline) above; flight bundles carry the same value.
 struct RunInfo {
   std::string program;
   std::uint64_t config_hash = 0;

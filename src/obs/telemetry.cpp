@@ -181,13 +181,6 @@ double TelemetryShard::gauge_value(MetricId id) const {
   return s && s->written ? s->value : 0.0;
 }
 
-TelemetryShard::HistogramRef TelemetryShard::histogram_ref(
-    MetricId id) const {
-  if (const Slot* s = find(id); s && !s->buckets.empty())
-    return {std::span<const std::uint64_t>(s->buckets), s->value, s->count};
-  return {};
-}
-
 TelemetryShard::HistogramValue TelemetryShard::histogram_value(
     MetricId id) const {
   HistogramValue out;
@@ -198,21 +191,6 @@ TelemetryShard::HistogramValue TelemetryShard::histogram_value(
     out.n = s->count;
   }
   return out;
-}
-
-bool TelemetryShard::slot_used(MetricId id) const {
-  const Slot* s = find(id);
-  return s && (s->count != 0 || s->written || !s->buckets.empty());
-}
-
-void TelemetryShard::restore_histogram(MetricId id,
-                                       const std::vector<std::uint64_t>& counts,
-                                       double sum, std::uint64_t n) {
-  MS_CHECK(counts.size() == metric_def(id).bounds.size() + 1);
-  Slot& s = slot(id);
-  s.buckets = counts;
-  s.value = sum;
-  s.count = n;
 }
 
 // --- enable switch / thread-local plumbing ----------------------------

@@ -14,7 +14,6 @@
 
 #include <cstdint>
 #include <iosfwd>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -53,30 +52,8 @@ class TelemetryShard {
     std::uint64_t n = 0;
   };
   HistogramValue histogram_value(MetricId id) const;
-  /// Zero-copy histogram read for hot-path serialization: bucket
-  /// tallies as held (empty when the slot was never observed into) —
-  /// no registry lookup, no allocation.
-  struct HistogramRef {
-    std::span<const std::uint64_t> counts;
-    double sum = 0.0;
-    std::uint64_t n = 0;
-  };
-  HistogramRef histogram_ref(MetricId id) const;
   const std::vector<TraceEvent>& events() const { return events_; }
   std::uint64_t events_dropped() const { return events_dropped_; }
-
-  // --- checkpoint serialization support (sim/runner/checkpoint) -------
-  /// One past the highest MetricId this shard has a slot for.
-  std::size_t slot_span() const { return slots_.size(); }
-  /// Did any write land in `id`'s slot?  (Distinguishes touched slots
-  /// from the zero-initialized tail so journals skip untouched ids.)
-  bool slot_used(MetricId id) const;
-  /// Overwrite `id`'s histogram state wholesale (journal replay; counts
-  /// must have metric_def(id).bounds.size() + 1 entries).
-  void restore_histogram(MetricId id, const std::vector<std::uint64_t>& counts,
-                         double sum, std::uint64_t n);
-  /// Overwrite the events-dropped tally (journal replay).
-  void restore_events_dropped(std::uint64_t n) { events_dropped_ = n; }
 
  private:
   struct Slot {
@@ -101,8 +78,8 @@ void set_enabled(bool on);
 namespace detail {
 TelemetryShard* current_shard();
 /// Deterministic JSON scalar/string rendering shared by every obs
-/// writer (metrics JSON, run manifests, heartbeat files, flight
-/// bundles): integral doubles print bare, everything else %.17g.
+/// writer (metrics JSON, run manifests, flight bundles): integral
+/// doubles print bare, everything else %.17g.
 std::string json_number(double v);
 std::string json_escape(const std::string& s);
 }  // namespace detail

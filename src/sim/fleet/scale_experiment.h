@@ -13,9 +13,8 @@
 // winner — so the analytic sweep stays anchored to the bit-true PHY.
 //
 // Runs on the deterministic trial engine: results and telemetry are
-// byte-identical at any --threads and --waveform-cache setting, and the
-// per-trial records are trivially copyable so checkpoint/resume works
-// (tests/scripts/scale_tags_determinism.sh gates all of it).
+// byte-identical at any --threads and --waveform-cache setting
+// (tests/scripts/scale_tags_determinism.sh gates both).
 #pragma once
 
 #include <cstdint>
@@ -48,7 +47,7 @@ struct ScaleConfig {
   RunnerConfig runner;
 };
 
-/// Raw per-trial tallies (trivially copyable: checkpoint-journalable).
+/// Raw per-trial tallies.
 struct ScaleTrial {
   std::uint32_t tags = 0;
   std::uint32_t slots = 0;

@@ -2,8 +2,8 @@
 //
 // A flight-recorder bundle's repro command re-runs the bench restricted
 // to the one failed cell: every other cell is skipped before any work
-// (no Rng fork, no shard writes, no journal record), which makes the
-// repro fast and keeps its stderr focused on the cell under study.
+// (no Rng fork, no shard writes), which makes the repro fast and keeps
+// its stderr focused on the cell under study.
 // Because a cell's random stream is Rng::fork(point, trial) of the run
 // seed, skipping siblings cannot change what the selected cell computes.
 //

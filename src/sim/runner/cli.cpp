@@ -9,14 +9,11 @@
 
 #include "dsp/kernels/config.h"
 #include "obs/flight.h"
-#include "obs/heartbeat.h"
 #include "obs/ledger.h"
 #include "obs/profile.h"
 #include "obs/telemetry.h"
 #include "obs/trace.h"
 #include "sim/runner/cell_filter.h"
-#include "sim/runner/checkpoint.h"
-#include "sim/runner/recovery.h"
 #include "sim/runner/watchdog.h"
 #include "sim/runner/waveform_cache.h"
 
@@ -158,22 +155,6 @@ std::optional<std::string> parse_cli(int argc, const char* const* argv,
       if (!v || (*v != "on" && *v != "off"))
         return bad_value("--fast-path", v, "'on' or 'off'");
       opts.fast_path = (*v == "on");
-    } else if (arg == "--checkpoint-out") {
-      const auto v = value("--checkpoint-out");
-      if (!v) return bad_value("--checkpoint-out", v, "a file path");
-      opts.checkpoint_out = *v;
-    } else if (arg == "--checkpoint-interval") {
-      const auto v = value("--checkpoint-interval");
-      std::uint64_t n = 0;
-      // Interval 0 would mean "never flush", i.e. a journal that cannot
-      // save anyone; the smallest honest value is every cell.
-      if (!v || !parse_u64(*v, n) || n == 0)
-        return bad_value("--checkpoint-interval", v, "a positive integer");
-      opts.checkpoint_interval = static_cast<std::size_t>(n);
-    } else if (arg == "--resume") {
-      const auto v = value("--resume");
-      if (!v) return bad_value("--resume", v, "a checkpoint journal path");
-      opts.resume = *v;
     } else if (arg == "--trial-deadline-ms") {
       const auto v = value("--trial-deadline-ms");
       std::uint64_t n = 0;
@@ -185,17 +166,6 @@ std::optional<std::string> parse_cli(int argc, const char* const* argv,
       const auto v = value("--manifest-out");
       if (!v) return bad_value("--manifest-out", v, "a file path");
       opts.manifest_out = *v;
-    } else if (arg == "--heartbeat-out") {
-      const auto v = value("--heartbeat-out");
-      if (!v) return bad_value("--heartbeat-out", v, "a file path");
-      opts.heartbeat_out = *v;
-    } else if (arg == "--heartbeat-interval-ms") {
-      const auto v = value("--heartbeat-interval-ms");
-      std::uint64_t n = 0;
-      // 0 would mean rewriting the file as fast as the monitor can spin.
-      if (!v || !parse_u64(*v, n) || n == 0)
-        return bad_value("--heartbeat-interval-ms", v, "a positive integer");
-      opts.heartbeat_interval_ms = n;
     } else if (arg == "--flight-out") {
       const auto v = value("--flight-out");
       if (!v) return bad_value("--flight-out", v, "a directory");
@@ -245,12 +215,9 @@ std::string cli_usage(const char* prog) {
   u +=
       " [--threads N] [--trials N] [--seed S] [--out DIR]\n"
       "       [--metrics-out FILE] [--trace-out FILE] [--waveform-cache on|off]\n"
-      "       [--fast-path on|off] [--checkpoint-out FILE]\n"
-      "       [--checkpoint-interval N] [--resume FILE]\n"
-      "       [--trial-deadline-ms N] [--manifest-out FILE]\n"
-      "       [--heartbeat-out FILE] [--heartbeat-interval-ms N]\n"
-      "       [--flight-out DIR] [--only-cell P,T] [--tags N]\n"
-      "       [--capture-threshold-db X]\n"
+      "       [--fast-path on|off] [--trial-deadline-ms N]\n"
+      "       [--manifest-out FILE] [--flight-out DIR] [--only-cell P,T]\n"
+      "       [--tags N] [--capture-threshold-db X]\n"
       "  --threads N        trial-engine worker threads (default: all cores)\n"
       "  --trials N         override the default trial count\n"
       "  --seed S           override the default master seed\n"
@@ -266,16 +233,6 @@ std::string cli_usage(const char* prog) {
       "                     SIMD/streaming PHY kernels (on) or their scalar\n"
       "                     reference oracles (off); results are\n"
       "                     bit-identical either way\n"
-      "  --checkpoint-out FILE\n"
-      "                     journal completed sweep cells to FILE so a\n"
-      "                     crashed or SIGINT/SIGTERM-drained run can be\n"
-      "                     resumed (crash-safe: published by atomic rename)\n"
-      "  --checkpoint-interval N\n"
-      "                     cells between journal publications (default 32;\n"
-      "                     1 = publish after every cell)\n"
-      "  --resume FILE      skip the cells FILE journaled; the final output\n"
-      "                     is byte-identical to an uninterrupted run at any\n"
-      "                     --threads\n"
       "  --trial-deadline-ms N\n"
       "                     cancel + quarantine any cell running longer than\n"
       "                     N ms as a poison cell (default 0 = off)\n"
@@ -285,12 +242,6 @@ std::string cli_usage(const char* prog) {
       "                     results) + nondeterministic section (git SHA,\n"
       "                     wall timings, profile totals); compare runs with\n"
       "                     obs_report diff\n"
-      "  --heartbeat-out FILE\n"
-      "                     maintain an atomically-rewritten progress file\n"
-      "                     while the sweep runs; kill -USR1 dumps the same\n"
-      "                     snapshot to stderr\n"
-      "  --heartbeat-interval-ms N\n"
-      "                     heartbeat rewrite cadence (default 1000)\n"
       "  --flight-out DIR   on a cell exception or watchdog quarantine,\n"
       "                     write a self-contained triage bundle (trace\n"
       "                     ring, cell identity, repro command) into DIR\n"
@@ -320,9 +271,7 @@ CliOptions parse_cli_or_exit(int argc, const char* const* argv) {
   if (!(err = ensure_dir(opts.out_dir)) &&
       !(err = ensure_parent_dir(opts.metrics_out)) &&
       !(err = ensure_parent_dir(opts.trace_out)) &&
-      !(err = ensure_parent_dir(opts.checkpoint_out)) &&
-      !(err = ensure_parent_dir(opts.manifest_out)) &&
-      !(err = ensure_parent_dir(opts.heartbeat_out)))
+      !(err = ensure_parent_dir(opts.manifest_out)))
     err = ensure_dir(opts.flight_out);
   if (err) {
     std::fprintf(stderr, "error: %s\n", err->c_str());
@@ -336,15 +285,11 @@ CliOptions parse_cli_or_exit(int argc, const char* const* argv) {
   kernels::set_fast_path_enabled(opts.fast_path);
   runner::set_default_trial_deadline(
       static_cast<double>(opts.trial_deadline_ms) * 1e-3);
-  // The identity hash covers the knobs that change WHAT is computed
-  // (program, seed, trials, deadline) and deliberately excludes the
-  // ones results are invariant to (threads, cache, fast path) —
-  // resuming across those is legal and is what the chaos harness
-  // exercises.  The run ledger reuses the same hash as the manifest's
-  // identity, so a manifest and a journal from the same run agree.
+  // One run identity for the manifest and the flight bundles; it covers
+  // only the knobs that change WHAT is computed (obs/ledger.h).
   const std::string program =
       std::filesystem::path(argv[0]).filename().string();
-  const std::uint64_t hash = ckpt::config_hash(
+  const std::uint64_t hash = obs::ledger::config_hash(
       program, opts.seed, opts.trials, opts.trial_deadline_ms);
   {
     obs::ledger::RunInfo info;
@@ -371,77 +316,11 @@ CliOptions parse_cli_or_exit(int argc, const char* const* argv) {
     fc.repro_prefix = repro_prefix(argv[0], opts);
     obs::flight::arm(fc);
   }
-  if (!opts.heartbeat_out.empty()) {
-    // The heartbeat lives below the sim layer, so it cannot read the
-    // waveform cache or the checkpoint session itself — this closure
-    // bridges the gap at each tick.
-    obs::heartbeat::set_extra_stats_provider([] {
-      obs::heartbeat::ExtraStats extra;
-      const WaveformCache::Stats st = WaveformCache::instance().stats();
-      if (const std::uint64_t lookups = st.hits + st.misses; lookups > 0)
-        extra.cache_hit_rate =
-            static_cast<double>(st.hits) / static_cast<double>(lookups);
-      extra.checkpoint_cells =
-          ckpt::CheckpointSession::instance().journaled_cells();
-      extra.checkpoint_path = ckpt::CheckpointSession::instance().path();
-      return extra;
-    });
-    obs::heartbeat::arm(
-        {opts.heartbeat_out, opts.heartbeat_interval_ms});
-  }
-  if (!opts.checkpoint_out.empty() || !opts.resume.empty()) {
-    std::optional<ckpt::RecoveredJournal> recovered;
-    if (!opts.resume.empty()) {
-      try {
-        recovered = ckpt::load_journal(
-            opts.resume, ckpt::LoadPolicy::TolerateTruncatedTail);
-      } catch (const std::exception& e) {
-        std::fprintf(stderr, "error: --resume '%s': %s\n",
-                     opts.resume.c_str(), e.what());
-        std::exit(2);
-      }
-      for (const std::string& w : recovered->warnings)
-        std::fprintf(stderr, "warning: %s\n", w.c_str());
-      if (recovered->config_hash != hash) {
-        std::fprintf(stderr,
-                     "error: --resume '%s': journal config hash %016llx does "
-                     "not match this invocation's %016llx — the journal was "
-                     "written under a different program, --seed, --trials, "
-                     "or --trial-deadline-ms\n",
-                     opts.resume.c_str(),
-                     static_cast<unsigned long long>(recovered->config_hash),
-                     static_cast<unsigned long long>(hash));
-        std::exit(2);
-      }
-      std::fprintf(stderr, "resume: replaying %zu journaled cells from %s\n",
-                   recovered->cell_count(), opts.resume.c_str());
-    }
-    ckpt::CheckpointConfig ck;
-    ck.path = opts.checkpoint_out;
-    ck.config_hash = hash;
-    ck.flush_interval = opts.checkpoint_interval;
-    ckpt::CheckpointSession::instance().arm(std::move(ck),
-                                            std::move(recovered));
-    // Drain-on-signal only makes sense when there is a journal to
-    // publish; a restore-only session keeps the default signal behavior.
-    if (!opts.checkpoint_out.empty())
-      ckpt::CheckpointSession::install_drain_handlers();
-  }
   return opts;
 }
 
 bool finish_bench_output(const CliOptions& opts) {
   bool ok = true;
-  if (ckpt::CheckpointSession::instance().armed()) {
-    try {
-      // Final journal publication: the completed sweep's checkpoint is
-      // left on disk (a no-op --resume of a finished run is legal).
-      ckpt::CheckpointSession::instance().disarm();
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "error: %s\n", e.what());
-      ok = false;
-    }
-  }
   if (!opts.metrics_out.empty()) {
     try {
       obs::write_metrics_json_file(opts.metrics_out);
@@ -460,10 +339,6 @@ bool finish_bench_output(const CliOptions& opts) {
       ok = false;
     }
   }
-  // The heartbeat stops before the manifest is written: the manifest's
-  // wall_s should cover the sweep, and a "done" heartbeat with the final
-  // tallies is more useful to a poller than a file that just vanishes.
-  obs::heartbeat::disarm();
   if (!opts.manifest_out.empty()) {
     try {
       obs::ledger::write_manifest_json_file(opts.manifest_out);

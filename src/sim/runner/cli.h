@@ -16,16 +16,6 @@
 //                     select the SIMD/streaming PHY kernels or their
 //                     scalar reference oracles (default on; results are
 //                     bit-identical either way)
-//   --checkpoint-out F
-//                     journal completed sweep cells to F (crash-safe;
-//                     see docs/RUNNER.md)
-//   --checkpoint-interval N
-//                     cells between journal publications (default 32)
-//   --resume F        skip cells journaled in F by a previous (crashed
-//                     or drained) run; the final output is byte-identical
-//                     to an uninterrupted run.  Rejected when F was
-//                     written under a different program/seed/trials/
-//                     deadline configuration.
 //   --trial-deadline-ms N
 //                     per-cell watchdog: a cell running longer than N ms
 //                     is cancelled and quarantined as a poison cell
@@ -34,13 +24,6 @@
 //                     metrics digest + bench results in a deterministic
 //                     section; git SHA, wall timings, profile totals in
 //                     a nondeterministic one) — see tools/obs_report
-//   --heartbeat-out F maintain an atomically-rewritten ms.heartbeat.v1
-//                     progress file at F while the sweep runs (cells
-//                     done/total, ETA, poison count, cache hit rate,
-//                     checkpoint position); SIGUSR1 dumps the same
-//                     snapshot to stderr
-//   --heartbeat-interval-ms N
-//                     heartbeat rewrite cadence (default 1000)
 //   --flight-out DIR  on a cell exception or watchdog quarantine, write
 //                     a self-contained ms.flight.v1 triage bundle (the
 //                     cell's trace ring + identity + a repro command)
@@ -75,13 +58,8 @@ struct CliOptions {
   std::string trace_out;      ///< empty = no trace JSONL dump
   bool waveform_cache = true; ///< reuse synthesized waveforms across trials
   bool fast_path = true;      ///< SIMD kernels (true) or scalar oracles
-  std::string checkpoint_out; ///< empty = no checkpoint journal
-  std::size_t checkpoint_interval = 32;  ///< cells per journal flush
-  std::string resume;         ///< empty = fresh run; else journal to resume
   std::uint64_t trial_deadline_ms = 0;   ///< 0 = per-trial watchdog off
   std::string manifest_out;   ///< empty = no run manifest
-  std::string heartbeat_out;  ///< empty = no heartbeat file
-  std::uint64_t heartbeat_interval_ms = 1000;
   std::string flight_out;     ///< empty = no flight-recorder bundles
   bool only_cell = false;     ///< restrict the sweep to one grid cell
   std::size_t only_cell_point = 0;
@@ -107,9 +85,9 @@ CliOptions parse_cli_or_exit(int argc, const char* const* argv);
 
 /// Bench epilogue: dump the aggregated metrics registry / trace buffer /
 /// run manifest to the files requested on the command line (no-ops when
-/// the flags were absent), stop the heartbeat, and print the per-stage
-/// profile table to stderr.  Reports and returns false on I/O failure
-/// instead of throwing.
+/// the flags were absent) and print the per-stage profile table to
+/// stderr.  Reports and returns false on I/O failure instead of
+/// throwing.
 bool finish_bench_output(const CliOptions& opts);
 
 }  // namespace ms

@@ -38,8 +38,7 @@ class ThreadPool {
 
   /// Index of the pool worker running the calling thread, or kNotAWorker
   /// when called from outside any pool (e.g. the main thread).  Used by
-  /// the checkpoint layer to key per-worker journal buffers and by the
-  /// watchdog to key per-worker deadline slots.
+  /// the watchdog to key per-worker deadline slots.
   static constexpr std::size_t kNotAWorker = static_cast<std::size_t>(-1);
   static std::size_t current_worker();
 

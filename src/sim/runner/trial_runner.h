@@ -20,19 +20,15 @@
 #include <cstddef>
 #include <cstdint>
 #include <cstdio>
-#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "common/rng.h"
 #include "dsp/kernels/arena.h"
 #include "obs/flight.h"
-#include "obs/heartbeat.h"
 #include "obs/telemetry.h"
 #include "obs/trace.h"
-#include "sim/faults/crash_point.h"
 #include "sim/runner/cell_filter.h"
-#include "sim/runner/checkpoint.h"
 #include "sim/runner/thread_pool.h"
 #include "sim/runner/watchdog.h"
 #include "sim/runner/waveform_cache.h"
@@ -59,10 +55,6 @@ class TrialRunner {
     // that sweep's own draws — never of what earlier sweeps in the same
     // process happened to synthesize (see waveform_cache.h).
     WaveformCache::instance().begin_epoch();
-    // Mirror the epoch into the checkpoint session: journal grids are
-    // stamped with the runner-epoch sequence so a resume can verify the
-    // journal's grids line up with this program's runner order.
-    ckpt::CheckpointSession::instance().notify_runner_epoch();
   }
 
   std::size_t threads() const { return pool_.size(); }
@@ -73,50 +65,26 @@ class TrialRunner {
   /// Run fn(point, trial, rng) for every cell of the grid.  Results come
   /// back in row-major (point-major) order: out[point * trials + trial].
   ///
-  /// When the checkpoint session is armed and R is trivially copyable,
-  /// completed cells are journaled and journaled cells from a recovered
-  /// run are replayed instead of recomputed — the restored shard and
-  /// result are the crashed run's verbatim bytes, so the merged output
-  /// stays byte-identical to an uninterrupted run (checkpoint.h).  When
-  /// a trial deadline is set, overdue cells are cancelled by the
-  /// watchdog and quarantined as poison cells (default R, poison flag,
+  /// When a trial deadline is set, overdue cells are cancelled by the
+  /// watchdog and quarantined as poison cells (default R,
   /// runner.poison_cells counter + "runner.poison_cell" trace event)
   /// rather than wedging the pool.
   template <typename Fn>
   auto run_grid(std::size_t points, std::size_t trials, Fn&& fn) {
     using R = decltype(fn(std::size_t{0}, std::size_t{0},
                           std::declval<Rng&>()));
-    constexpr bool kJournal = std::is_trivially_copyable_v<R>;
     std::vector<R> out(points * trials);
     std::vector<obs::TelemetryShard> shards(points * trials);
-    ckpt::GridCheckpoint grid;
-    if constexpr (kJournal)
-      grid = ckpt::GridCheckpoint::begin(points, trials, cfg_.master_seed,
-                                         sizeof(R));
     double deadline_s = cfg_.trial_deadline_s;
     if (deadline_s < 0.0) deadline_s = runner::default_trial_deadline();
     runner::Watchdog watchdog(deadline_s, pool_.size());
-    obs::heartbeat::grid_begin(points * trials);
     try {
       pool_.run_indexed(points * trials, [&](std::size_t i) {
-        // A drain signal (SIGINT/SIGTERM) skips queued cells; completed
-        // cells are already journaled, so the post-merge drain hook can
-        // publish and exit.
-        if (ckpt::CheckpointSession::drain_requested()) return;
         const std::size_t point = i / trials;
         const std::size_t trial = i % trials;
         // Triage mode (--only-cell): skip everything but the selected
-        // cell before any work — no Rng fork, no shard, no journal.
+        // cell before any work — no Rng fork, no shard.
         if (!runner::cell_allowed(point, trial)) return;
-        if constexpr (kJournal) {
-          if (grid.restored(i)) {
-            bool poison = false;
-            grid.restore(i, &out[i], &shards[i], &poison);
-            obs::heartbeat::note_cell_done(poison);
-            return;
-          }
-        }
-        bool poison = false;
         {
           obs::ShardScope telemetry(&shards[i]);
           obs::set_trace_cell(static_cast<std::uint32_t>(point),
@@ -124,21 +92,19 @@ class TrialRunner {
           // Rewind this worker's kernel scratch arena: per-cell scratch
           // is recycled, so steady-state cells allocate nothing.
           kernels::scratch_arena().reset();
-          ckpt::note_cell_start();
           runner::Watchdog::CellScope cell(
               watchdog, static_cast<std::uint32_t>(point),
               static_cast<std::uint32_t>(trial));
           try {
-            if (faults::take_hang(static_cast<std::uint32_t>(point),
+            if (runner::take_hang(static_cast<std::uint32_t>(point),
                                   static_cast<std::uint32_t>(trial)))
               runner::hang_until_cancelled();
             Rng rng = master_.fork(point, trial);
             out[i] = fn(point, trial, rng);
           } catch (const runner::CellCancelled& c) {
-            // Quarantine: default result, poison flag, structured
+            // Quarantine: default result, poison counter, structured
             // report.  Wall-clock elapsed goes to stderr only — the
             // deterministic record carries (point, trial, deadline).
-            poison = true;
             std::fprintf(stderr, "warning: %s\n", c.what());
             obs::add(runner::poison_metric());
             obs::Event(obs::Subsystem::Runner, obs::Severity::Warn,
@@ -161,15 +127,10 @@ class TrialRunner {
         }
         // Per-cell trace-ring overflow accounting: one histogram
         // observation valued at this cell's dropped-event count, folded
-        // into the cell's own shard (before journaling, so a resumed
-        // run replays it).  Restored cells already carry theirs.
+        // into the cell's own shard.
         if (const std::uint64_t dropped = shards[i].events_dropped())
           shards[i].observe(runner::trace_ring_drop_metric(),
                             static_cast<double>(dropped));
-        if constexpr (kJournal)
-          if (grid.active()) grid.record(i, &out[i], shards[i], poison);
-        obs::heartbeat::note_cell_done(poison);
-        faults::on_cell_complete();
       });
     } catch (...) {
       // Preserve what the cells recorded before the failure — the
@@ -179,7 +140,6 @@ class TrialRunner {
     }
     merge_shards(shards);
     warn_trace_ring_drops(shards);
-    ckpt::CheckpointSession::finish_drain_if_requested();
     return out;
   }
 
@@ -199,7 +159,7 @@ class TrialRunner {
   /// Point-only sweep (one trial per point): fn(point, rng) -> R.
   /// Delegates to run_grid(points, 1, ...) — same Rng forks, same trace
   /// cells, same merge order as the hand-rolled loop it replaces, and
-  /// point-only sweeps pick up checkpointing and the watchdog for free.
+  /// point-only sweeps pick up the watchdog for free.
   template <typename Fn>
   auto map_points(std::size_t points, Fn&& fn) {
     return run_grid(points, 1,

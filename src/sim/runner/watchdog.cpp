@@ -3,6 +3,9 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
+#include <limits>
+#include <optional>
 #include <string>
 
 #include "common/error.h"
@@ -33,6 +36,55 @@ std::uint64_t now_ns() {
           std::chrono::steady_clock::now().time_since_epoch())
           .count());
 }
+
+/// MS_HANG_AT_CELL, read once per process.  A malformed value is kept
+/// as a message and thrown by take_hang, never by a static initializer:
+/// GCC 12's ThreadSanitizer runtime does not wake threads waiting on an
+/// initializer that throws, so they would deadlock.
+struct HangPlan {
+  bool armed = false;
+  std::uint32_t point = 0;
+  std::uint32_t trial = 0;
+  std::string error;  ///< nonempty when the variable is malformed
+};
+
+/// One cell index: decimal digits only, at most 2^32 - 1, the range of a
+/// cell coordinate.
+std::optional<std::uint32_t> parse_hang_index(const std::string& text) {
+  if (text.empty()) return std::nullopt;
+  std::uint64_t v = 0;
+  for (const char c : text) {
+    if (c < '0' || c > '9') return std::nullopt;
+    v = v * 10 + static_cast<std::uint64_t>(c - '0');
+    if (v > std::numeric_limits<std::uint32_t>::max()) return std::nullopt;
+  }
+  return static_cast<std::uint32_t>(v);
+}
+
+HangPlan read_hang_plan() {
+  HangPlan p;
+  const char* v = std::getenv("MS_HANG_AT_CELL");
+  if (!v) return p;
+  const std::string s(v);
+  const std::size_t comma = s.find(',');
+  std::optional<std::uint32_t> point, trial;
+  if (comma != std::string::npos) {
+    point = parse_hang_index(s.substr(0, comma));
+    trial = parse_hang_index(s.substr(comma + 1));
+  }
+  if (!point || !trial) {
+    p.error = "MS_HANG_AT_CELL='" + s +
+              "' is not <point>,<trial> with both non-negative integers "
+              "below 2^32";
+    return p;
+  }
+  p.armed = true;
+  p.point = *point;
+  p.trial = *trial;
+  return p;
+}
+
+std::atomic<bool> g_hang_taken{false};
 
 std::string cancelled_what(std::uint32_t point, std::uint32_t trial,
                            double deadline_s, double elapsed_s) {
@@ -117,6 +169,13 @@ void watchdog_poll() {
   throw CellCancelled(s->point.load(std::memory_order_relaxed),
                       s->trial.load(std::memory_order_relaxed),
                       tls_deadline_s, elapsed);
+}
+
+bool take_hang(std::uint32_t point, std::uint32_t trial) {
+  static const HangPlan plan = read_hang_plan();
+  if (!plan.error.empty()) throw Error(plan.error);
+  if (!plan.armed || point != plan.point || trial != plan.trial) return false;
+  return !g_hang_taken.exchange(true, std::memory_order_relaxed);
 }
 
 void hang_until_cancelled() {

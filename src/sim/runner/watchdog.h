@@ -5,9 +5,9 @@
 // per-worker deadline slot, a monitor thread marks slots whose cell has
 // run past the deadline, and instrumented code polls the mark via
 // watchdog_poll(), which throws CellCancelled.  run_grid catches the
-// exception, quarantines the cell (default result, poison flag,
-// structured "runner.poison_cell" trace event + runner.poison_cells
-// counter), and the sweep completes without it.
+// exception, quarantines the cell (default result, structured
+// "runner.poison_cell" trace event + runner.poison_cells counter), and
+// the sweep completes without it.
 //
 // Determinism note: whether a cell trips its deadline depends on wall
 // time, so a poisoned cell is NOT byte-identical to a healthy run —
@@ -81,9 +81,18 @@ class Watchdog {
 /// it freely.  No-op outside a CellScope.
 void watchdog_poll();
 
-/// Fault-injection helper (MS_HANG_AT_CELL): spin poll+sleep until the
-/// watchdog cancels this cell.  Throws ms::Error when no watchdog is
-/// active for the calling thread — a hang with no watchdog would wedge.
+/// Hang-injection hook for the watchdog_quarantine gate.  With
+/// MS_HANG_AT_CELL=P,T set, true exactly once per process: for the
+/// first execution of cell (point P, trial T), which run_grid then
+/// hangs via hang_until_cancelled().  The variable is parsed at first
+/// use; a malformed value, or an index above 2^32 - 1, is an ms::Error
+/// naming the variable and the value.  Unset, it costs one cached
+/// boolean per cell.
+bool take_hang(std::uint32_t point, std::uint32_t trial);
+
+/// Spin poll+sleep until the watchdog cancels this cell.  Throws
+/// ms::Error when no watchdog is active for the calling thread — a hang
+/// with no watchdog would wedge.
 [[noreturn]] void hang_until_cancelled();
 
 /// Process default for RunnerConfig::trial_deadline_s == -1 ("use the

@@ -1,7 +1,6 @@
 #include "sim/runner/waveform_cache.h"
 
 #include "obs/metrics.h"
-#include "sim/runner/checkpoint.h"
 
 namespace ms {
 
@@ -20,16 +19,6 @@ const CacheMetrics& cache_metrics() {
 }
 
 }  // namespace
-
-std::uint64_t fnv1a(const void* data, std::size_t len, std::uint64_t seed) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  std::uint64_t h = seed;
-  for (std::size_t i = 0; i < len; ++i) {
-    h ^= p[i];
-    h *= 0x100000001b3ull;
-  }
-  return h;
-}
 
 std::size_t WaveformKeyHash::operator()(const WaveformKey& k) const {
   const std::uint8_t head[2] = {static_cast<std::uint8_t>(k.kind),
@@ -69,9 +58,6 @@ std::shared_ptr<const Iq> WaveformCache::get_or_synthesize(
       ++stats_.hits;
   }
   obs::add(miss ? m.miss : m.hit);
-  // Attribute the epoch miss to the cell being executed so a resume can
-  // pre-mark the key as accounted (no-op when checkpointing is off).
-  if (miss) ckpt::note_cache_miss(key);
 
   if (!reuse) {
     // Oracle mode: synthesize fresh every call; accounting unchanged.
@@ -101,13 +87,6 @@ std::shared_ptr<const Iq> WaveformCache::get_or_synthesize(
 void WaveformCache::begin_epoch() {
   std::lock_guard<std::mutex> lock(mu_);
   ++epoch_;
-}
-
-void WaveformCache::mark_miss_accounted(const WaveformKey& key) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto [it, inserted] = map_.try_emplace(key);
-  if (inserted) it->second = std::make_unique<Entry>();
-  it->second->last_epoch = epoch_;
 }
 
 void WaveformCache::set_reuse_enabled(bool enabled) {

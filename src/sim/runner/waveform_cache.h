@@ -42,6 +42,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/hash.h"  // fnv1a: key hashing and WaveformKey::params
 #include "dsp/iq.h"
 
 namespace ms {
@@ -67,11 +68,6 @@ struct WaveformKey {
   bool operator==(const WaveformKey&) const = default;
 };
 
-/// FNV-1a over a byte range; building block for WaveformKey hashing and
-/// for callers folding synthesis parameters into WaveformKey::params.
-std::uint64_t fnv1a(const void* data, std::size_t len,
-                    std::uint64_t seed = 0xcbf29ce484222325ull);
-
 struct WaveformKeyHash {
   std::size_t operator()(const WaveformKey& k) const;
 };
@@ -93,15 +89,6 @@ class WaveformCache {
   /// constructor).  Cached waveforms survive; only the first-lookup
   /// bookkeeping resets.
   void begin_epoch();
-
-  /// Checkpoint-resume support: pre-mark `key` as having had its miss
-  /// accounted in the current epoch.  A resumed sweep replays journaled
-  /// cells' shards verbatim — including the one miss each distinct key
-  /// contributed — so redone cells that look the key up again must see
-  /// a hit, or the merged metrics would double-count the miss.  The
-  /// entry's waveform stays unsynthesized; the first real lookup fills
-  /// it in without touching the counters.
-  void mark_miss_accounted(const WaveformKey& key);
 
   /// --waveform-cache on|off.  Off = always synthesize fresh (bitwise
   /// oracle for the cached path); accounting still runs.

@@ -112,5 +112,22 @@ TEST(Ledger, GitShaEnvOverrideWins) {
   EXPECT_NE(git_sha(), "");  // compile-time value or "unknown"
 }
 
+TEST(Ledger, ConfigHashSeparatesEveryField) {
+  const std::uint64_t base = config_hash("bench", 1, 2, 3);
+  EXPECT_NE(base, config_hash("other", 1, 2, 3));
+  EXPECT_NE(base, config_hash("bench", 9, 2, 3));
+  EXPECT_NE(base, config_hash("bench", 1, 9, 3));
+  EXPECT_NE(base, config_hash("bench", 1, 2, 9));
+}
+
+TEST(Ledger, ConfigHashMatchesCommittedBaselines) {
+  // The run identities recorded in BENCH_seed.json and
+  // BENCH_seed_scale.json.  obs_report diff refuses to compare manifests
+  // whose config_hash differs, so a change here breaks both baselines.
+  EXPECT_EQ(config_hash("bench_ident_throughput", 0, 1, 0),
+            0xd74e00f3a8a27052ull);
+  EXPECT_EQ(config_hash("bench_scale_tags", 7, 2, 0), 0x4e8064167b526675ull);
+}
+
 }  // namespace
 }  // namespace ms::obs::ledger

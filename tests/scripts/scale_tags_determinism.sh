@@ -10,10 +10,6 @@
 # scheduling, arbitration pure in the contender set, superposition
 # probes keyed on drawn content.
 #
-# A SIGKILL leg then crashes the sweep mid-flight (MS_CRASH_AFTER_CELLS)
-# with a checkpoint journal armed, resumes from the journal, and
-# byte-compares the resumed output against the uninterrupted reference.
-#
 # usage: scale_tags_determinism.sh <bench_scale_tags binary> <workdir>
 set -euo pipefail
 
@@ -29,11 +25,10 @@ common=(--trials 3 --seed 7 --tags 32 --capture-threshold-db 6)
 
 run() {
   local dir="$1" threads="$2" cache="$3"
-  shift 3
   mkdir -p "$dir"
   "$bench" "${common[@]}" --threads "$threads" --waveform-cache "$cache" \
-    --out "$dir" --metrics-out "$dir/metrics.json" "$@" \
-    >>"$dir/stdout.txt" 2>>"$dir/stderr.txt"
+    --out "$dir" --metrics-out "$dir/metrics.json" \
+    >"$dir/stdout.txt" 2>"$dir/stderr.txt"
 }
 
 run "$workdir/t1_on" 1 on
@@ -52,37 +47,3 @@ for f in scale_tags.csv metrics.json; do
 done
 echo "scale tags: CSV + metrics byte-identical across threads x cache"
 
-# --- SIGKILL-and-resume leg -------------------------------------------
-res="$workdir/resumed"
-ckpt="$workdir/run.ckpt"
-mkdir -p "$res"
-
-status=0
-MS_CRASH_AFTER_CELLS=5 \
-  run "$res" 8 on --checkpoint-out "$ckpt" --checkpoint-interval 1 \
-  || status=$?
-if [ "$status" -eq 0 ]; then
-  echo "FAIL: crash leg outran the sweep (raise the cell budget)" >&2
-  exit 1
-fi
-if [ "$status" -ne 137 ]; then
-  echo "FAIL: crashed run exited $status, expected 137 (SIGKILL)" >&2
-  cat "$res/stderr.txt" >&2
-  exit 1
-fi
-[ -f "$ckpt" ] || { echo "FAIL: crash left no journal at $ckpt" >&2; exit 1; }
-
-rm -f "$res"/*.csv "$res/metrics.json"
-run "$res" 8 on --resume "$ckpt"
-grep -q "resume: replaying" "$res/stderr.txt" || {
-  echo "FAIL: resumed run never reported replaying the journal" >&2
-  exit 1
-}
-for f in scale_tags.csv metrics.json; do
-  if ! cmp -s "$workdir/t8_on/$f" "$res/$f"; then
-    echo "FAIL: $f differs between reference and resumed run" >&2
-    diff "$workdir/t8_on/$f" "$res/$f" >&2 || true
-    exit 1
-  fi
-done
-echo "scale tags: SIGKILL + resume byte-identical to uninterrupted run"

@@ -1,10 +1,12 @@
 #!/usr/bin/env bash
 # Watchdog quarantine gate: a deliberately hung trial (MS_HANG_AT_CELL,
-# see src/sim/faults/crash_point.h) must be cancelled by the per-trial
+# see src/sim/runner/watchdog.h) must be cancelled by the per-trial
 # watchdog, reported as a poison cell in --metrics-out, and the sweep
 # must still complete and write its figure CSVs — the pool never wedges.
 # The quarantine must also produce a flight bundle (--flight-out) whose
-# embedded repro command re-executes exactly the quarantined cell.
+# embedded repro command re-executes exactly the quarantined cell.  A
+# cell index that does not fit 32 bits must end the run with an error
+# naming the variable, not wrap onto another cell.
 #
 # usage: watchdog_quarantine.sh <bench_fig7_ordered> <workdir>
 set -euo pipefail
@@ -76,4 +78,23 @@ grep -q '"runner.poison_cells": 1' "$workdir/repro/metrics.json" || {
   exit 1
 }
 
-echo "watchdog quarantine: hung cell poisoned, sweep completed, repro replays it"
+# 4294967298 = 2^32 + 2: truncated to 32 bits it would hang cell (2,1).
+# The bad value ends the run through an uncaught ms::Error, so bash
+# reports the abort on this script's stderr; that line is expected.
+mkdir -p "$workdir/wide"
+status=0
+MS_HANG_AT_CELL=4294967298,1 "$bench" --trials 2 --threads 2 \
+  --trial-deadline-ms 250 --out "$workdir/wide" \
+  >"$workdir/wide/stdout.txt" 2>"$workdir/wide/stderr.txt" || status=$?
+if [ "$status" -eq 0 ]; then
+  echo "FAIL: MS_HANG_AT_CELL=4294967298,1 was accepted" >&2
+  cat "$workdir/wide/stderr.txt" >&2
+  exit 1
+fi
+grep -q "MS_HANG_AT_CELL" "$workdir/wide/stderr.txt" || {
+  echo "FAIL: out-of-range MS_HANG_AT_CELL error does not name the variable" >&2
+  cat "$workdir/wide/stderr.txt" >&2
+  exit 1
+}
+
+echo "watchdog quarantine: hung cell poisoned, sweep completed, repro replays it, wide index rejected"

