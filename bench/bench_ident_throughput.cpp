@@ -1,5 +1,6 @@
 // Identification-throughput microbench: packed XOR+popcount 1-bit
-// scoring vs the byte-per-position reference kernel, on the Fig 7
+// scoring vs the byte-per-position reference kernel (the test-only
+// oracle::one_bit_scores, tests/differential/oracles.h), on the Fig 7
 // configuration (10 Msps, L_p = 20, L_t = 60, OneBit compute).
 //
 // The corpus of ADC traces is generated deterministically on the trial
@@ -12,7 +13,7 @@
 //
 // Throughput is reported as ADC samples identified per second (each
 // pass classifies every trace in the corpus).  The packed kernel's
-// target is ≥3× the reference (ISSUE 5 acceptance).
+// target is ≥3× the reference.
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -20,6 +21,7 @@
 #include <vector>
 
 #include "bench_util.h"
+#include "oracles.h"
 #include "sim/ident_experiment.h"
 #include "sim/runner/cli.h"
 #include "sim/trace_io.h"
@@ -38,15 +40,16 @@ struct Timing {
   }
 };
 
-Timing time_kernel(const ProtocolIdentifier& ident,
-                   const std::vector<Samples>& corpus, double min_seconds) {
+template <typename Score>
+Timing time_kernel(Score score, const std::vector<Samples>& corpus,
+                   double min_seconds) {
   std::size_t pass_samples = 0;
   for (const Samples& t : corpus) pass_samples += t.size();
   Timing out;
   const auto t0 = std::chrono::steady_clock::now();
   do {
     for (const Samples& t : corpus) {
-      const auto scores = ident.scores(t);
+      const auto scores = score(t);
       for (double s : scores) out.checksum += s;
     }
     ++out.passes;
@@ -82,18 +85,17 @@ int main(int argc, char** argv) {
         return make_ident_trace(kAllProtocols[point], cfg, rng);
       });
 
-  IdentifierConfig packed_cfg = cfg.ident;
-  packed_cfg.onebit_kernel = OneBitKernel::Packed;
-  IdentifierConfig ref_cfg = cfg.ident;
-  ref_cfg.onebit_kernel = OneBitKernel::Reference;
-  const ProtocolIdentifier packed(packed_cfg);
-  const ProtocolIdentifier reference(ref_cfg);
+  const ProtocolIdentifier packed(cfg.ident);
+  const auto packed_scores = [&](const Samples& t) { return packed.scores(t); };
+  const auto reference_scores = [&](const Samples& t) {
+    return oracle::one_bit_scores(packed, t);
+  };
 
   // Live equivalence gate: bitwise-identical score vectors on every
   // corpus trace, or the numbers below are meaningless.
   for (std::size_t i = 0; i < corpus.size(); ++i) {
-    const auto sp = packed.scores(corpus[i]);
-    const auto sr = reference.scores(corpus[i]);
+    const auto sp = packed_scores(corpus[i]);
+    const auto sr = reference_scores(corpus[i]);
     if (std::memcmp(sp.data(), sr.data(), sizeof(sp)) != 0) {
       std::fprintf(stderr,
                    "FAIL: packed/reference score mismatch on trace %zu\n", i);
@@ -104,8 +106,8 @@ int main(int argc, char** argv) {
               corpus.size());
 
   const double min_seconds = 0.25;
-  const Timing tp = time_kernel(packed, corpus, min_seconds);
-  const Timing tr = time_kernel(reference, corpus, min_seconds);
+  const Timing tp = time_kernel(packed_scores, corpus, min_seconds);
+  const Timing tr = time_kernel(reference_scores, corpus, min_seconds);
 
   bench::rule();
   std::printf("%-10s %8s %12s %14s\n", "kernel", "passes", "s/pass",

@@ -1,20 +1,20 @@
-// PHY fast-path throughput bench: the SIMD/streaming kernels in
-// src/dsp/kernels/ vs their scalar oracles, end to end on four receive
-// chains — ZigBee OQPSK despreading (CmacBank), 802.11b CCK demapping
-// (planar codeword bank + arena chip collapse), BLE GFSK discrimination
-// (fused middle-half kernel), and 802.11n OFDM demapping (planned FFT +
-// cached interleaver).
+// PHY kernel throughput bench: the SIMD/streaming kernels in
+// src/dsp/kernels/ vs their scalar oracles (the test-only
+// ms_test_oracles library, tests/differential/oracles.h), end to end on
+// four receive chains — ZigBee OQPSK despreading (CmacBank), 802.11b
+// CCK demapping (planar codeword bank + arena chip collapse), BLE GFSK
+// discrimination (fused middle-half kernel), and 802.11n OFDM demapping
+// (planned FFT + cached interleaver).
 //
 // The corpus of noisy waveforms is generated deterministically on the
 // trial engine (so --metrics-out stays reproducible); the timing loops
 // run in the main thread.  Before timing, every trace is demodulated by
-// BOTH paths and the outputs are compared bitwise — a mismatch is a
+// BOTH sides and the outputs are compared bitwise — a mismatch is a
 // hard failure, making this bench double as a live equivalence check
 // (the same contract tests/differential/ sweeps more broadly).
 //
 // Throughput is reported as baseband IQ samples demodulated per second.
-// The fast path's target is ≥3× the oracle on at least two chains
-// (ISSUE 7 acceptance).
+// The kernels' target is ≥3× the oracle on at least two chains.
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -24,7 +24,7 @@
 
 #include "bench_util.h"
 #include "channel/awgn.h"
-#include "dsp/kernels/config.h"
+#include "oracles.h"
 #include "phy/ble/ble.h"
 #include "phy/dsss/wifi_b.h"
 #include "phy/ofdm/wifi_n.h"
@@ -34,7 +34,6 @@
 #include "sim/trace_io.h"
 
 using namespace ms;
-using kernels::KernelPath;
 
 namespace {
 
@@ -43,13 +42,16 @@ struct Trace {
   std::size_t n = 0;  ///< symbols or bits, per the chain's demod call
 };
 
-/// One kernel pair under test.  Both runners serialize the demod output
-/// to bytes so the equivalence gate and the timing checksum share code.
+/// Demodulates one trace and serializes the output to bytes, so the
+/// equivalence gate and the timing checksum share code.
+using Runner = std::function<std::vector<std::uint8_t>(const Trace&)>;
+
+/// One kernel and its oracle.
 struct Chain {
   std::string name;
   std::vector<Trace> corpus;
-  std::function<std::vector<std::uint8_t>(const Trace&)> fast;
-  std::function<std::vector<std::uint8_t>(const Trace&)> ref;
+  Runner fast;
+  Runner ref;
 };
 
 struct Timing {
@@ -62,8 +64,8 @@ struct Timing {
   }
 };
 
-Timing time_chain(const Chain& chain, bool fast_path, double min_seconds) {
-  const auto& run = fast_path ? chain.fast : chain.ref;
+Timing time_chain(const Chain& chain, const Runner& run,
+                  double min_seconds) {
   std::size_t pass_samples = 0;
   for (const Trace& t : chain.corpus) pass_samples += t.iq.size();
   Timing out;
@@ -111,13 +113,8 @@ int main(int argc, char** argv) {
   std::vector<Chain> chains;
 
   {  // ZigBee: 16-candidate coherent despreading.
-    ZigbeeConfig fast_cfg, ref_cfg;
-    fast_cfg.path = KernelPath::Fast;
-    ref_cfg.path = KernelPath::Reference;
-    // Shared-corpus synthesis uses its own phy so both paths see the
-    // exact same waveform bytes.
-    auto fast = std::make_shared<ZigbeePhy>(fast_cfg);
-    auto ref = std::make_shared<ZigbeePhy>(ref_cfg);
+    auto fast = std::make_shared<ZigbeePhy>();
+    auto ref = std::make_shared<oracle::Zigbee>();
     std::vector<Trace> corpus = runner.run_grid(
         1, trials, [&](std::size_t, std::size_t, Rng& rng) {
           std::vector<std::uint8_t> syms(24);
@@ -138,18 +135,16 @@ int main(int argc, char** argv) {
   }
 
   {  // 802.11b @ 11 Mbps: CCK codeword demapping.
-    WifiBConfig fast_cfg, ref_cfg;
-    fast_cfg.rate = ref_cfg.rate = WifiBRate::Cck11M;
-    fast_cfg.path = KernelPath::Fast;
-    ref_cfg.path = KernelPath::Reference;
-    auto fast = std::make_shared<WifiBPhy>(fast_cfg);
-    auto ref = std::make_shared<WifiBPhy>(ref_cfg);
+    WifiBConfig cfg;
+    cfg.rate = WifiBRate::Cck11M;
+    auto fast = std::make_shared<WifiBPhy>(cfg);
+    auto ref = std::make_shared<oracle::WifiB>(cfg);
     const unsigned bps = wifi_b_bits_per_symbol(WifiBRate::Cck11M);
     std::vector<Trace> corpus = runner.run_grid(
         1, trials, [&](std::size_t, std::size_t, Rng& rng) {
           const Bits payload = rng.bits(64 * bps);
           Trace t;
-          t.iq = add_awgn(ref->modulate_payload(payload), snr_db, rng);
+          t.iq = add_awgn(fast->modulate_payload(payload), snr_db, rng);
           t.n = payload.size();
           return t;
         });
@@ -164,16 +159,13 @@ int main(int argc, char** argv) {
   }
 
   {  // BLE: GFSK discriminator demod.
-    BleConfig fast_cfg, ref_cfg;
-    fast_cfg.path = KernelPath::Fast;
-    ref_cfg.path = KernelPath::Reference;
-    auto fast = std::make_shared<BlePhy>(fast_cfg);
-    auto ref = std::make_shared<BlePhy>(ref_cfg);
+    auto fast = std::make_shared<BlePhy>();
+    auto ref = std::make_shared<oracle::Ble>();
     std::vector<Trace> corpus = runner.run_grid(
         1, trials, [&](std::size_t, std::size_t, Rng& rng) {
           const Bits air = rng.bits(256);
           Trace t;
-          t.iq = add_awgn(ref->modulate_bits(air), snr_db, rng);
+          t.iq = add_awgn(fast->modulate_bits(air), snr_db, rng);
           t.n = air.size();
           return t;
         });
@@ -188,12 +180,10 @@ int main(int argc, char** argv) {
   }
 
   {  // 802.11n: OFDM FFT + demap + deinterleave.
-    WifiNConfig fast_cfg, ref_cfg;
-    fast_cfg.modulation = ref_cfg.modulation = Modulation::Qam16;
-    fast_cfg.path = KernelPath::Fast;
-    ref_cfg.path = KernelPath::Reference;
-    auto fast = std::make_shared<WifiNPhy>(fast_cfg);
-    auto ref = std::make_shared<WifiNPhy>(ref_cfg);
+    WifiNConfig cfg;
+    cfg.modulation = Modulation::Qam16;
+    auto fast = std::make_shared<WifiNPhy>(cfg);
+    auto ref = std::make_shared<oracle::WifiN>(cfg);
     const unsigned ncbps = wifi_n_coded_bits_per_symbol(Modulation::Qam16);
     std::vector<Trace> corpus = runner.run_grid(
         1, trials, [&](std::size_t, std::size_t, Rng& rng) {
@@ -240,8 +230,8 @@ int main(int argc, char** argv) {
               "speedup");
   bench::rule();
   for (const Chain& chain : chains) {
-    const Timing tf = time_chain(chain, true, min_seconds);
-    const Timing tr = time_chain(chain, false, min_seconds);
+    const Timing tf = time_chain(chain, chain.fast, min_seconds);
+    const Timing tr = time_chain(chain, chain.ref, min_seconds);
     const double speedup = tr.samples_per_sec() > 0.0
                                ? tf.samples_per_sec() / tr.samples_per_sec()
                                : 0.0;

@@ -1,13 +1,13 @@
 #!/usr/bin/env bash
 # Full CI sweep: Release build + the four labeled ctest suites (unit,
 # property, integration, golden) — the property label includes the
-# bitpack equivalence, multipath-trajectory, PHY fast-path
+# bitpack equivalence, multipath-trajectory, PHY kernel-vs-oracle
 # differential, and fleet capture/superposition suites, and the unit
 # label the workload/degradation/time-varying-channel/fleet suites, so
 # all of them get an ASan+UBSan pass below for free — then the
 # bench-smoke label (which includes the threads-1 vs threads-8
 # byte-identity gates for the waveform cache, the workload scorecard,
-# the kernel fast path, and the many-tag scale sweep), a bench-perf
+# the fig7 and fig13 CSVs, and the many-tag scale sweep), a bench-perf
 # smoke of the identification-, PHY-throughput, and tag-scaling
 # microbenches plus bench_micro's calibration-search, identifier-score,
 # front-end (FIR, rf_envelope), overlay-sync and tag-frame-codec

@@ -85,17 +85,8 @@ double ProtocolIdentifier::score_one(std::span<const float> trace,
       best = std::max(best, pearson(trace.subspan(off + lp, tmpl.size()), tmpl));
     return best;
   }
-  if (cfg_.onebit_kernel == OneBitKernel::Packed)
-    return packed_one_bit_peak(trace, lo, hi, lp, templates_.one_bit_packed[idx])
-        .score;
-  const std::vector<int8_t>& tmpl = templates_.one_bit[idx];
-  double best = -1.0;
-  for (std::size_t off = lo;
-       off <= hi && off + lp + tmpl.size() <= trace.size(); ++off) {
-    const std::vector<int8_t> bits = one_bit_window(trace, off, lp, tmpl.size());
-    best = std::max(best, sign_correlation(bits, tmpl));
-  }
-  return best;
+  return packed_one_bit_peak(trace, lo, hi, lp, templates_.one_bit_packed[idx])
+      .score;
 }
 
 std::array<double, 4> ProtocolIdentifier::scores(
@@ -110,7 +101,6 @@ std::array<double, 4> ProtocolIdentifier::scores(
   // instead of once per protocol.  Bit-identical to the per-protocol
   // loop below; only faster.
   if (cfg_.compute == ComputeMode::OneBit &&
-      cfg_.onebit_kernel == OneBitKernel::Packed &&
       templates_.one_bit_packed[0].bits == templates_.one_bit_packed[1].bits &&
       templates_.one_bit_packed[0].bits == templates_.one_bit_packed[2].bits &&
       templates_.one_bit_packed[0].bits == templates_.one_bit_packed[3].bits) {

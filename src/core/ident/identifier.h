@@ -5,7 +5,8 @@
 //   - FullPrecision: Pearson correlation on raw samples (the accuracy
 //     ceiling of Fig 5b; needs multipliers, infeasible on the AGLN250).
 //   - OneBit: samples thresholded against the L_p-window mean and
-//     correlated by sign agreement — the adder-only circuit of Table 2.
+//     correlated by sign agreement — the adder-only circuit of Table 2,
+//     scored 64 positions per word by XOR+popcount (dsp/bitpack.h).
 // Two decision modes mirror §2.3.2:
 //   - Blind: highest score wins (subject to a minimum score).
 //   - Ordered: test ZigBee → BLE → 802.11b → 802.11n against per-protocol
@@ -23,20 +24,10 @@ namespace ms {
 enum class ComputeMode { FullPrecision, OneBit };
 enum class DecisionMode { Blind, Ordered };
 
-/// How the OneBit compute mode scores a window.  Packed is the measured
-/// fast path: 64 positions per uint64_t word, XOR+popcount correlation
-/// (dsp/bitpack.h).  Reference is the original byte-per-position int8
-/// loop, kept as the equivalence oracle — both produce bit-identical
-/// scores, decisions, and alignment offsets (enforced by
-/// tests/property/bitpack_property_test.cpp; measured by
-/// bench_ident_throughput).
-enum class OneBitKernel { Packed, Reference };
-
 struct IdentifierConfig {
   TemplateParams templates;
   ComputeMode compute = ComputeMode::FullPrecision;
   DecisionMode decision = DecisionMode::Blind;
-  OneBitKernel onebit_kernel = OneBitKernel::Packed;
   double blind_min_score = 0.25;  ///< below this, blind matching says "no packet"
   /// Correlation is gated on the energy-detection edge: alignments are
   /// searched only within ±align_search_s of the detected packet onset.

@@ -72,7 +72,8 @@ struct OneBitPeak {
   std::size_t offset = 0;
 };
 
-/// Packed twin of the identifier's reference scoring loop: for every
+/// Packed twin of the byte-per-position scoring loop
+/// (oracle::one_bit_scores, tests/differential/oracles.h): for every
 /// alignment off ∈ [lo, hi] with off + lp + tmpl.bits ≤ trace.size(),
 /// quantize the match window exactly as one_bit_window() does and score
 /// it against the packed template by XOR+popcount.  Returns the best

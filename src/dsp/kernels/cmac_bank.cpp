@@ -48,8 +48,9 @@ void CmacBank::correlate(std::span<const Cf> seg, std::span<float> out_re,
     float ar0 = 0.0f, ar1 = 0.0f, ar2 = 0.0f, ar3 = 0.0f;
     float ai0 = 0.0f, ai1 = 0.0f, ai2 = 0.0f, ai3 = 0.0f;
     for (std::size_t k = 0; k < n; ++k) {
-      const float s_re = seg[k].real();
-      const float s_im = seg[k].imag();
+      const Cf s = seg[k];  // ASan checks a whole load, not .real()
+      const float s_re = s.real();
+      const float s_im = s.imag();
       const float* row_re = blk_re + k * nc;
       const float* row_im = blk_im + k * nc;
       ar0 += s_re * row_re[0] - s_im * row_im[0];
@@ -73,8 +74,9 @@ void CmacBank::correlate(std::span<const Cf> seg, std::span<float> out_re,
   for (; c0 < nc; ++c0) {
     float ar = 0.0f, ai = 0.0f;
     for (std::size_t k = 0; k < n; ++k) {
-      const float s_re = seg[k].real();
-      const float s_im = seg[k].imag();
+      const Cf s = seg[k];  // ASan checks a whole load, not .real()
+      const float s_re = s.real();
+      const float s_im = s.imag();
       const float br = b_re[k * nc + c0];
       const float bi = b_im[k * nc + c0];
       ar += s_re * br - s_im * bi;

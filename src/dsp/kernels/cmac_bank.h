@@ -1,12 +1,14 @@
 // Multi-candidate complex correlator bank (CMAC = complex multiply-
 // accumulate), the shared engine behind the ZigBee OQPSK despreader and
-// the 802.11b CCK demapper fast paths.
+// the 802.11b CCK demapper.
 //
-// Both scalar oracles do the same thing: correlate one received segment
-// against N candidate reference waveforms and pick the argmax of
-// |correlation|.  The scalar shape — candidates outer, samples inner —
-// walks complex pairs through std::conj and std::complex multiplies,
-// which GCC lowers to __mulsc3 calls and refuses to vectorize.
+// Both scalar oracles (oracle::Zigbee::detect_symbols and
+// oracle::cck_demap, tests/differential/oracles.h) do the same thing:
+// correlate one received segment against N candidate reference
+// waveforms and pick the argmax of |correlation|.  The scalar shape —
+// candidates outer, samples inner — walks complex pairs through
+// std::conj and std::complex multiplies, which GCC lowers to __mulsc3
+// calls and refuses to vectorize.
 //
 // The fast path interchanges the loops: samples outer, candidates
 // inner, with the candidates stored *planar* (separate re/im arrays,

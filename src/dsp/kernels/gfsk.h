@@ -1,4 +1,5 @@
-// GFSK discriminator demod fast path (phy/ble oracle pair).
+// GFSK discriminator demod kernel for phy/ble (oracle: oracle::Ble in
+// tests/differential/oracles.h).
 //
 // The reference chain runs dsp/mixer's discriminate() over the ENTIRE
 // trace — one complex multiply plus one atan2 per sample, materialized
@@ -30,7 +31,7 @@ namespace ms::kernels {
 
 /// Per-symbol mean instantaneous frequency (Hz): out.size() symbols of
 /// `sps` samples each, averaging the middle half of every symbol.
-/// Bit-identical to discriminate() + BlePhy's middle-half average.
+/// Bit-identical to discriminate() + the oracle's middle-half average.
 void gfsk_symbol_frequencies(std::span<const Cf> iq, double fs_hz,
                              unsigned sps, std::span<float> out);
 

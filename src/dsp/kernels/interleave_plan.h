@@ -1,8 +1,9 @@
 // Cached 802.11 interleaver permutations.
 //
-// The reference interleaver (phy/interleaver.cpp) recomputes the
-// two-permutation destination index — four divides/modulos — for every
-// coded bit of every OFDM symbol.  The permutation depends only on
+// The reference interleaver (oracle::interleave_11n,
+// tests/differential/oracles.h) recomputes the two-permutation
+// destination index — four divides/modulos — for every coded bit of
+// every OFDM symbol.  The permutation depends only on
 // (n_cbps, n_bpsc), so the fast path computes it once per parameter
 // pair and replays it as a gather: out[perm[k]] = in[k] (interleave)
 // and out[k] = in[perm[k]] (deinterleave) are branch-free table walks

@@ -1,5 +1,5 @@
-// OQPSK half-sine waveform synthesis fast path (phy/zigbee oracle
-// pair).
+// OQPSK half-sine waveform synthesis kernel for phy/zigbee (oracle:
+// oracle::Zigbee::modulate_symbols in tests/differential/oracles.h).
 //
 // The reference modulator allocates two full-length branch buffers and
 // an output Iq per call and accumulates every chip pulse with `+=`

@@ -140,8 +140,6 @@ void write_manifest_json(std::ostream& out) {
   out << ",\n  \"nondeterministic\": {\n";
   out << "    \"git_sha\": \"" << detail::json_escape(git_sha()) << "\",\n";
   out << "    \"threads\": " << l.info.threads << ",\n";
-  out << "    \"fast_path\": " << (l.info.fast_path ? "true" : "false")
-      << ",\n";
   out << "    \"waveform_cache\": "
       << (l.info.waveform_cache ? "true" : "false") << ",\n";
   out << "    \"wall_s\": " << detail::json_number(wall_s) << ",\n";

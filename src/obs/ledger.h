@@ -7,12 +7,11 @@
 //    deadline): the run's config hash, a 64-bit digest of the
 //    aggregated metrics JSON, and the key results the bench chose
 //    to record (accuracies, ranges, gate outcomes).  It must be
-//    byte-identical at any --threads / --fast-path / --waveform-cache
-//    setting — the manifest-determinism ctest diffs it across thread
-//    counts, and `obs_report diff` treats any difference as a
-//    regression.
+//    byte-identical at any --threads / --waveform-cache setting — the
+//    manifest-determinism ctest diffs it across thread counts, and
+//    `obs_report diff` treats any difference as a regression.
 //  - `nondeterministic` holds everything wall-clock- or
-//    machine-shaped: git SHA, thread count, kernel/cache flags, total
+//    machine-shaped: git SHA, thread count, the cache flag, total
 //    wall seconds, bench-recorded timings (throughputs, speedups), and
 //    the per-stage profile totals.  `obs_report diff` gates these with
 //    a percentage tolerance instead of equality.
@@ -31,9 +30,9 @@
 namespace ms::obs::ledger {
 
 /// The run identity: FNV-1a over (program, seed, trials, trial
-/// deadline), the knobs that change WHAT a run computes.  Threads,
-/// waveform cache and fast path are left out on purpose — results are
-/// invariant to them, so runs that differ only there share an identity
+/// deadline), the knobs that change WHAT a run computes.  Threads and
+/// the waveform cache are left out on purpose — results are invariant
+/// to them, so runs that differ only there share an identity
 /// and `obs_report diff` compares them.  Committed baselines pin the
 /// values (BENCH_seed.json, BENCH_seed_scale.json).
 std::uint64_t config_hash(const std::string& program, std::uint64_t seed,
@@ -49,7 +48,6 @@ struct RunInfo {
   std::uint64_t trials = 0;  ///< 0 = the bench's default trial count
   std::uint64_t trial_deadline_ms = 0;
   std::size_t threads = 0;  ///< 0 = all cores
-  bool fast_path = true;
   bool waveform_cache = true;
 };
 

@@ -5,7 +5,6 @@
 #include "common/error.h"
 #include "dsp/fir.h"
 #include "dsp/kernels/gfsk.h"
-#include "dsp/mixer.h"
 #include "phy/crc.h"
 #include "phy/whitening.h"
 
@@ -116,24 +115,9 @@ BlePhy::RxFrame BlePhy::demodulate_data_frame(std::span<const Cf> iq,
 
 Samples BlePhy::symbol_frequencies(std::span<const Cf> iq,
                                    std::size_t n_symbols) const {
-  const unsigned sps = cfg_.samples_per_symbol;
-  MS_CHECK(iq.size() >= n_symbols * sps);
-  if (kernels::use_fast(cfg_.path)) {
-    Samples out(n_symbols, 0.0f);
-    kernels::gfsk_symbol_frequencies(iq, sample_rate_hz(), sps, out);
-    return out;
-  }
-  const Samples freq = discriminate(iq, sample_rate_hz());
   Samples out(n_symbols, 0.0f);
-  for (std::size_t s = 0; s < n_symbols; ++s) {
-    // Average the middle half of each symbol to dodge ISI at edges.
-    const std::size_t lo = s * sps + sps / 4;
-    const std::size_t hi = s * sps + (3 * sps) / 4;
-    double acc = 0.0;
-    std::size_t n = 0;
-    for (std::size_t i = lo; i < hi && i < freq.size(); ++i, ++n) acc += freq[i];
-    out[s] = n ? static_cast<float>(acc / static_cast<double>(n)) : 0.0f;
-  }
+  kernels::gfsk_symbol_frequencies(iq, sample_rate_hz(),
+                                   cfg_.samples_per_symbol, out);
   return out;
 }
 

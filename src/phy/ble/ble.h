@@ -9,7 +9,6 @@
 
 #include "common/bits.h"
 #include "dsp/iq.h"
-#include "dsp/kernels/config.h"
 
 namespace ms {
 
@@ -20,9 +19,6 @@ struct BleConfig {
   double bt = 0.5;                  ///< Gaussian bandwidth-time product
   double modulation_index = 0.5;    ///< h; deviation = h/2 × symbol rate
   unsigned channel_index = 37;      ///< advertising channel (whitening seed)
-  /// Kernel pair selection for the discriminator demod (bit-identical
-  /// either way).
-  kernels::KernelPath path = kernels::KernelPath::Auto;
 };
 
 class BlePhy {

@@ -1,7 +1,6 @@
 #include "phy/dsss/cck.h"
 
 #include <cmath>
-#include <limits>
 
 #include "common/error.h"
 #include "dsp/kernels/cmac_bank.h"
@@ -83,43 +82,16 @@ const kernels::CmacBank& cck_bank(bool rate11) {
 
 }  // namespace
 
-Bits cck_demap(std::span<const Cf> chips, bool rate11, Cf& rot,
-               kernels::KernelPath path) {
+Bits cck_demap(std::span<const Cf> chips, bool rate11, Cf& rot) {
   MS_CHECK(chips.size() == kCckChips);
-  if (kernels::use_fast(path)) {
-    const auto best = cck_bank(rate11).best_match(chips);
-    Bits bits(rate11 ? 6 : 2);
-    for (std::size_t b = 0; b < bits.size(); ++b)
-      bits[b] =
-          static_cast<uint8_t>((best.index >> (bits.size() - 1 - b)) & 1u);
-    const double mag = std::abs(best.corr);
-    rot = best.corr / static_cast<float>(mag == 0.0 ? 1.0 : mag);
-    return bits;
-  }
-  const unsigned n_codewords = rate11 ? 64 : 4;
-  double best = -std::numeric_limits<double>::infinity();
-  Bits best_bits;
-  Cf best_rot(1.0f, 0.0f);
+  const auto best = cck_bank(rate11).best_match(chips);
   Bits bits(rate11 ? 6 : 2);
-  for (unsigned code = 0; code < n_codewords; ++code) {
-    for (std::size_t b = 0; b < bits.size(); ++b)
-      bits[b] = static_cast<uint8_t>((code >> (bits.size() - 1 - b)) & 1u);
-    double phi2, phi3, phi4;
-    cck_data_phases(bits, rate11, phi2, phi3, phi4);
-    const Iq cw = cck_codeword(0.0, phi2, phi3, phi4);
-    // Coherent correlation; |corr| is φ1-invariant, arg(corr) recovers φ1.
-    Cf corr(0.0f, 0.0f);
-    for (std::size_t i = 0; i < kCckChips; ++i)
-      corr += chips[i] * std::conj(cw[i]);
-    const double mag = std::abs(corr);
-    if (mag > best) {
-      best = mag;
-      best_bits = bits;
-      best_rot = corr / static_cast<float>(mag == 0.0 ? 1.0 : mag);
-    }
-  }
-  rot = best_rot;
-  return best_bits;
+  for (std::size_t b = 0; b < bits.size(); ++b)
+    bits[b] = static_cast<uint8_t>((best.index >> (bits.size() - 1 - b)) & 1u);
+  // |corr| is φ1-invariant; arg(corr) recovers φ1.
+  const double mag = std::abs(best.corr);
+  rot = best.corr / static_cast<float>(mag == 0.0 ? 1.0 : mag);
+  return bits;
 }
 
 double dqpsk_increment(uint8_t b0, uint8_t b1, bool odd_symbol) {

@@ -11,7 +11,6 @@
 
 #include "common/bits.h"
 #include "dsp/iq.h"
-#include "dsp/kernels/config.h"
 
 namespace ms {
 
@@ -28,12 +27,9 @@ void cck_data_phases(std::span<const uint8_t> bits, bool rate11,
 
 /// Recover the non-differential data bits from received chips by
 /// minimum-distance search over all codewords; also returns the detected
-/// φ1 (as the complex rotation of the best match) via `rot`.  The fast
-/// path correlates against a precomputed planar codeword bank instead
-/// of rebuilding every codeword's 8 chips from cos/sin per symbol;
-/// results are bit-identical either way.
-Bits cck_demap(std::span<const Cf> chips, bool rate11, Cf& rot,
-               kernels::KernelPath path = kernels::KernelPath::Auto);
+/// φ1 (as the complex rotation of the best match) via `rot`.  Correlates
+/// against a planar bank of every codeword, built once per rate.
+Bits cck_demap(std::span<const Cf> chips, bool rate11, Cf& rot);
 
 /// DQPSK phase increment for bit pair (b0, b1); `odd_symbol` adds the
 /// standard's extra π on odd-numbered symbols.

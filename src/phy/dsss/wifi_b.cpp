@@ -1,7 +1,6 @@
 #include "phy/dsss/wifi_b.h"
 
 #include <cmath>
-#include <optional>
 
 #include "common/error.h"
 #include "dsp/kernels/arena.h"
@@ -18,23 +17,16 @@ Cf expj(double phi) {
   return Cf(static_cast<float>(std::cos(phi)), static_cast<float>(std::sin(phi)));
 }
 
-/// Average each chip's samples back into one complex chip value.
-/// The span overload is the arena fast path's allocation-free twin; the
-/// arithmetic (accumulation order, scalar division) is identical.
-void collapse_chips_into(std::span<const Cf> iq, std::size_t n_chips,
-                         unsigned spc, std::span<Cf> chips) {
-  MS_CHECK(iq.size() >= n_chips * spc && chips.size() == n_chips);
-  for (std::size_t c = 0; c < n_chips; ++c) {
+/// Average each chip's samples back into one complex chip value; `chips`
+/// holds the chip count.
+void collapse_chips(std::span<const Cf> iq, unsigned spc,
+                    std::span<Cf> chips) {
+  MS_CHECK(iq.size() >= chips.size() * spc);
+  for (std::size_t c = 0; c < chips.size(); ++c) {
     Cf acc(0.0f, 0.0f);
     for (unsigned s = 0; s < spc; ++s) acc += iq[c * spc + s];
     chips[c] = acc / static_cast<float>(spc);
   }
-}
-
-Iq collapse_chips(std::span<const Cf> iq, std::size_t n_chips, unsigned spc) {
-  Iq chips(n_chips);
-  collapse_chips_into(iq, n_chips, spc, chips);
-  return chips;
 }
 
 uint8_t rate_signal_byte(WifiBRate r) {
@@ -198,8 +190,9 @@ Cf WifiBPhy::despread_symbol_1m(std::span<const Cf> iq,
                                 std::size_t symbol_index) const {
   const std::size_t sps = 11 * cfg_.samples_per_chip;
   MS_CHECK(iq.size() >= (symbol_index + 1) * sps);
-  const Iq chips = collapse_chips(iq.subspan(symbol_index * sps, sps), 11,
-                                  cfg_.samples_per_chip);
+  Iq chips(11);
+  collapse_chips(iq.subspan(symbol_index * sps, sps), cfg_.samples_per_chip,
+                 chips);
   return barker_despread(chips);
 }
 
@@ -215,28 +208,12 @@ Bits WifiBPhy::demodulate_air_bits(std::span<const Cf> iq, std::size_t n_bits,
   Bits out;
   out.reserve(n_bits);
   Cf prev = init_ref;
-  // Fast path: one arena scratch buffer reused for every symbol's
-  // collapsed chips instead of an Iq allocation per symbol.
-  const bool fast = kernels::use_fast(cfg_.path);
+  // One arena scratch buffer holds every symbol's collapsed chips.
   kernels::SampleArena& arena = kernels::scratch_arena();
-  std::optional<kernels::SampleArena::Scope> scope;
-  std::span<Cf> chip_buf;
-  if (fast) {
-    scope.emplace(arena);
-    chip_buf = arena.alloc<Cf>(cps);
-  }
+  kernels::SampleArena::Scope scope(arena);
+  const std::span<Cf> chips = arena.alloc<Cf>(cps);
   for (std::size_t s = 0; s < n_sym; ++s) {
-    Iq chips_vec;
-    std::span<const Cf> chips;
-    if (fast) {
-      collapse_chips_into(iq.subspan(s * sps, sps), cps,
-                          cfg_.samples_per_chip, chip_buf);
-      chips = chip_buf;
-    } else {
-      chips_vec =
-          collapse_chips(iq.subspan(s * sps, sps), cps, cfg_.samples_per_chip);
-      chips = chips_vec;
-    }
+    collapse_chips(iq.subspan(s * sps, sps), cfg_.samples_per_chip, chips);
     switch (cfg_.rate) {
       case WifiBRate::Dbpsk1M: {
         const Cf sym = barker_despread(chips);
@@ -258,7 +235,7 @@ Bits WifiBPhy::demodulate_air_bits(std::span<const Cf> iq, std::size_t n_bits,
       case WifiBRate::Cck11M: {
         Cf rot;
         const Bits data =
-            cck_demap(chips, cfg_.rate == WifiBRate::Cck11M, rot, cfg_.path);
+            cck_demap(chips, cfg_.rate == WifiBRate::Cck11M, rot);
         uint8_t b0, b1;
         dqpsk_decide(std::arg(rot * std::conj(prev)), (s % 2) == 1, b0, b1);
         out.push_back(b0);

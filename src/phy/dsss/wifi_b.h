@@ -12,7 +12,6 @@
 
 #include "common/bits.h"
 #include "dsp/iq.h"
-#include "dsp/kernels/config.h"
 
 namespace ms {
 
@@ -32,9 +31,6 @@ struct WifiBConfig {
   /// 144 µs): 56-bit sync of scrambled zeros + SFD, header at 2 Mbps
   /// DQPSK, seed 0x1B.
   bool short_preamble = false;
-  /// Kernel pair selection for chip collapse + CCK correlation
-  /// (bit-identical either way).
-  kernels::KernelPath path = kernels::KernelPath::Auto;
 };
 
 class WifiBPhy {

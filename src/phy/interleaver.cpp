@@ -1,59 +1,25 @@
 #include "phy/interleaver.h"
 
-#include <algorithm>
-#include <vector>
-
 #include "common/error.h"
 #include "dsp/kernels/interleave_plan.h"
 
 namespace ms {
 
-namespace {
-
-/// Destination index of coded bit k after both 802.11 permutations.
-std::size_t interleave_index(std::size_t k, unsigned n_cbps, unsigned n_bpsc) {
-  const unsigned s = std::max(n_bpsc / 2, 1u);
-  // First permutation: write row-wise into 16 columns, read column-wise.
-  const std::size_t i = (n_cbps / 16) * (k % 16) + (k / 16);
-  // Second permutation: rotate within groups of s bits.
-  const std::size_t j =
-      s * (i / s) + (i + n_cbps - (16 * i / n_cbps)) % s;
-  return j;
-}
-
-}  // namespace
-
 Bits interleave_11n(std::span<const uint8_t> bits, unsigned n_cbps,
-                    unsigned n_bpsc, kernels::KernelPath path) {
+                    unsigned n_bpsc) {
   MS_CHECK(n_cbps >= 16 && n_cbps % 16 == 0);
   MS_CHECK(bits.size() % n_cbps == 0);
   Bits out(bits.size());
-  if (kernels::use_fast(path)) {
-    kernels::interleave_plan(n_cbps, n_bpsc).interleave(bits, out);
-    return out;
-  }
-  for (std::size_t sym = 0; sym < bits.size() / n_cbps; ++sym) {
-    const std::size_t base = sym * n_cbps;
-    for (std::size_t k = 0; k < n_cbps; ++k)
-      out[base + interleave_index(k, n_cbps, n_bpsc)] = bits[base + k];
-  }
+  kernels::interleave_plan(n_cbps, n_bpsc).interleave(bits, out);
   return out;
 }
 
 Bits deinterleave_11n(std::span<const uint8_t> bits, unsigned n_cbps,
-                      unsigned n_bpsc, kernels::KernelPath path) {
+                      unsigned n_bpsc, KernelPath) {
   MS_CHECK(n_cbps >= 16 && n_cbps % 16 == 0);
   MS_CHECK(bits.size() % n_cbps == 0);
   Bits out(bits.size());
-  if (kernels::use_fast(path)) {
-    kernels::interleave_plan(n_cbps, n_bpsc).deinterleave(bits, out);
-    return out;
-  }
-  for (std::size_t sym = 0; sym < bits.size() / n_cbps; ++sym) {
-    const std::size_t base = sym * n_cbps;
-    for (std::size_t k = 0; k < n_cbps; ++k)
-      out[base + k] = bits[base + interleave_index(k, n_cbps, n_bpsc)];
-  }
+  kernels::interleave_plan(n_cbps, n_bpsc).deinterleave(bits, out);
   return out;
 }
 

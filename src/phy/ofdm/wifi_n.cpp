@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <optional>
 
 #include "common/error.h"
 #include "dsp/fft.h"
@@ -43,40 +42,24 @@ WifiNPhy::WifiNPhy(WifiNConfig cfg) : cfg_(cfg) {
 
 namespace {
 
-/// Build one time-domain OFDM symbol (CP + 64) from 48 data points.
-/// The fast path runs the planned FFT over arena scratch instead of
-/// the allocating out-of-place ifft(); samples are bit-identical.
-Iq ofdm_symbol(std::span<const Cf> data_points, std::size_t symbol_index,
-               bool fast) {
+/// Build one time-domain OFDM symbol (CP + 64) from 48 data points,
+/// running the planned inverse FFT over arena scratch.
+Iq ofdm_symbol(std::span<const Cf> data_points, std::size_t symbol_index) {
   MS_CHECK(data_points.size() == kOfdmDataCarriers);
   kernels::SampleArena& arena = kernels::scratch_arena();
   kernels::SampleArena::Scope scope(arena);
-  Iq freq_vec;
-  std::span<Cf> freq;
-  if (fast) {
-    freq = arena.alloc<Cf>(kOfdmFftSize);
-    std::fill(freq.begin(), freq.end(), Cf(0.0f, 0.0f));
-  } else {
-    freq_vec.assign(kOfdmFftSize, Cf(0.0f, 0.0f));
-    freq = freq_vec;
-  }
+  // Frequency bins, then time samples after the in-place inverse FFT.
+  const std::span<Cf> t = arena.alloc<Cf>(kOfdmFftSize);
+  std::fill(t.begin(), t.end(), Cf(0.0f, 0.0f));
   const auto data_idx = ofdm_data_indices();
   for (std::size_t i = 0; i < kOfdmDataCarriers; ++i)
-    freq[ofdm_bin(data_idx[i])] = data_points[i];
+    t[ofdm_bin(data_idx[i])] = data_points[i];
   const auto pilot_idx = ofdm_pilot_indices();
   const auto pilot_val = ofdm_pilot_values();
   const float pol = ofdm_pilot_polarity(symbol_index);
   for (std::size_t i = 0; i < kOfdmPilotCarriers; ++i)
-    freq[ofdm_bin(pilot_idx[i])] = Cf(pilot_val[i] * pol, 0.0f);
-  std::span<Cf> t;
-  Iq t_vec;
-  if (fast) {
-    kernels::fft_plan(kOfdmFftSize).inverse(freq);
-    t = freq;
-  } else {
-    t_vec = ifft(freq);
-    t = t_vec;
-  }
+    t[ofdm_bin(pilot_idx[i])] = Cf(pilot_val[i] * pol, 0.0f);
+  kernels::fft_plan(kOfdmFftSize).inverse(t);
   // Normalize to unit mean power over 52 active carriers.
   const float scale = static_cast<float>(kOfdmFftSize) / std::sqrt(52.0f);
   for (Cf& v : t) v *= scale;
@@ -85,16 +68,6 @@ Iq ofdm_symbol(std::span<const Cf> data_points, std::size_t symbol_index,
   out.insert(out.end(), t.end() - kOfdmCpLen, t.end());  // cyclic prefix
   out.insert(out.end(), t.begin(), t.end());
   return out;
-}
-
-/// FFT of one received symbol (skipping the CP), returning 64 bins.
-Iq ofdm_demod_bins(std::span<const Cf> symbol) {
-  MS_CHECK(symbol.size() == kOfdmSymbolLen);
-  Iq t(symbol.begin() + kOfdmCpLen, symbol.end());
-  fft_inplace(t);
-  const float scale = std::sqrt(52.0f) / static_cast<float>(kOfdmFftSize);
-  for (Cf& v : t) v *= scale;
-  return t;
 }
 
 }  // namespace
@@ -152,7 +125,7 @@ Bits WifiNPhy::encode(std::span<const uint8_t> payload_bits) const {
   const Bits coded =
       puncture(conv_encode(scrambled), cfg_.coding_num, cfg_.coding_den);
   return interleave_11n(coded, wifi_n_coded_bits_per_symbol(cfg_.modulation),
-                        bits_per_point(cfg_.modulation), cfg_.path);
+                        bits_per_point(cfg_.modulation));
 }
 
 Iq WifiNPhy::modulate_coded_symbols(std::span<const uint8_t> coded_bits,
@@ -165,8 +138,7 @@ Iq WifiNPhy::modulate_coded_symbols(std::span<const uint8_t> coded_bits,
   for (std::size_t s = 0; s < n_sym; ++s) {
     const Iq points = constellation_map(coded_bits.subspan(s * ncbps, ncbps),
                                         cfg_.modulation);
-    const Iq sym = ofdm_symbol(points, first_symbol_index + s,
-                               kernels::use_fast(cfg_.path));
+    const Iq sym = ofdm_symbol(points, first_symbol_index + s);
     out.insert(out.end(), sym.begin(), sym.end());
   }
   return out;
@@ -189,34 +161,18 @@ Bits WifiNPhy::demodulate_symbol_bits(std::span<const Cf> iq,
   const auto data_idx = ofdm_data_indices();
   Bits out;
   out.reserve(n_symbols * wifi_n_coded_bits_per_symbol(cfg_.modulation));
-  // Fast path: planned FFT over one arena bins buffer reused across
-  // symbols instead of a fresh Iq (and twiddle recomputation) each.
-  const bool fast = kernels::use_fast(cfg_.path);
+  // One arena bins buffer and the planned FFT serve every symbol.
   kernels::SampleArena& arena = kernels::scratch_arena();
-  std::optional<kernels::SampleArena::Scope> scope;
-  std::span<Cf> bins_buf, points_buf;
-  const kernels::FftPlan* plan = nullptr;
-  if (fast) {
-    scope.emplace(arena);
-    bins_buf = arena.alloc<Cf>(kOfdmFftSize);
-    points_buf = arena.alloc<Cf>(kOfdmDataCarriers);
-    plan = &kernels::fft_plan(kOfdmFftSize);
-  }
+  kernels::SampleArena::Scope scope(arena);
+  const std::span<Cf> bins = arena.alloc<Cf>(kOfdmFftSize);
+  const std::span<Cf> points = arena.alloc<Cf>(kOfdmDataCarriers);
+  const kernels::FftPlan& plan = kernels::fft_plan(kOfdmFftSize);
   for (std::size_t s = 0; s < n_symbols; ++s) {
-    Iq bins_vec;
-    std::span<Cf> bins;
-    if (fast) {
-      const auto symbol = iq.subspan(s * kOfdmSymbolLen, kOfdmSymbolLen);
-      std::copy(symbol.begin() + kOfdmCpLen, symbol.end(), bins_buf.begin());
-      plan->forward(bins_buf);
-      const float scale = std::sqrt(52.0f) / static_cast<float>(kOfdmFftSize);
-      for (Cf& v : bins_buf) v *= scale;
-      bins = bins_buf;
-    } else {
-      bins_vec =
-          ofdm_demod_bins(iq.subspan(s * kOfdmSymbolLen, kOfdmSymbolLen));
-      bins = bins_vec;
-    }
+    const auto symbol = iq.subspan(s * kOfdmSymbolLen, kOfdmSymbolLen);
+    std::copy(symbol.begin() + kOfdmCpLen, symbol.end(), bins.begin());
+    plan.forward(bins);
+    const float scale = std::sqrt(52.0f) / static_cast<float>(kOfdmFftSize);
+    for (Cf& v : bins) v *= scale;
     if (!channel.empty()) {
       MS_CHECK(channel.size() == kOfdmFftSize);
       for (std::size_t b = 0; b < kOfdmFftSize; ++b) {
@@ -233,15 +189,6 @@ Bits WifiNPhy::demodulate_symbol_bits(std::span<const Cf> iq,
       cpe += bins[ofdm_bin(pilot_idx[i])] * (pilot_val[i] * pol);
     const float mag = std::abs(cpe);
     const Cf derot = mag > 1e-9f ? std::conj(cpe) / mag : Cf(1.0f, 0.0f);
-
-    Iq points_vec;
-    std::span<Cf> points;
-    if (fast) {
-      points = points_buf;
-    } else {
-      points_vec.resize(kOfdmDataCarriers);
-      points = points_vec;
-    }
     for (std::size_t i = 0; i < kOfdmDataCarriers; ++i)
       points[i] = bins[ofdm_bin(data_idx[i])] * derot;
     const Bits bits = constellation_demap(points, cfg_.modulation);
@@ -286,7 +233,7 @@ WifiNPhy::RxFrame WifiNPhy::demodulate_frame(std::span<const Cf> iq,
                                             n_sym, channel);
   const Bits deint =
       deinterleave_11n(coded, wifi_n_coded_bits_per_symbol(cfg_.modulation),
-                       bits_per_point(cfg_.modulation), cfg_.path);
+                       bits_per_point(cfg_.modulation));
   const Bits unpunctured =
       depuncture(deint, cfg_.coding_num, cfg_.coding_den,
                  n_sym * cfg_.data_bits_per_symbol());

@@ -11,8 +11,8 @@
 
 #include "common/bits.h"
 #include "dsp/iq.h"
-#include "dsp/kernels/config.h"
 #include "phy/constellation.h"
+#include "phy/interleaver.h"
 
 namespace ms {
 
@@ -21,9 +21,8 @@ struct WifiNConfig {
   unsigned coding_num = 1;  ///< BCC rate numerator (1/2, 2/3, 3/4, 5/6)
   unsigned coding_den = 2;
   uint8_t scrambler_seed = 0x5d;
-  /// Kernel pair selection for the planned FFT + cached interleaver
-  /// (bit-identical either way).
-  kernels::KernelPath path = kernels::KernelPath::Auto;
+  /// The KernelPath vestige (phy/interleaver.h): selects nothing.
+  KernelPath path{};
 
   /// Config for a standard MCS index (0..7).
   static WifiNConfig from_mcs(unsigned mcs_index);

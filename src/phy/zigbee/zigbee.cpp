@@ -1,6 +1,7 @@
 #include "phy/zigbee/zigbee.h"
 
-#include <cmath>
+#include <algorithm>
+#include <array>
 
 #include "common/error.h"
 #include "dsp/kernels/oqpsk_synth.h"
@@ -40,40 +41,8 @@ Iq ZigbeePhy::modulate_symbols(std::span<const uint8_t> symbols) const {
   const unsigned spc = cfg_.samples_per_chip;
   const std::size_t n_chips = symbols.size() * kZigbeeChipsPerSymbol;
   // Trailing half-chip for the last Q pulse.
-  const std::size_t n_samples = n_chips * spc + spc;
-  if (kernels::use_fast(cfg_.path)) {
-    Iq out(n_samples);
-    kernels::oqpsk_synthesize(symbols, kPnTable, spc, out);
-    return out;
-  }
-  Samples i_branch(n_samples, 0.0f), q_branch(n_samples, 0.0f);
-
-  // Half-sine pulse spanning two chip periods.
-  Samples pulse(2 * spc);
-  for (std::size_t k = 0; k < pulse.size(); ++k)
-    pulse[k] = static_cast<float>(
-        std::sin(M_PI * static_cast<double>(k) / static_cast<double>(pulse.size())));
-
-  std::size_t chip_idx = 0;
-  for (uint8_t sym : symbols) {
-    MS_CHECK(sym < 16);
-    const std::uint32_t pn = kPnTable[sym];
-    for (unsigned c = 0; c < kZigbeeChipsPerSymbol; ++c, ++chip_idx) {
-      const float v = (pn >> c) & 1u ? 1.0f : -1.0f;
-      const bool is_i = (chip_idx % 2) == 0;
-      // I pulses start on even chip boundaries, Q pulses half a chip
-      // (one chip period Tc) later — the OQPSK offset.
-      const std::size_t start = (chip_idx / 2) * 2 * spc + (is_i ? 0 : spc);
-      Samples& branch = is_i ? i_branch : q_branch;
-      for (std::size_t k = 0; k < pulse.size() && start + k < n_samples; ++k)
-        branch[start + k] += v * pulse[k];
-    }
-  }
-
-  Iq out(n_samples);
-  const float norm = 1.0f / std::sqrt(2.0f);
-  for (std::size_t k = 0; k < n_samples; ++k)
-    out[k] = Cf(i_branch[k] * norm, q_branch[k] * norm);
+  Iq out(n_chips * spc + spc);
+  kernels::oqpsk_synthesize(symbols, kPnTable, spc, out);
   return out;
 }
 
@@ -109,25 +78,14 @@ Iq ZigbeePhy::modulate_frame(std::span<const uint8_t> payload) const {
   return modulate_symbols(bytes_to_symbols(frame));
 }
 
-void ZigbeePhy::build_references() const {
-  std::call_once(references_built_, [this] {
+const kernels::CmacBank& ZigbeePhy::candidate_bank() const {
+  std::call_once(bank_built_, [this] {
     bank_.reset(16, samples_per_symbol() + cfg_.samples_per_chip);
     for (uint8_t sym = 0; sym < 16; ++sym) {
       const uint8_t s[1] = {sym};
-      ref_cache_[sym] = modulate_symbols(s);
-      bank_.set_candidate(sym, ref_cache_[sym]);
+      bank_.set_candidate(sym, modulate_symbols(s));
     }
   });
-}
-
-const Iq& ZigbeePhy::reference_waveform(uint8_t symbol) const {
-  MS_CHECK(symbol < 16);
-  build_references();
-  return ref_cache_[symbol];
-}
-
-const kernels::CmacBank& ZigbeePhy::candidate_bank() const {
-  build_references();
   return bank_;
 }
 
@@ -136,37 +94,15 @@ std::vector<ZigbeePhy::SymbolDetect> ZigbeePhy::detect_symbols(
   const std::size_t sps = samples_per_symbol();
   MS_CHECK(iq.size() >= n_symbols * sps);
   std::vector<SymbolDetect> out(n_symbols);
-  if (kernels::use_fast(cfg_.path)) {
-    // Every candidate has the same length, so the bank's shared
-    // min(seg, length) window matches the per-candidate min the scalar
-    // loop takes.
-    const kernels::CmacBank& bank = candidate_bank();
-    for (std::size_t s = 0; s < n_symbols; ++s) {
-      const std::size_t avail = std::min(iq.size() - s * sps,
-                                         sps + cfg_.samples_per_chip);
-      const auto best = bank.best_match(iq.subspan(s * sps, avail));
-      out[s].symbol = static_cast<uint8_t>(best.index);
-      out[s].corr = best.corr;
-    }
-    return out;
-  }
+  // Every candidate has the same length, so the bank's shared
+  // min(seg, length) window is each candidate's own window.
+  const kernels::CmacBank& bank = candidate_bank();
   for (std::size_t s = 0; s < n_symbols; ++s) {
     const std::size_t avail = std::min(iq.size() - s * sps,
                                        sps + cfg_.samples_per_chip);
-    const auto seg = iq.subspan(s * sps, avail);
-    double best = -1.0;
-    for (uint8_t cand = 0; cand < 16; ++cand) {
-      const Iq& ref = reference_waveform(cand);
-      Cf corr(0.0f, 0.0f);
-      const std::size_t n = std::min(seg.size(), ref.size());
-      for (std::size_t k = 0; k < n; ++k) corr += seg[k] * std::conj(ref[k]);
-      const double mag = std::abs(corr);
-      if (mag > best) {
-        best = mag;
-        out[s].symbol = cand;
-        out[s].corr = corr;
-      }
-    }
+    const auto best = bank.best_match(iq.subspan(s * sps, avail));
+    out[s].symbol = static_cast<uint8_t>(best.index);
+    out[s].corr = best.corr;
   }
   return out;
 }

@@ -7,14 +7,12 @@
 // exploits (§2.4.2) when a tag phase flip garbles part of a symbol.
 #pragma once
 
-#include <array>
 #include <mutex>
 #include <span>
 
 #include "common/bits.h"
 #include "dsp/iq.h"
 #include "dsp/kernels/cmac_bank.h"
-#include "dsp/kernels/config.h"
 
 namespace ms {
 
@@ -28,9 +26,6 @@ std::span<const std::uint32_t> zigbee_pn_table();
 
 struct ZigbeeConfig {
   unsigned samples_per_chip = 4;  ///< 2 Mcps × 4 = 8 Msps baseband
-  /// Kernel pair selection for synthesis + despreading (bit-identical
-  /// either way; Reference is the oracle the differential tests pin).
-  kernels::KernelPath path = kernels::KernelPath::Auto;
 };
 
 class ZigbeePhy {
@@ -83,22 +78,14 @@ class ZigbeePhy {
   static Bytes symbols_to_bytes(std::span<const uint8_t> symbols);
 
  private:
-  /// Clean reference waveform of one isolated symbol (used by the
-  /// correlating detector); cached per PN index.
-  const Iq& reference_waveform(uint8_t symbol) const;
-
-  /// Planar conj(ref) bank over all 16 PN waveforms for the fast
-  /// despreader.
+  /// Planar conj(ref) bank over the 16 clean isolated-symbol waveforms,
+  /// built on first use.  One instance may decode on several threads at
+  /// once (an OverlayReceiver shared by a sweep's workers), so the build
+  /// runs exactly once, under std::call_once.
   const kernels::CmacBank& candidate_bank() const;
 
-  /// Builds ref_cache_ and bank_ on first use.  One instance may decode
-  /// on several threads at once (an OverlayReceiver shared by a sweep's
-  /// workers), so the build runs exactly once, under std::call_once.
-  void build_references() const;
-
   ZigbeeConfig cfg_;
-  mutable std::once_flag references_built_;
-  mutable std::array<Iq, 16> ref_cache_;
+  mutable std::once_flag bank_built_;
   mutable kernels::CmacBank bank_;
 };
 

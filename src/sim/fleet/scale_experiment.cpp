@@ -147,7 +147,7 @@ double waveform_probe(const ScaleConfig& cfg, const TagFleet& fleet,
     spans[k] = {std::span<const Cf>(*sources[k].wave), sources[k].channel};
 
   // Composite in arena scratch: recycled per trial cell like the PHY
-  // fast-path buffers, streamed in chunks by superpose_tags_into.
+  // kernels' buffers, streamed in chunks by superpose_tags_into.
   kernels::SampleArena::Scope scope(kernels::scratch_arena());
   auto out = kernels::scratch_arena().alloc<Cf>(superposed_length(spans));
   std::fill(out.begin(), out.end(), Cf(0.0f, 0.0f));

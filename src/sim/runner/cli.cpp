@@ -7,7 +7,6 @@
 #include <filesystem>
 #include <system_error>
 
-#include "dsp/kernels/config.h"
 #include "obs/flight.h"
 #include "obs/ledger.h"
 #include "obs/profile.h"
@@ -78,7 +77,6 @@ std::string repro_prefix(const char* argv0, const CliOptions& opts) {
   if (opts.seed != 0) cmd += " --seed " + std::to_string(opts.seed);
   if (opts.trial_deadline_ms != 0)
     cmd += " --trial-deadline-ms " + std::to_string(opts.trial_deadline_ms);
-  if (!opts.fast_path) cmd += " --fast-path off";
   if (!opts.waveform_cache) cmd += " --waveform-cache off";
   if (opts.tags != 0) cmd += " --tags " + std::to_string(opts.tags);
   if (opts.capture_threshold_db >= 0.0)
@@ -150,11 +148,6 @@ std::optional<std::string> parse_cli(int argc, const char* const* argv,
       if (!v || (*v != "on" && *v != "off"))
         return bad_value("--waveform-cache", v, "'on' or 'off'");
       opts.waveform_cache = (*v == "on");
-    } else if (arg == "--fast-path") {
-      const auto v = value("--fast-path");
-      if (!v || (*v != "on" && *v != "off"))
-        return bad_value("--fast-path", v, "'on' or 'off'");
-      opts.fast_path = (*v == "on");
     } else if (arg == "--trial-deadline-ms") {
       const auto v = value("--trial-deadline-ms");
       std::uint64_t n = 0;
@@ -215,9 +208,9 @@ std::string cli_usage(const char* prog) {
   u +=
       " [--threads N] [--trials N] [--seed S] [--out DIR]\n"
       "       [--metrics-out FILE] [--trace-out FILE] [--waveform-cache on|off]\n"
-      "       [--fast-path on|off] [--trial-deadline-ms N]\n"
-      "       [--manifest-out FILE] [--flight-out DIR] [--only-cell P,T]\n"
-      "       [--tags N] [--capture-threshold-db X]\n"
+      "       [--trial-deadline-ms N] [--manifest-out FILE]\n"
+      "       [--flight-out DIR] [--only-cell P,T] [--tags N]\n"
+      "       [--capture-threshold-db X]\n"
       "  --threads N        trial-engine worker threads (default: all cores)\n"
       "  --trials N         override the default trial count\n"
       "  --seed S           override the default master seed\n"
@@ -229,10 +222,6 @@ std::string cli_usage(const char* prog) {
       "                     reuse synthesized waveforms across trials\n"
       "                     (default on; results are bit-identical either\n"
       "                     way, off only trades speed for nothing)\n"
-      "  --fast-path on|off\n"
-      "                     SIMD/streaming PHY kernels (on) or their scalar\n"
-      "                     reference oracles (off); results are\n"
-      "                     bit-identical either way\n"
       "  --trial-deadline-ms N\n"
       "                     cancel + quarantine any cell running longer than\n"
       "                     N ms as a poison cell (default 0 = off)\n"
@@ -282,7 +271,6 @@ CliOptions parse_cli_or_exit(int argc, const char* const* argv) {
   if (!opts.trace_out.empty() && obs::trace_mask() == 0)
     obs::set_trace_mask(obs::kAllSubsystems);
   WaveformCache::instance().set_reuse_enabled(opts.waveform_cache);
-  kernels::set_fast_path_enabled(opts.fast_path);
   runner::set_default_trial_deadline(
       static_cast<double>(opts.trial_deadline_ms) * 1e-3);
   // One run identity for the manifest and the flight bundles; it covers
@@ -299,7 +287,6 @@ CliOptions parse_cli_or_exit(int argc, const char* const* argv) {
     info.trials = opts.trials;
     info.trial_deadline_ms = opts.trial_deadline_ms;
     info.threads = opts.threads;
-    info.fast_path = opts.fast_path;
     info.waveform_cache = opts.waveform_cache;
     obs::ledger::set_run_info(info);
   }

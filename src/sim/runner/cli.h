@@ -12,10 +12,6 @@
 //                     reuse synthesized waveforms across trials (default
 //                     on; off re-synthesizes every trial — the bitwise
 //                     oracle for the cached path)
-//   --fast-path on|off
-//                     select the SIMD/streaming PHY kernels or their
-//                     scalar reference oracles (default on; results are
-//                     bit-identical either way)
 //   --trial-deadline-ms N
 //                     per-cell watchdog: a cell running longer than N ms
 //                     is cancelled and quarantined as a poison cell
@@ -57,7 +53,6 @@ struct CliOptions {
   std::string metrics_out;    ///< empty = no metrics JSON dump
   std::string trace_out;      ///< empty = no trace JSONL dump
   bool waveform_cache = true; ///< reuse synthesized waveforms across trials
-  bool fast_path = true;      ///< SIMD kernels (true) or scalar oracles
   std::uint64_t trial_deadline_ms = 0;   ///< 0 = per-trial watchdog off
   std::string manifest_out;   ///< empty = no run manifest
   std::string flight_out;     ///< empty = no flight-recorder bundles

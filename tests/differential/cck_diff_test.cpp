@@ -1,16 +1,15 @@
-// Differential suite for the 802.11b kernel pairs: cck_demap's planar
+// Differential suite for the 802.11b kernels: cck_demap's planar
 // codeword bank vs the per-symbol codeword rebuild, and the full
 // demodulate_air_bits chain (arena chip collapse + CCK correlation)
-// across every rate.
+// across every rate, against the oracles in oracles.h.
 #include "diff_harness.h"
 
+#include "oracles.h"
 #include "phy/dsss/cck.h"
 #include "phy/dsss/wifi_b.h"
 
 namespace ms {
 namespace {
-
-using kernels::KernelPath;
 
 TEST(CckDiff, DemapMatchesOracleOnNoisyCodewords) {
   Rng rng(difftest::kSeed);
@@ -27,10 +26,8 @@ TEST(CckDiff, DemapMatchesOracleOnNoisyCodewords) {
       const Iq chips = difftest::noisy(clean, rng, -5.0, 25.0);
 
       Cf rot_fast, rot_ref;
-      const Bits fast =
-          cck_demap(chips, rate11, rot_fast, KernelPath::Fast);
-      const Bits ref =
-          cck_demap(chips, rate11, rot_ref, KernelPath::Reference);
+      const Bits fast = cck_demap(chips, rate11, rot_fast);
+      const Bits ref = oracle::cck_demap(chips, rate11, rot_ref);
       const auto c = difftest::ctx("rate11=%d iter=%d", rate11 ? 1 : 0, iter);
       difftest::expect_same_bits(fast, ref, "cck_demap bits", c);
       difftest::expect_same_samples({&rot_fast, 1}, {&rot_ref, 1},
@@ -50,10 +47,8 @@ TEST(CckDiff, DemapMatchesOracleOnPureNoise) {
         c = Cf(static_cast<float>(rng.normal()),
                static_cast<float>(rng.normal()));
       Cf rot_fast, rot_ref;
-      const Bits fast =
-          cck_demap(chips, rate11, rot_fast, KernelPath::Fast);
-      const Bits ref =
-          cck_demap(chips, rate11, rot_ref, KernelPath::Reference);
+      const Bits fast = cck_demap(chips, rate11, rot_fast);
+      const Bits ref = oracle::cck_demap(chips, rate11, rot_ref);
       const auto c = difftest::ctx("rate11=%d iter=%d", rate11 ? 1 : 0, iter);
       difftest::expect_same_bits(fast, ref, "cck_demap bits (noise)", c);
       difftest::expect_same_samples({&rot_fast, 1}, {&rot_ref, 1},
@@ -68,9 +63,8 @@ TEST(CckDiff, DemapZeroChipsHitsZeroMagnitudeGuard) {
   const Iq chips(kCckChips, Cf(0.0f, 0.0f));
   for (bool rate11 : {false, true}) {
     Cf rot_fast, rot_ref;
-    const Bits fast = cck_demap(chips, rate11, rot_fast, KernelPath::Fast);
-    const Bits ref =
-        cck_demap(chips, rate11, rot_ref, KernelPath::Reference);
+    const Bits fast = cck_demap(chips, rate11, rot_fast);
+    const Bits ref = oracle::cck_demap(chips, rate11, rot_ref);
     const auto c = difftest::ctx("rate11=%d zero-chips", rate11 ? 1 : 0);
     difftest::expect_same_bits(fast, ref, "cck_demap bits (zero)", c);
     difftest::expect_same_samples({&rot_fast, 1}, {&rot_ref, 1},
@@ -82,17 +76,16 @@ TEST(CckDiff, AirBitChainMatchesOracleAcrossRates) {
   Rng rng(difftest::kSeed ^ 2);
   for (WifiBRate rate : {WifiBRate::Dbpsk1M, WifiBRate::Dqpsk2M,
                          WifiBRate::Cck5_5M, WifiBRate::Cck11M}) {
-    WifiBConfig fast_cfg, ref_cfg;
-    fast_cfg.rate = ref_cfg.rate = rate;
-    fast_cfg.path = KernelPath::Fast;
-    ref_cfg.path = KernelPath::Reference;
-    const WifiBPhy fast(fast_cfg), ref(ref_cfg);
+    WifiBConfig cfg;
+    cfg.rate = rate;
+    const WifiBPhy fast(cfg);
+    const oracle::WifiB ref(cfg);
 
     const unsigned bps = wifi_b_bits_per_symbol(rate);
     for (int iter = 0; iter < 4; ++iter) {
       const std::size_t n_sym = 4 + rng.uniform_int(12);
       Bits payload = rng.bits(n_sym * bps);
-      const Iq clean = ref.modulate_payload(payload);
+      const Iq clean = fast.modulate_payload(payload);
       const Iq iq = difftest::noisy(clean, rng, 2.0, 25.0);
       difftest::expect_same_bits(
           fast.demodulate_air_bits(iq, payload.size()),

@@ -1,22 +1,21 @@
-// Differential suite for the ZigBee OQPSK kernel pairs: synthesis
+// Differential suite for the ZigBee OQPSK kernels: synthesis
 // (oqpsk_synthesize vs the scalar modulator) and despreading
-// (CmacBank::best_match vs the scalar 16-candidate correlator).
+// (CmacBank::best_match vs the scalar 16-candidate correlator), both
+// oracles in oracles.h.
 #include "diff_harness.h"
 
 #include <vector>
 
+#include "oracles.h"
 #include "phy/zigbee/zigbee.h"
 
 namespace ms {
 namespace {
 
-using kernels::KernelPath;
-
-ZigbeePhy make_phy(unsigned spc, KernelPath path) {
+ZigbeeConfig config(unsigned spc) {
   ZigbeeConfig cfg;
   cfg.samples_per_chip = spc;
-  cfg.path = path;
-  return ZigbeePhy(cfg);
+  return cfg;
 }
 
 std::vector<uint8_t> random_symbols(Rng& rng, std::size_t n) {
@@ -28,8 +27,8 @@ std::vector<uint8_t> random_symbols(Rng& rng, std::size_t n) {
 TEST(DespreadDiff, SynthesisMatchesOracleAcrossConfigs) {
   Rng rng(difftest::kSeed);
   for (unsigned spc : {2u, 4u, 8u}) {
-    const ZigbeePhy fast = make_phy(spc, KernelPath::Fast);
-    const ZigbeePhy ref = make_phy(spc, KernelPath::Reference);
+    const ZigbeePhy fast(config(spc));
+    const oracle::Zigbee ref(config(spc));
     for (int iter = 0; iter < 6; ++iter) {
       const auto syms = random_symbols(rng, 1 + rng.uniform_int(24));
       difftest::expect_same_samples(
@@ -44,8 +43,8 @@ TEST(DespreadDiff, SynthesisCoversNegativeZeroChips) {
   // Symbol 8 starts with chip value −1 (PN LSB = 1 xor 0xaa...), so the
   // first pulse sample is −1 × sin(0) = −0.0f: exactly the case where a
   // raw store would differ from the oracle's add-onto-zero.
-  const ZigbeePhy fast = make_phy(4, KernelPath::Fast);
-  const ZigbeePhy ref = make_phy(4, KernelPath::Reference);
+  const ZigbeePhy fast(config(4));
+  const oracle::Zigbee ref(config(4));
   for (uint8_t sym = 0; sym < 16; ++sym) {
     const uint8_t s[1] = {sym};
     difftest::expect_same_samples(fast.modulate_symbols(s),
@@ -57,8 +56,8 @@ TEST(DespreadDiff, SynthesisCoversNegativeZeroChips) {
 TEST(DespreadDiff, DetectionMatchesOracleOnNoisyWaveforms) {
   Rng rng(difftest::kSeed ^ 1);
   for (unsigned spc : {2u, 4u}) {
-    const ZigbeePhy fast = make_phy(spc, KernelPath::Fast);
-    const ZigbeePhy ref = make_phy(spc, KernelPath::Reference);
+    const ZigbeePhy fast(config(spc));
+    const oracle::Zigbee ref(config(spc));
     for (int iter = 0; iter < 8; ++iter) {
       const auto syms = random_symbols(rng, 1 + rng.uniform_int(16));
       const Iq iq = difftest::noisy(ref.modulate_symbols(syms), rng);
@@ -81,8 +80,8 @@ TEST(DespreadDiff, DetectionMatchesOnTruncatedTail) {
   // the last symbol correlates over a shorter window than the bank
   // length — the min(seg, length) edge.
   Rng rng(difftest::kSeed ^ 2);
-  const ZigbeePhy fast = make_phy(4, KernelPath::Fast);
-  const ZigbeePhy ref = make_phy(4, KernelPath::Reference);
+  const ZigbeePhy fast(config(4));
+  const oracle::Zigbee ref(config(4));
   const auto syms = random_symbols(rng, 6);
   const Iq full = difftest::noisy(ref.modulate_symbols(syms), rng);
   const std::span<const Cf> cut(full.data(),
@@ -99,11 +98,12 @@ TEST(DespreadDiff, DetectionMatchesOnTruncatedTail) {
 
 TEST(DespreadDiff, FrameRoundTripMatchesOracle) {
   Rng rng(difftest::kSeed ^ 3);
-  const ZigbeePhy fast = make_phy(4, KernelPath::Fast);
-  const ZigbeePhy ref = make_phy(4, KernelPath::Reference);
+  const ZigbeePhy fast(config(4));
+  const oracle::Zigbee ref(config(4));
   for (int iter = 0; iter < 4; ++iter) {
     const Bytes payload = difftest::random_payload(rng, 32);
-    const Iq iq = difftest::noisy(ref.modulate_frame(payload), rng, 4.0, 25.0);
+    const Iq iq =
+        difftest::noisy(fast.modulate_frame(payload), rng, 4.0, 25.0);
     const auto rf = fast.demodulate_frame(iq, payload.size());
     const auto rr = ref.demodulate_frame(iq, payload.size());
     EXPECT_EQ(rf.crc_ok, rr.crc_ok) << "iter=" << iter;

@@ -1,11 +1,11 @@
 // Shared harness for the fast-vs-reference differential suites.
 //
-// Every kernel in src/dsp/kernels/ ships as a pair — a SIMD/streaming
-// fast path and the original scalar oracle, selected by KernelPath.
-// These helpers drive randomized payloads/SNRs/configs through both
-// sides of a pair and fail on the FIRST divergent sample or bit, with
-// enough context (sweep iteration, element index, hexfloat bit
-// patterns) to replay the exact case.
+// Every kernel in src/dsp/kernels/ is the one production path; the
+// scalar code it replaced is its oracle, in the test-only
+// ms_test_oracles library (oracles.h).  These helpers drive randomized
+// payloads/SNRs/configs through production and oracle and fail on the
+// FIRST divergent sample or bit, with enough context (sweep iteration,
+// element index, hexfloat bit patterns) to replay the exact case.
 //
 // Comparison is bitwise, not approximate: the kernels promise bit
 // identity, so EXPECT_FLOAT_EQ-style tolerance would hide exactly the

@@ -1,30 +1,28 @@
-// Differential suite for the GFSK discriminator pair: the fused
+// Differential suite for the GFSK discriminator: the fused
 // middle-half-only kernel vs the full-trace discriminate() + average
-// oracle in phy/ble.
+// oracle in oracles.h.
 #include "diff_harness.h"
 
+#include "oracles.h"
 #include "phy/ble/ble.h"
 
 namespace ms {
 namespace {
 
-using kernels::KernelPath;
-
-BlePhy make_phy(unsigned sps, KernelPath path) {
+BleConfig config(unsigned sps) {
   BleConfig cfg;
   cfg.samples_per_symbol = sps;
-  cfg.path = path;
-  return BlePhy(cfg);
+  return cfg;
 }
 
 TEST(GfskDiff, SoftBitsMatchOracleAcrossConfigs) {
   Rng rng(difftest::kSeed);
   for (unsigned sps : {2u, 4u, 8u, 10u}) {
-    const BlePhy fast = make_phy(sps, KernelPath::Fast);
-    const BlePhy ref = make_phy(sps, KernelPath::Reference);
+    const BlePhy fast(config(sps));
+    const oracle::Ble ref(config(sps));
     for (int iter = 0; iter < 6; ++iter) {
       const Bits air = rng.bits(8 + rng.uniform_int(120));
-      const Iq iq = difftest::noisy(ref.modulate_bits(air), rng, 0.0, 30.0);
+      const Iq iq = difftest::noisy(fast.modulate_bits(air), rng, 0.0, 30.0);
       difftest::expect_same_floats(
           fast.symbol_frequencies(iq, air.size()),
           ref.symbol_frequencies(iq, air.size()), "gfsk soft bits",
@@ -35,11 +33,11 @@ TEST(GfskDiff, SoftBitsMatchOracleAcrossConfigs) {
 
 TEST(GfskDiff, HardBitsMatchOracle) {
   Rng rng(difftest::kSeed ^ 1);
-  const BlePhy fast = make_phy(8, KernelPath::Fast);
-  const BlePhy ref = make_phy(8, KernelPath::Reference);
+  const BlePhy fast(config(8));
+  const oracle::Ble ref(config(8));
   for (int iter = 0; iter < 6; ++iter) {
     const Bits air = rng.bits(40 + rng.uniform_int(160));
-    const Iq iq = difftest::noisy(ref.modulate_bits(air), rng, -2.0, 20.0);
+    const Iq iq = difftest::noisy(fast.modulate_bits(air), rng, -2.0, 20.0);
     difftest::expect_same_bits(fast.demodulate_bits(iq, air.size()),
                                ref.demodulate_bits(iq, air.size()),
                                "gfsk hard bits",
@@ -53,10 +51,10 @@ TEST(GfskDiff, ExactLengthTraceMatchesOracle) {
   // some configs — the clamping edge both sides must agree on.
   Rng rng(difftest::kSeed ^ 2);
   for (unsigned sps : {2u, 4u, 8u}) {
-    const BlePhy fast = make_phy(sps, KernelPath::Fast);
-    const BlePhy ref = make_phy(sps, KernelPath::Reference);
+    const BlePhy fast(config(sps));
+    const oracle::Ble ref(config(sps));
     const Bits air = rng.bits(32);
-    const Iq full = difftest::noisy(ref.modulate_bits(air), rng);
+    const Iq full = difftest::noisy(fast.modulate_bits(air), rng);
     const std::span<const Cf> cut(full.data(), air.size() * sps);
     difftest::expect_same_floats(fast.symbol_frequencies(cut, air.size()),
                                  ref.symbol_frequencies(cut, air.size()),
@@ -67,11 +65,11 @@ TEST(GfskDiff, ExactLengthTraceMatchesOracle) {
 
 TEST(GfskDiff, FrameRoundTripMatchesOracle) {
   Rng rng(difftest::kSeed ^ 3);
-  const BlePhy fast = make_phy(8, KernelPath::Fast);
-  const BlePhy ref = make_phy(8, KernelPath::Reference);
+  const BlePhy fast(config(8));
+  const oracle::Ble ref(config(8));
   for (int iter = 0; iter < 4; ++iter) {
     const Bytes payload = difftest::random_payload(rng, 37);
-    const Iq iq = difftest::noisy(ref.modulate_frame(payload), rng, 5.0, 25.0);
+    const Iq iq = difftest::noisy(fast.modulate_frame(payload), rng, 5.0, 25.0);
     const auto rf = fast.demodulate_frame(iq, payload.size());
     const auto rr = ref.demodulate_frame(iq, payload.size());
     EXPECT_EQ(rf.crc_ok, rr.crc_ok) << "iter=" << iter;

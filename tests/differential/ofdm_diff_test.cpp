@@ -1,19 +1,18 @@
-// Differential suite for the OFDM kernel pairs: FftPlan vs the
-// recurrence FFT in dsp/fft, the cached interleaver permutation vs the
-// per-bit index arithmetic, and the wifi_n modulate/demodulate chains
-// end to end.
+// Differential suite for the OFDM kernels: FftPlan vs the recurrence
+// FFT in dsp/fft, the cached interleaver permutation vs the per-bit
+// index arithmetic, and the wifi_n modulate/demodulate chains end to
+// end against the oracles in oracles.h.
 #include "diff_harness.h"
 
 #include "dsp/fft.h"
 #include "dsp/kernels/fft_plan.h"
+#include "oracles.h"
 #include "phy/interleaver.h"
 #include "phy/ofdm/subcarriers.h"
 #include "phy/ofdm/wifi_n.h"
 
 namespace ms {
 namespace {
-
-using kernels::KernelPath;
 
 Iq random_iq(Rng& rng, std::size_t n) {
   Iq x(n);
@@ -73,34 +72,29 @@ TEST(OfdmDiff, InterleaverMatchesOracleAndRoundTrips) {
       const auto c =
           difftest::ctx("ncbps=%u nbpsc=%u iter=%d", n_cbps, n_bpsc, iter);
 
-      const Bits il_fast =
-          interleave_11n(bits, n_cbps, n_bpsc, KernelPath::Fast);
-      const Bits il_ref =
-          interleave_11n(bits, n_cbps, n_bpsc, KernelPath::Reference);
+      const Bits il_fast = interleave_11n(bits, n_cbps, n_bpsc);
+      const Bits il_ref = oracle::interleave_11n(bits, n_cbps, n_bpsc);
       difftest::expect_same_bits(il_fast, il_ref, "interleave_11n", c);
 
-      const Bits de_fast =
-          deinterleave_11n(il_ref, n_cbps, n_bpsc, KernelPath::Fast);
-      const Bits de_ref =
-          deinterleave_11n(il_ref, n_cbps, n_bpsc, KernelPath::Reference);
+      const Bits de_fast = deinterleave_11n(il_ref, n_cbps, n_bpsc);
+      const Bits de_ref = oracle::deinterleave_11n(il_ref, n_cbps, n_bpsc);
       difftest::expect_same_bits(de_fast, de_ref, "deinterleave_11n", c);
       difftest::expect_same_bits(de_fast, bits, "interleaver round trip", c);
     }
   }
 }
 
-WifiNPhy make_phy(Modulation m, KernelPath path) {
+WifiNConfig config(Modulation m) {
   WifiNConfig cfg;
   cfg.modulation = m;
-  cfg.path = path;
-  return WifiNPhy(cfg);
+  return cfg;
 }
 
 TEST(OfdmDiff, ModulateCodedSymbolsMatchesOracle) {
   Rng rng(difftest::kSeed ^ 3);
   for (Modulation m : {Modulation::Bpsk, Modulation::Qpsk, Modulation::Qam16}) {
-    const WifiNPhy fast = make_phy(m, KernelPath::Fast);
-    const WifiNPhy ref = make_phy(m, KernelPath::Reference);
+    const WifiNPhy fast(config(m));
+    const oracle::WifiN ref(config(m));
     const unsigned ncbps = wifi_n_coded_bits_per_symbol(m);
     for (int iter = 0; iter < 3; ++iter) {
       const std::size_t n_sym = 1 + rng.uniform_int(6);
@@ -116,8 +110,8 @@ TEST(OfdmDiff, ModulateCodedSymbolsMatchesOracle) {
 TEST(OfdmDiff, DemodulateSymbolBitsMatchesOracle) {
   Rng rng(difftest::kSeed ^ 4);
   for (Modulation m : {Modulation::Bpsk, Modulation::Qpsk, Modulation::Qam16}) {
-    const WifiNPhy fast = make_phy(m, KernelPath::Fast);
-    const WifiNPhy ref = make_phy(m, KernelPath::Reference);
+    const WifiNPhy fast(config(m));
+    const oracle::WifiN ref(config(m));
     const unsigned ncbps = wifi_n_coded_bits_per_symbol(m);
     for (int iter = 0; iter < 3; ++iter) {
       const std::size_t n_sym = 1 + rng.uniform_int(6);
@@ -134,12 +128,12 @@ TEST(OfdmDiff, DemodulateSymbolBitsMatchesOracle) {
 
 TEST(OfdmDiff, FullFrameMatchesOracle) {
   Rng rng(difftest::kSeed ^ 5);
-  const WifiNPhy fast = make_phy(Modulation::Qpsk, KernelPath::Fast);
-  const WifiNPhy ref = make_phy(Modulation::Qpsk, KernelPath::Reference);
+  const WifiNPhy fast(config(Modulation::Qpsk));
+  const oracle::WifiN ref(config(Modulation::Qpsk));
   for (int iter = 0; iter < 3; ++iter) {
     const Bytes payload = difftest::random_payload(rng, 64);
     const Iq iq =
-        difftest::noisy(ref.modulate_frame(payload), rng, 10.0, 30.0);
+        difftest::noisy(fast.modulate_frame(payload), rng, 10.0, 30.0);
     const auto rf = fast.demodulate_frame(iq, payload.size());
     const auto rr = ref.demodulate_frame(iq, payload.size());
     EXPECT_EQ(rf.ok, rr.ok) << "iter=" << iter;

@@ -134,38 +134,34 @@ TEST(Zigbee, DetectReportsPhaseOfFlippedSymbol) {
 }
 
 TEST(Zigbee, ConcurrentFirstDecodesAgree) {
-  // A PHY builds its reference waveforms and candidate bank on its first
-  // decode.  Threads that share one PHY (as a sweep's workers share an
-  // OverlayReceiver) and make that first call together must each get
-  // the single-thread answer, on both kernel paths.
+  // A PHY builds its candidate bank on its first decode.  Threads that
+  // share one PHY (as a sweep's workers share an OverlayReceiver) and
+  // make that first call together must each get the single-thread
+  // answer.
   Rng rng(41);
   std::vector<uint8_t> symbols(64);
   for (auto& s : symbols) s = static_cast<uint8_t>(rng.uniform_int(16));
   const Iq noisy = add_awgn(ZigbeePhy().modulate_symbols(symbols), 4.0, rng);
   constexpr int kThreads = 4;
-  for (kernels::KernelPath path :
-       {kernels::KernelPath::Fast, kernels::KernelPath::Reference}) {
-    const ZigbeeConfig cfg{4, path};
-    const auto expected = ZigbeePhy(cfg).detect_symbols(noisy, symbols.size());
-    for (int round = 0; round < 40; ++round) {
-      const ZigbeePhy phy(cfg);
-      std::latch start(kThreads);
-      std::vector<std::vector<ZigbeePhy::SymbolDetect>> got(kThreads);
-      std::vector<std::thread> threads;
-      for (int t = 0; t < kThreads; ++t)
-        threads.emplace_back([&, t] {
-          start.arrive_and_wait();
-          got[t] = phy.detect_symbols(noisy, symbols.size());
-        });
-      for (std::thread& th : threads) th.join();
-      for (int t = 0; t < kThreads; ++t) {
-        ASSERT_EQ(got[t].size(), expected.size());
-        for (std::size_t i = 0; i < expected.size(); ++i) {
-          ASSERT_EQ(got[t][i].symbol, expected[i].symbol)
-              << "round " << round << ", thread " << t << ", symbol " << i;
-          ASSERT_EQ(got[t][i].corr, expected[i].corr)
-              << "round " << round << ", thread " << t << ", symbol " << i;
-        }
+  const auto expected = ZigbeePhy().detect_symbols(noisy, symbols.size());
+  for (int round = 0; round < 40; ++round) {
+    const ZigbeePhy phy;
+    std::latch start(kThreads);
+    std::vector<std::vector<ZigbeePhy::SymbolDetect>> got(kThreads);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t)
+      threads.emplace_back([&, t] {
+        start.arrive_and_wait();
+        got[t] = phy.detect_symbols(noisy, symbols.size());
+      });
+    for (std::thread& th : threads) th.join();
+    for (int t = 0; t < kThreads; ++t) {
+      ASSERT_EQ(got[t].size(), expected.size());
+      for (std::size_t i = 0; i < expected.size(); ++i) {
+        ASSERT_EQ(got[t][i].symbol, expected[i].symbol)
+            << "round " << round << ", thread " << t << ", symbol " << i;
+        ASSERT_EQ(got[t][i].corr, expected[i].corr)
+            << "round " << round << ", thread " << t << ", symbol " << i;
       }
     }
   }

