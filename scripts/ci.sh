@@ -13,8 +13,8 @@
 # front-end (FIR, rf_envelope), overlay-sync and tag-frame-codec
 # benchmarks and its telemetry-overhead gate, then the same four suites
 # under ASan+UBSan (-DMS_SANITIZE=ON, which also bounds-checks the
-# standard containers with _GLIBCXX_ASSERTIONS) plus the watchdog
-# quarantine gate against the ASan fig7 binary, and finally the golden
+# standard containers with _GLIBCXX_ASSERTIONS; the integration label
+# runs the threaded engine's test_runner there), and finally the golden
 # and property suites built for x86-64-v3 (FMA/AVX2), where
 # bit-exactness rests on -ffp-contract=off.  Exits nonzero on the first
 # failing step.
@@ -107,14 +107,6 @@ cmake --build "${repo_root}/build-asan" -j"${jobs}"
 export ASAN_OPTIONS="detect_leaks=1:strict_string_checks=1"
 export UBSAN_OPTIONS="print_stacktrace=1"
 run_suites "${repo_root}/build-asan"
-
-echo "==> watchdog gate under ASan"
-# The watchdog's cancel-and-quarantine path crosses threads (monitor,
-# worker, flight recorder), so it gets a sanitized pass of its own
-# against the ASan fig7 binary.
-bash "${repo_root}/tests/scripts/watchdog_quarantine.sh" \
-    "${repo_root}/build-asan/bench/bench_fig7_ordered" \
-    "${repo_root}/build-asan/watchdog"
 
 echo "=== x86-64-v3 build ==="
 # The fast kernels and their scalar oracles must agree bit for bit on an

@@ -68,8 +68,9 @@ void write_deterministic_body(std::ostream& out, const Ledger& l,
   out << in2 << "\"config_hash\": \"" << hex64(l.info.config_hash) << "\",\n";
   out << in2 << "\"seed\": " << l.info.seed << ",\n";
   out << in2 << "\"trials\": " << l.info.trials << ",\n";
-  out << in2 << "\"trial_deadline_ms\": " << l.info.trial_deadline_ms
-      << ",\n";
+  // ms.run.v1 keeps the key of the removed per-cell deadline, always 0,
+  // so manifests stay byte-identical and comparable with older ones.
+  out << in2 << "\"trial_deadline_ms\": 0,\n";
   out << in2 << "\"metrics_digest\": \"" << hex64(metrics_digest())
       << "\",\n";
   write_kv_block(out, "results", l.results, in2.c_str());
@@ -103,11 +104,15 @@ const std::map<std::string, double>& results() { return ledger().results; }
 const std::map<std::string, double>& timings() { return ledger().timings; }
 
 std::uint64_t config_hash(const std::string& program, std::uint64_t seed,
-                          std::uint64_t trials, std::uint64_t deadline_ms) {
+                          std::uint64_t trials) {
   std::uint64_t h = fnv1a(program.data(), program.size());
   h = fnv1a(&seed, sizeof(seed), h);
   h = fnv1a(&trials, sizeof(trials), h);
-  h = fnv1a(&deadline_ms, sizeof(deadline_ms), h);
+  // Eight zero bytes where a per-cell deadline used to be hashed.  Every
+  // committed baseline (BENCH_seed*.json) was recorded with it at 0, so
+  // folding the zero in keeps their config_hash values.
+  const std::uint64_t removed_deadline_ms = 0;
+  h = fnv1a(&removed_deadline_ms, sizeof(removed_deadline_ms), h);
   return h;
 }
 

@@ -3,8 +3,8 @@
 // A manifest is the unit of cross-run observability: one JSON file per
 // bench invocation, split into two sections with different contracts.
 //
-//  - `deterministic` is a pure function of (program, seed, trials,
-//    deadline): the run's config hash, a 64-bit digest of the
+//  - `deterministic` is a pure function of (program, seed, trials):
+//    the run's config hash, a 64-bit digest of the
 //    aggregated metrics JSON, and the key results the bench chose
 //    to record (accuracies, ranges, gate outcomes).  It must be
 //    byte-identical at any --threads / --waveform-cache setting — the
@@ -29,24 +29,23 @@
 
 namespace ms::obs::ledger {
 
-/// The run identity: FNV-1a over (program, seed, trials, trial
-/// deadline), the knobs that change WHAT a run computes.  Threads and
-/// the waveform cache are left out on purpose — results are invariant
-/// to them, so runs that differ only there share an identity
-/// and `obs_report diff` compares them.  Committed baselines pin the
-/// values (BENCH_seed.json, BENCH_seed_scale.json).
+/// The run identity: FNV-1a over (program, seed, trials), the knobs
+/// that change WHAT a run computes.  Threads and the waveform cache are
+/// left out on purpose — results are invariant to them, so runs that
+/// differ only there share an identity and `obs_report diff` compares
+/// them.  Committed baselines pin the values (BENCH_seed.json,
+/// BENCH_seed_scale.json).
 std::uint64_t config_hash(const std::string& program, std::uint64_t seed,
-                          std::uint64_t trials, std::uint64_t deadline_ms);
+                          std::uint64_t trials);
 
 /// Identity + knobs of the current run, filled by the shared bench CLI
 /// (parse_cli_or_exit).  config_hash is config_hash(program, seed,
-/// trials, deadline) above; flight bundles carry the same value.
+/// trials) above.
 struct RunInfo {
   std::string program;
   std::uint64_t config_hash = 0;
   std::uint64_t seed = 0;    ///< 0 = the bench's default seed
   std::uint64_t trials = 0;  ///< 0 = the bench's default trial count
-  std::uint64_t trial_deadline_ms = 0;
   std::size_t threads = 0;  ///< 0 = all cores
   bool waveform_cache = true;
 };

@@ -77,9 +77,9 @@ void set_enabled(bool on);
 
 namespace detail {
 TelemetryShard* current_shard();
-/// Deterministic JSON scalar/string rendering shared by every obs
-/// writer (metrics JSON, run manifests, flight bundles): integral
-/// doubles print bare, everything else %.17g.
+/// Deterministic JSON scalar/string rendering shared by the metrics JSON
+/// and run-manifest writers: integral doubles print bare, everything
+/// else %.17g.
 std::string json_number(double v);
 std::string json_escape(const std::string& s);
 }  // namespace detail

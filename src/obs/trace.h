@@ -1,4 +1,4 @@
-// Structured event tracing (the "flight recorder" half of src/obs/).
+// Structured event tracing (the "events" half of src/obs/).
 //
 // Events are small fixed-size records stamped with the deterministic
 // (point, trial, sim_time) clock — never wall time — so two runs of the

@@ -316,25 +316,16 @@ OrderedCalibration calibrate_ordered_matching(
         return detail::search_thresholds(trials, orders[i]);
       });
 
+  // Every search scores at least one tuple, and every score is >= 0, so
+  // the first order always beats the -1 start.
   OrderedCalibration best;
   best.calibration_accuracy = -1.0;
-  bool selected = false;
   for (std::size_t i = 0; i < orders.size(); ++i) {
     if (searched[i].acc > best.calibration_accuracy) {
       best.calibration_accuracy = searched[i].acc;
       best.order = orders[i];
       best.thresholds = searched[i].thr;
-      selected = true;
     }
-  }
-  if (!selected) {
-    // Degenerate calibration: every candidate scored -1 (or NaN), which
-    // happens when the calibration cells were all skipped by --only-cell
-    // or quarantined by the trial watchdog.  Fall back to the first
-    // candidate order so callers still receive valid Protocol values;
-    // calibration_accuracy stays -1 to signal the degeneracy.
-    best.order = orders.front();
-    best.thresholds = {};
   }
   return best;
 }

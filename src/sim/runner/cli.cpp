@@ -7,13 +7,10 @@
 #include <filesystem>
 #include <system_error>
 
-#include "obs/flight.h"
 #include "obs/ledger.h"
 #include "obs/profile.h"
 #include "obs/telemetry.h"
 #include "obs/trace.h"
-#include "sim/runner/cell_filter.h"
-#include "sim/runner/watchdog.h"
 #include "sim/runner/waveform_cache.h"
 
 namespace ms {
@@ -64,26 +61,6 @@ std::optional<std::string> ensure_parent_dir(const std::string& file) {
       std::filesystem::path(file).parent_path();
   if (parent.empty()) return std::nullopt;
   return ensure_dir(parent.string());
-}
-
-/// The flight-bundle repro command up to (not including) --only-cell:
-/// the flags that pin WHAT the run computes (seed/trials/deadline and
-/// any non-default determinism-invariant toggles), single-threaded so
-/// the repro's stderr interleaves nothing, and none of the output flags
-/// (a repro should not overwrite the original run's artifacts).
-std::string repro_prefix(const char* argv0, const CliOptions& opts) {
-  std::string cmd = argv0;
-  if (opts.trials != 0) cmd += " --trials " + std::to_string(opts.trials);
-  if (opts.seed != 0) cmd += " --seed " + std::to_string(opts.seed);
-  if (opts.trial_deadline_ms != 0)
-    cmd += " --trial-deadline-ms " + std::to_string(opts.trial_deadline_ms);
-  if (!opts.waveform_cache) cmd += " --waveform-cache off";
-  if (opts.tags != 0) cmd += " --tags " + std::to_string(opts.tags);
-  if (opts.capture_threshold_db >= 0.0)
-    cmd += " --capture-threshold-db " +
-           std::to_string(opts.capture_threshold_db);
-  cmd += " --threads 1";
-  return cmd;
 }
 
 }  // namespace
@@ -148,33 +125,10 @@ std::optional<std::string> parse_cli(int argc, const char* const* argv,
       if (!v || (*v != "on" && *v != "off"))
         return bad_value("--waveform-cache", v, "'on' or 'off'");
       opts.waveform_cache = (*v == "on");
-    } else if (arg == "--trial-deadline-ms") {
-      const auto v = value("--trial-deadline-ms");
-      std::uint64_t n = 0;
-      if (!v || !parse_u64(*v, n))
-        return bad_value("--trial-deadline-ms", v,
-                         "a non-negative integer (0 disables the watchdog)");
-      opts.trial_deadline_ms = n;
     } else if (arg == "--manifest-out") {
       const auto v = value("--manifest-out");
       if (!v) return bad_value("--manifest-out", v, "a file path");
       opts.manifest_out = *v;
-    } else if (arg == "--flight-out") {
-      const auto v = value("--flight-out");
-      if (!v) return bad_value("--flight-out", v, "a directory");
-      opts.flight_out = *v;
-    } else if (arg == "--only-cell") {
-      const auto v = value("--only-cell");
-      std::uint64_t p = 0, t = 0;
-      const std::size_t comma = v ? v->find(',') : std::string::npos;
-      if (!v || comma == std::string::npos ||
-          !parse_u64(v->substr(0, comma), p) ||
-          !parse_u64(v->substr(comma + 1), t))
-        return bad_value("--only-cell", v,
-                         "a 'point,trial' pair of non-negative integers");
-      opts.only_cell = true;
-      opts.only_cell_point = static_cast<std::size_t>(p);
-      opts.only_cell_trial = static_cast<std::size_t>(t);
     } else if (arg == "--tags") {
       const auto v = value("--tags");
       std::uint64_t n = 0;
@@ -208,9 +162,7 @@ std::string cli_usage(const char* prog) {
   u +=
       " [--threads N] [--trials N] [--seed S] [--out DIR]\n"
       "       [--metrics-out FILE] [--trace-out FILE] [--waveform-cache on|off]\n"
-      "       [--trial-deadline-ms N] [--manifest-out FILE]\n"
-      "       [--flight-out DIR] [--only-cell P,T] [--tags N]\n"
-      "       [--capture-threshold-db X]\n"
+      "       [--manifest-out FILE] [--tags N] [--capture-threshold-db X]\n"
       "  --threads N        trial-engine worker threads (default: all cores)\n"
       "  --trials N         override the default trial count\n"
       "  --seed S           override the default master seed\n"
@@ -222,20 +174,12 @@ std::string cli_usage(const char* prog) {
       "                     reuse synthesized waveforms across trials\n"
       "                     (default on; results are bit-identical either\n"
       "                     way, off only trades speed for nothing)\n"
-      "  --trial-deadline-ms N\n"
-      "                     cancel + quarantine any cell running longer than\n"
-      "                     N ms as a poison cell (default 0 = off)\n"
       "  --manifest-out FILE\n"
       "                     write a ms.run.v1 run manifest: deterministic\n"
       "                     section (config hash, metrics digest, bench\n"
       "                     results) + nondeterministic section (git SHA,\n"
       "                     wall timings, profile totals); compare runs with\n"
       "                     obs_report diff\n"
-      "  --flight-out DIR   on a cell exception or watchdog quarantine,\n"
-      "                     write a self-contained triage bundle (trace\n"
-      "                     ring, cell identity, repro command) into DIR\n"
-      "  --only-cell P,T    run only grid cell (point P, trial T) — the\n"
-      "                     triage mode flight-bundle repro commands use\n"
       "  --tags N           fleet benches: sweep tag counts 1 → N\n"
       "                     (doubling); ignored by benches with no fleet\n"
       "  --capture-threshold-db X\n"
@@ -259,9 +203,8 @@ CliOptions parse_cli_or_exit(int argc, const char* const* argv) {
   }
   if (!(err = ensure_dir(opts.out_dir)) &&
       !(err = ensure_parent_dir(opts.metrics_out)) &&
-      !(err = ensure_parent_dir(opts.trace_out)) &&
-      !(err = ensure_parent_dir(opts.manifest_out)))
-    err = ensure_dir(opts.flight_out);
+      !(err = ensure_parent_dir(opts.trace_out)))
+    err = ensure_parent_dir(opts.manifest_out);
   if (err) {
     std::fprintf(stderr, "error: %s\n", err->c_str());
     std::exit(2);
@@ -271,38 +214,17 @@ CliOptions parse_cli_or_exit(int argc, const char* const* argv) {
   if (!opts.trace_out.empty() && obs::trace_mask() == 0)
     obs::set_trace_mask(obs::kAllSubsystems);
   WaveformCache::instance().set_reuse_enabled(opts.waveform_cache);
-  runner::set_default_trial_deadline(
-      static_cast<double>(opts.trial_deadline_ms) * 1e-3);
-  // One run identity for the manifest and the flight bundles; it covers
-  // only the knobs that change WHAT is computed (obs/ledger.h).
-  const std::string program =
-      std::filesystem::path(argv[0]).filename().string();
-  const std::uint64_t hash = obs::ledger::config_hash(
-      program, opts.seed, opts.trials, opts.trial_deadline_ms);
-  {
-    obs::ledger::RunInfo info;
-    info.program = program;
-    info.config_hash = hash;
-    info.seed = opts.seed;
-    info.trials = opts.trials;
-    info.trial_deadline_ms = opts.trial_deadline_ms;
-    info.threads = opts.threads;
-    info.waveform_cache = opts.waveform_cache;
-    obs::ledger::set_run_info(info);
-  }
-  if (opts.only_cell)
-    runner::set_cell_filter(
-        runner::CellFilter{opts.only_cell_point, opts.only_cell_trial});
-  if (!opts.flight_out.empty()) {
-    obs::flight::FlightConfig fc;
-    fc.dir = opts.flight_out;
-    fc.config_hash = hash;
-    fc.seed = opts.seed;
-    fc.trials = opts.trials;
-    fc.trial_deadline_ms = opts.trial_deadline_ms;
-    fc.repro_prefix = repro_prefix(argv[0], opts);
-    obs::flight::arm(fc);
-  }
+  // The run identity covers only the knobs that change WHAT is computed
+  // (obs/ledger.h).
+  obs::ledger::RunInfo info;
+  info.program = std::filesystem::path(argv[0]).filename().string();
+  info.config_hash =
+      obs::ledger::config_hash(info.program, opts.seed, opts.trials);
+  info.seed = opts.seed;
+  info.trials = opts.trials;
+  info.threads = opts.threads;
+  info.waveform_cache = opts.waveform_cache;
+  obs::ledger::set_run_info(info);
   return opts;
 }
 

@@ -12,20 +12,10 @@
 //                     reuse synthesized waveforms across trials (default
 //                     on; off re-synthesizes every trial — the bitwise
 //                     oracle for the cached path)
-//   --trial-deadline-ms N
-//                     per-cell watchdog: a cell running longer than N ms
-//                     is cancelled and quarantined as a poison cell
-//                     (0 = off, the default)
 //   --manifest-out F  write a ms.run.v1 run manifest to F (config hash,
 //                     metrics digest + bench results in a deterministic
 //                     section; git SHA, wall timings, profile totals in
 //                     a nondeterministic one) — see tools/obs_report
-//   --flight-out DIR  on a cell exception or watchdog quarantine, write
-//                     a self-contained ms.flight.v1 triage bundle (the
-//                     cell's trace ring + identity + a repro command)
-//                     into DIR
-//   --only-cell P,T   run only grid cell (point P, trial T) — the triage
-//                     mode flight-bundle repro commands use
 //   --tags N          fleet benches: sweep tag counts 1 → N (doubling);
 //                     benches that have no fleet simply ignore it
 //   --capture-threshold-db X
@@ -53,12 +43,7 @@ struct CliOptions {
   std::string metrics_out;    ///< empty = no metrics JSON dump
   std::string trace_out;      ///< empty = no trace JSONL dump
   bool waveform_cache = true; ///< reuse synthesized waveforms across trials
-  std::uint64_t trial_deadline_ms = 0;   ///< 0 = per-trial watchdog off
   std::string manifest_out;   ///< empty = no run manifest
-  std::string flight_out;     ///< empty = no flight-recorder bundles
-  bool only_cell = false;     ///< restrict the sweep to one grid cell
-  std::size_t only_cell_point = 0;
-  std::size_t only_cell_trial = 0;
   std::size_t tags = 0;       ///< 0 = use the bench's default max tag count
   double capture_threshold_db = -1.0;  ///< < 0 = use the bench's default
   bool help = false;

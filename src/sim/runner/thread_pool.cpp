@@ -7,12 +7,6 @@
 
 namespace ms {
 
-namespace {
-thread_local std::size_t tls_worker_index = ThreadPool::kNotAWorker;
-}  // namespace
-
-std::size_t ThreadPool::current_worker() { return tls_worker_index; }
-
 std::size_t ThreadPool::hardware_threads() {
   const unsigned n = std::thread::hardware_concurrency();
   return n == 0 ? 1 : static_cast<std::size_t>(n);
@@ -74,7 +68,6 @@ void ThreadPool::reset_worker_stats() {
 }
 
 void ThreadPool::worker_loop(std::size_t self) {
-  tls_worker_index = self;
   std::uint64_t seen_epoch = 0;
   for (;;) {
     {

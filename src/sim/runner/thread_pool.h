@@ -36,12 +36,6 @@ class ThreadPool {
   /// std::thread::hardware_concurrency(), clamped to at least 1.
   static std::size_t hardware_threads();
 
-  /// Index of the pool worker running the calling thread, or kNotAWorker
-  /// when called from outside any pool (e.g. the main thread).  Used by
-  /// the watchdog to key per-worker deadline slots.
-  static constexpr std::size_t kNotAWorker = static_cast<std::size_t>(-1);
-  static std::size_t current_worker();
-
   /// Scheduling observability: per-worker tallies accumulated across
   /// run_indexed calls.  `tasks` counts indices a worker executed (their
   /// sum over all workers equals the total submitted index count),

@@ -25,12 +25,10 @@
 
 #include "common/rng.h"
 #include "dsp/kernels/arena.h"
-#include "obs/flight.h"
+#include "obs/metrics.h"
 #include "obs/telemetry.h"
 #include "obs/trace.h"
-#include "sim/runner/cell_filter.h"
 #include "sim/runner/thread_pool.h"
-#include "sim/runner/watchdog.h"
 #include "sim/runner/waveform_cache.h"
 
 namespace ms {
@@ -38,12 +36,6 @@ namespace ms {
 struct RunnerConfig {
   std::size_t threads = 0;        ///< 0 = ThreadPool::hardware_threads()
   std::uint64_t master_seed = 1;  ///< root of every per-trial stream
-  /// Per-cell watchdog deadline in seconds: a cell running longer is
-  /// cancelled and quarantined as a poison cell (watchdog.h).  0
-  /// disables the watchdog; a negative value (the default) defers to
-  /// runner::default_trial_deadline(), i.e. the --trial-deadline-ms
-  /// flag.
-  double trial_deadline_s = -1.0;
 };
 
 class TrialRunner {
@@ -64,27 +56,20 @@ class TrialRunner {
 
   /// Run fn(point, trial, rng) for every cell of the grid.  Results come
   /// back in row-major (point-major) order: out[point * trials + trial].
-  ///
-  /// When a trial deadline is set, overdue cells are cancelled by the
-  /// watchdog and quarantined as poison cells (default R,
-  /// runner.poison_cells counter + "runner.poison_cell" trace event)
-  /// rather than wedging the pool.
+  /// If a cell throws, the pool still runs its other index ranges (the
+  /// cells after the failing one in its own range are skipped), every
+  /// shard is merged, the failing cell's partial one included, and the
+  /// first exception is rethrown.
   template <typename Fn>
   auto run_grid(std::size_t points, std::size_t trials, Fn&& fn) {
     using R = decltype(fn(std::size_t{0}, std::size_t{0},
                           std::declval<Rng&>()));
     std::vector<R> out(points * trials);
     std::vector<obs::TelemetryShard> shards(points * trials);
-    double deadline_s = cfg_.trial_deadline_s;
-    if (deadline_s < 0.0) deadline_s = runner::default_trial_deadline();
-    runner::Watchdog watchdog(deadline_s, pool_.size());
     try {
       pool_.run_indexed(points * trials, [&](std::size_t i) {
         const std::size_t point = i / trials;
         const std::size_t trial = i % trials;
-        // Triage mode (--only-cell): skip everything but the selected
-        // cell before any work — no Rng fork, no shard.
-        if (!runner::cell_allowed(point, trial)) return;
         {
           obs::ShardScope telemetry(&shards[i]);
           obs::set_trace_cell(static_cast<std::uint32_t>(point),
@@ -92,44 +77,14 @@ class TrialRunner {
           // Rewind this worker's kernel scratch arena: per-cell scratch
           // is recycled, so steady-state cells allocate nothing.
           kernels::scratch_arena().reset();
-          runner::Watchdog::CellScope cell(
-              watchdog, static_cast<std::uint32_t>(point),
-              static_cast<std::uint32_t>(trial));
-          try {
-            if (runner::take_hang(static_cast<std::uint32_t>(point),
-                                  static_cast<std::uint32_t>(trial)))
-              runner::hang_until_cancelled();
-            Rng rng = master_.fork(point, trial);
-            out[i] = fn(point, trial, rng);
-          } catch (const runner::CellCancelled& c) {
-            // Quarantine: default result, poison counter, structured
-            // report.  Wall-clock elapsed goes to stderr only — the
-            // deterministic record carries (point, trial, deadline).
-            std::fprintf(stderr, "warning: %s\n", c.what());
-            obs::add(runner::poison_metric());
-            obs::Event(obs::Subsystem::Runner, obs::Severity::Warn,
-                       "runner.poison_cell")
-                .f("point", c.point)
-                .f("trial", c.trial)
-                .f("deadline_s", c.deadline_s)
-                .emit();
-            obs::flight::record_incident("watchdog_quarantine", c.what(),
-                                         c.point, c.trial, shards[i]);
-          } catch (const std::exception& e) {
-            // The sweep is about to die on this exception — capture the
-            // failing cell's trace ring first so the error ships with a
-            // self-contained repro bundle.
-            obs::flight::record_incident(
-                "exception", e.what(), static_cast<std::uint32_t>(point),
-                static_cast<std::uint32_t>(trial), shards[i]);
-            throw;
-          }
+          Rng rng = master_.fork(point, trial);
+          out[i] = fn(point, trial, rng);
         }
         // Per-cell trace-ring overflow accounting: one histogram
         // observation valued at this cell's dropped-event count, folded
         // into the cell's own shard.
         if (const std::uint64_t dropped = shards[i].events_dropped())
-          shards[i].observe(runner::trace_ring_drop_metric(),
+          shards[i].observe(trace_ring_drop_metric(),
                             static_cast<double>(dropped));
       });
     } catch (...) {
@@ -158,8 +113,7 @@ class TrialRunner {
 
   /// Point-only sweep (one trial per point): fn(point, rng) -> R.
   /// Delegates to run_grid(points, 1, ...) — same Rng forks, same trace
-  /// cells, same merge order as the hand-rolled loop it replaces, and
-  /// point-only sweeps pick up the watchdog for free.
+  /// cells, same merge order as the hand-rolled loop it replaces.
   template <typename Fn>
   auto map_points(std::size_t points, Fn&& fn) {
     return run_grid(points, 1,
@@ -168,6 +122,19 @@ class TrialRunner {
   }
 
  private:
+  /// The "runner.trace_ring_dropped" histogram: one observation per cell
+  /// that overflowed its trace ring, valued at that cell's dropped-event
+  /// count.  Registered on the first overflow, so sweeps that never drop
+  /// an event keep their metrics JSON unchanged (the JSON lists every
+  /// registered metric).  The bounds span "lost a couple" to "lost
+  /// nearly everything" relative to TelemetryShard::kEventCapacity.
+  static obs::MetricId trace_ring_drop_metric() {
+    static constexpr double kDropBounds[] = {1.0, 8.0, 64.0, 512.0, 4096.0};
+    static const obs::MetricId id =
+        obs::histogram("runner.trace_ring_dropped", kDropBounds);
+    return id;
+  }
+
   /// Row-major telemetry reduction, mirroring the result reduction.
   static void merge_shards(const std::vector<obs::TelemetryShard>& shards) {
     if (!obs::enabled()) return;

@@ -3,6 +3,7 @@
 #include <filesystem>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -166,89 +167,53 @@ TEST(Cli, RejectsMissingTelemetryValues) {
   EXPECT_TRUE(parse({"--trace-out"}, o).has_value());
 }
 
-TEST(Cli, ParsesCheckpointAndWatchdogFlags) {
-  CliOptions o;
-  EXPECT_FALSE(parse({"--trial-deadline-ms", "250"}, o).has_value());
-  EXPECT_EQ(o.trial_deadline_ms, 250u);
-}
-
-TEST(Cli, CheckpointFlagsDefaultOff) {
-  CliOptions o;
-  EXPECT_FALSE(parse({}, o).has_value());
-  EXPECT_EQ(o.trial_deadline_ms, 0u);
-}
-
-TEST(Cli, RejectsBadCheckpointValues) {
-  CliOptions o;
-  EXPECT_TRUE(parse({"--trial-deadline-ms", "-5"}, o).has_value());
-  EXPECT_TRUE(parse({"--trial-deadline-ms", "fast"}, o).has_value());
-}
-
-TEST(Cli, UsageNamesCheckpointFlags) {
-  EXPECT_NE(cli_usage("bench_x").find("--trial-deadline-ms"),
-            std::string::npos);
-}
-
 TEST(Cli, RemovedFlagsAreUnknown) {
   // The checkpoint journal, resume loader and heartbeat are gone, and so
-  // is the switch to the scalar PHY oracles; their flags must fail like
-  // any other unknown flag, not be skipped.  The names are spelled in
-  // pieces so that a search for the deleted flags turns up no live use
-  // of them.
+  // are the switch to the scalar PHY oracles, the per-trial deadline,
+  // the flight recorder and the single-cell filter; their flags must fail
+  // like any other unknown flag, not be skipped, and the usage text must
+  // not offer them.  The names are spelled in pieces so that a search
+  // for the deleted flags turns up no live use of them.
   const std::string dash = "--";
-  for (const std::string& flag :
-       {dash + "checkpoint" + "-out", dash + "checkpoint" + "-interval",
-        dash + "resume", dash + "heartbeat" + "-out",
-        dash + "heartbeat" + "-interval-ms", dash + "fast" + "-path"}) {
+  const std::string usage = cli_usage("bench_x");
+  const std::pair<std::string, const char*> removed[] = {
+      {dash + "checkpoint" + "-out", "8"},
+      {dash + "checkpoint" + "-interval", "8"},
+      {dash + "resume", "8"},
+      {dash + "heartbeat" + "-out", "8"},
+      {dash + "heartbeat" + "-interval-ms", "8"},
+      {dash + "fast" + "-path", "8"},
+      {dash + "trial" + "-deadline-ms", "5"},
+      {dash + "flight" + "-out", "d"},
+      {dash + "only" + "-cell", "0,0"}};
+  for (const auto& [flag, value] : removed) {
     CliOptions o;
-    const auto err = parse({flag.c_str(), "8"}, o);
+    const auto err = parse({flag.c_str(), value}, o);
     ASSERT_TRUE(err.has_value()) << flag;
     EXPECT_EQ(*err, "unknown flag: " + flag);
+    EXPECT_EQ(usage.find(flag), std::string::npos) << flag;
   }
 }
 
 TEST(Cli, ParsesObservabilityFlags) {
   CliOptions o;
-  EXPECT_FALSE(parse({"--manifest-out", "run.json", "--flight-out",
-                      "bundles", "--only-cell", "3,7"},
-                     o)
-                   .has_value());
+  EXPECT_FALSE(parse({"--manifest-out", "run.json"}, o).has_value());
   EXPECT_EQ(o.manifest_out, "run.json");
-  EXPECT_EQ(o.flight_out, "bundles");
-  EXPECT_TRUE(o.only_cell);
-  EXPECT_EQ(o.only_cell_point, 3u);
-  EXPECT_EQ(o.only_cell_trial, 7u);
 }
 
 TEST(Cli, ObservabilityFlagsDefaultOff) {
   CliOptions o;
   EXPECT_FALSE(parse({}, o).has_value());
   EXPECT_TRUE(o.manifest_out.empty());
-  EXPECT_TRUE(o.flight_out.empty());
-  EXPECT_FALSE(o.only_cell);
 }
 
 TEST(Cli, RejectsBadObservabilityValues) {
   CliOptions o;
   EXPECT_TRUE(parse({"--manifest-out"}, o).has_value());
-  EXPECT_TRUE(parse({"--flight-out"}, o).has_value());
-  // --only-cell wants exactly "P,T" with both halves numeric.
-  EXPECT_TRUE(parse({"--only-cell"}, o).has_value());
-  EXPECT_TRUE(parse({"--only-cell", "3"}, o).has_value());
-  EXPECT_TRUE(parse({"--only-cell", "3,"}, o).has_value());
-  EXPECT_TRUE(parse({"--only-cell", ",7"}, o).has_value());
-  EXPECT_TRUE(parse({"--only-cell", "a,b"}, o).has_value());
-  const auto err = parse({"--only-cell", "3;7"}, o);
-  ASSERT_TRUE(err.has_value());
-  EXPECT_NE(err->find("--only-cell"), std::string::npos) << *err;
-  EXPECT_NE(err->find("'3;7'"), std::string::npos)
-      << "error message should quote the bad value: " << *err;
 }
 
 TEST(Cli, UsageNamesObservabilityFlags) {
-  const std::string usage = cli_usage("bench_x");
-  for (const char* flag : {"--manifest-out", "--flight-out", "--only-cell"})
-    EXPECT_NE(usage.find(flag), std::string::npos) << flag;
+  EXPECT_NE(cli_usage("bench_x").find("--manifest-out"), std::string::npos);
 }
 
 TEST(Cli, ParsesFleetFlags) {

@@ -1,11 +1,14 @@
 // The determinism contract of the parallel trial engine: same seed ⇒
 // byte-identical output at any worker count; different seed ⇒ different
 // output.  Plus ThreadPool/TrialRunner mechanics (full index coverage,
-// work stealing under skew, exception propagation, merge order).
+// work stealing under skew, exception propagation, merge order, the
+// telemetry of a throwing cell and of a cell that overflows its trace
+// ring).
 #include <atomic>
 #include <cstdio>
 #include <fstream>
 #include <numeric>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -13,6 +16,9 @@
 
 #include <gtest/gtest.h>
 
+#include "obs/metrics.h"
+#include "obs/telemetry.h"
+#include "obs/trace.h"
 #include "sim/ident_experiment.h"
 #include "sim/runner/thread_pool.h"
 #include "sim/runner/trial_runner.h"
@@ -123,6 +129,75 @@ TEST(TrialRunner, SameSeedIdenticalAcrossThreadCounts) {
   EXPECT_EQ(one, run(2, 99));
   EXPECT_EQ(one, run(8, 99));
   EXPECT_NE(one, run(1, 100));  // different seed must actually differ
+}
+
+TEST(TrialRunner, ThrowingCellRethrowsAndKeepsPartialTelemetry) {
+  // 3 x 2 cells: every pool range holds one cell at these thread counts,
+  // so the throw skips no sibling and all six cells run.
+  const obs::MetricId cells = obs::counter("test.runner.throwing_grid_cells");
+  for (std::size_t threads : {1u, 4u}) {
+    obs::reset_aggregate();
+    TrialRunner runner({threads, 7});
+    try {
+      runner.run_grid(3, 2, [&](std::size_t point, std::size_t trial, Rng&) {
+        obs::add(cells);
+        if (point == 1 && trial == 0)
+          throw std::runtime_error("cell (1, 0) failed");
+        return 0;
+      });
+      ADD_FAILURE() << "run_grid did not rethrow at " << threads
+                    << " threads";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "cell (1, 0) failed") << threads << " threads";
+    }
+    // The failing cell's add, made before its throw, is merged too.
+    EXPECT_EQ(obs::aggregate().counter_value(cells), 6u)
+        << threads << " threads";
+  }
+  obs::reset_aggregate();
+}
+
+std::optional<obs::MetricId> registered_metric(const std::string& name) {
+  for (obs::MetricId id = 0; id < obs::metric_count(); ++id)
+    if (obs::metric_def(id).name == name) return id;
+  return std::nullopt;
+}
+
+TEST(TrialRunner, TraceRingOverflowIsOneObservationOfTheDroppedCount) {
+  const std::uint32_t saved_mask = obs::trace_mask();
+  obs::set_trace_mask(obs::kAllSubsystems);
+  obs::reset_aggregate();
+  TrialRunner runner({2, 3});
+  auto flood = [&](std::size_t flooded_point) {
+    runner.run_grid(3, 2, [&](std::size_t point, std::size_t trial, Rng&) {
+      const std::size_t n = point == flooded_point && trial == 1
+                                ? obs::TelemetryShard::kEventCapacity + 10
+                                : 1;
+      for (std::size_t k = 0; k < n; ++k)
+        obs::Event(obs::Subsystem::Runner, obs::Severity::Debug,
+                   "test.flood")
+            .emit();
+      return 0;
+    });
+  };
+  // No cell overflows: the histogram stays unregistered, so the metrics
+  // JSON of a sweep that drops nothing has no key for it.
+  flood(/*flooded_point=*/99);
+  EXPECT_FALSE(registered_metric("runner.trace_ring_dropped").has_value());
+
+  obs::reset_aggregate();
+  flood(/*flooded_point=*/2);
+  obs::set_trace_mask(saved_mask);
+  const auto id = registered_metric("runner.trace_ring_dropped");
+  ASSERT_TRUE(id.has_value());
+  EXPECT_EQ(obs::metric_def(*id).bounds,
+            (std::vector<double>{1.0, 8.0, 64.0, 512.0, 4096.0}));
+  const auto h = obs::aggregate().histogram_value(*id);
+  EXPECT_EQ(h.n, 1u);
+  EXPECT_EQ(h.sum, 10.0);
+  EXPECT_EQ(h.counts, (std::vector<std::uint64_t>{0, 0, 1, 0, 0, 0}));
+  EXPECT_EQ(obs::aggregate().events_dropped(), 10u);
+  obs::reset_aggregate();
 }
 
 IdentTrialConfig small_ident_config(std::uint64_t seed) {

@@ -7,8 +7,8 @@
 // Deliberately NOT a general-purpose JSON library: object keys are
 // stored in a sorted map (duplicate keys: last wins), \uXXXX escapes
 // beyond the control range are unsupported, and numbers parse via stod.
-// That is exactly sufficient for ms.metrics.v1 / ms.run.v1 /
-// ms.flight.v1 files and their JSONL trace cousins.
+// That is exactly sufficient for ms.metrics.v1 / ms.run.v1 files and
+// their JSONL trace cousins.
 #pragma once
 
 #include <map>

@@ -16,7 +16,9 @@
 //      different metrics digest or bench results) or a timing fell
 //      outside tolerance in the bad direction
 //   2  usage / parse error / incomparable manifests (different program,
-//      seed, trials, or deadline)
+//      seed, trials or trial_deadline_ms; the ledger always writes the
+//      last as 0, so it only separates manifests recorded while a
+//      per-cell deadline was settable)
 //
 // Direction conventions: "timings" entries are figures of merit
 // (throughput Msps, speedup x — higher is better; see
