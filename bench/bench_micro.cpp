@@ -13,7 +13,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <limits>
+#include <vector>
 
 #include "analog/rectifier.h"
 #include "channel/awgn.h"
@@ -270,12 +270,15 @@ void BM_CalibrationSearch(benchmark::State& state) {
 BENCHMARK(BM_CalibrationSearch)->Unit(benchmark::kMillisecond);
 
 /// Telemetry overhead check: time an instrumented hot path
-/// (ProtocolIdentifier::scores carries an OBS_SCOPE and an event site)
-/// with telemetry live-but-untraced vs the obs::set_enabled(false) kill
-/// switch.  The on/off reps are interleaved — measuring one side in a
-/// block and then the other lets CPU frequency drift between the blocks
-/// masquerade as several percent of overhead — and the best-of-N
-/// minimum on each side rejects scheduler noise.
+/// (ProtocolIdentifier::scores carries an event site) with telemetry
+/// live-but-untraced vs the obs::set_enabled(false) kill switch.  Each
+/// of kPairs pairs times one ~0.5 ms sample per side, back to back, and
+/// the estimate is the median of the per-pair on/off ratios.  Pairing
+/// cancels CPU frequency drift that a block of one side followed by a
+/// block of the other would read as overhead; alternating which side
+/// runs first cancels the within-pair drift; and the median, unlike a
+/// best-of-N minimum on each side, neither hides a steady cost nor
+/// moves with one noisy sample.
 bool check_telemetry_overhead() {
   IdentifierConfig cfg;
   cfg.templates.adc_rate_hz = 10e6;
@@ -288,7 +291,7 @@ bool check_telemetry_overhead() {
   for (auto& v : trace) v = static_cast<float>(std::abs(rng.normal(0.3, 0.1)));
 
   constexpr int kIters = 256;
-  constexpr int kReps = 15;
+  constexpr int kPairs = 61;
   const auto time_once = [&] {
     const auto t0 = std::chrono::steady_clock::now();
     for (int i = 0; i < kIters; ++i)
@@ -304,22 +307,24 @@ bool check_telemetry_overhead() {
   obs::set_trace_mask(0);
   obs::set_enabled(true);
   time_once();  // warm-up
-  double t_on = std::numeric_limits<double>::infinity();
-  double t_off = t_on;
-  for (int r = 0; r < kReps; ++r) {
-    obs::set_enabled(true);
-    t_on = std::min(t_on, time_once());
-    obs::set_enabled(false);
-    t_off = std::min(t_off, time_once());
+  std::vector<double> ratios(kPairs);
+  for (int p = 0; p < kPairs; ++p) {
+    double t_on = 0.0, t_off = 0.0;
+    const bool on_first = p % 2 == 0;
+    for (const bool on : {on_first, !on_first}) {
+      obs::set_enabled(on);
+      (on ? t_on : t_off) = time_once();
+    }
+    ratios[p] = t_on / t_off;
   }
   obs::set_enabled(true);
   obs::set_trace_mask(saved_mask);
 
-  const double overhead =
-      t_on > t_off ? (t_on - t_off) / t_off : 0.0;
+  std::nth_element(ratios.begin(), ratios.begin() + kPairs / 2, ratios.end());
+  const double overhead = ratios[kPairs / 2] - 1.0;
   std::printf("\ntelemetry overhead (tracing disabled): %.2f%%"
-              " (on %.3f ms vs off %.3f ms, best of %d)\n",
-              100.0 * overhead, 1e3 * t_on, 1e3 * t_off, kReps);
+              " (median on/off ratio of %d alternated pairs)\n",
+              100.0 * overhead, kPairs);
   if (overhead >= 0.03) {
     std::fprintf(stderr,
                  "FAIL: telemetry overhead %.2f%% exceeds the 3%% budget\n",

@@ -1,23 +1,22 @@
 #!/usr/bin/env bash
 # Full CI sweep: Release build + the four labeled ctest suites (unit,
 # property, integration, golden) — the property label includes the
-# bitpack equivalence, multipath-trajectory, PHY kernel-vs-oracle
-# differential, and fleet capture/superposition suites, and the unit
-# label the workload/degradation/time-varying-channel/fleet suites, so
-# all of them get an ASan+UBSan pass below for free — then the
-# bench-smoke label (which includes the threads-1 vs threads-8
-# byte-identity gates for the waveform cache, the workload scorecard,
-# the fig7 and fig13 CSVs, and the many-tag scale sweep), a bench-perf
-# smoke of the identification-, PHY-throughput, and tag-scaling
-# microbenches plus bench_micro's calibration-search, identifier-score,
-# front-end (FIR, rf_envelope), overlay-sync and tag-frame-codec
-# benchmarks and its telemetry-overhead gate, then the same four suites
-# under ASan+UBSan (-DMS_SANITIZE=ON, which also bounds-checks the
-# standard containers with _GLIBCXX_ASSERTIONS; the integration label
-# runs the threaded engine's test_runner there), and finally the golden
-# and property suites built for x86-64-v3 (FMA/AVX2), where
-# bit-exactness rests on -ffp-contract=off.  Exits nonzero on the first
-# failing step.
+# bitpack equivalence, multipath-trajectory and PHY kernel-vs-oracle
+# differential suites, and the unit label the workload/degradation/
+# time-varying-channel suites and the check that every src/ module is
+# reached from a program, so all of them get an ASan+UBSan pass below
+# for free — then the bench-smoke label (which includes the threads-1
+# vs threads-8 byte-identity gates for the waveform cache, the workload
+# scorecard, and the fig7 and fig13 CSVs), a bench-perf smoke of the
+# identification- and PHY-throughput microbenches plus bench_micro's
+# calibration-search, identifier-score, front-end (FIR, rf_envelope),
+# overlay-sync and tag-frame-codec benchmarks and its telemetry-overhead
+# gate, then the same four suites under ASan+UBSan (-DMS_SANITIZE=ON,
+# which also bounds-checks the standard containers with
+# _GLIBCXX_ASSERTIONS; the integration label runs the threaded engine's
+# test_runner there), and finally the golden and property suites built
+# for x86-64-v3 (FMA/AVX2), where bit-exactness rests on
+# -ffp-contract=off.  Exits nonzero on the first failing step.
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
@@ -60,11 +59,6 @@ mkdir -p "${perf_dir}"
     --out "${perf_dir}" --metrics-out "${perf_dir}/phy_metrics.json" \
     --manifest-out "${perf_dir}/phy_manifest.json"
 "${repo_root}/build/tools/validate_metrics" "${perf_dir}/phy_metrics.json"
-"${repo_root}/build/bench/bench_scale_tags" --trials 2 --threads 2 \
-    --seed 7 --tags 32 \
-    --out "${perf_dir}" --metrics-out "${perf_dir}/scale_metrics.json" \
-    --manifest-out "${perf_dir}/scale_manifest.json"
-"${repo_root}/build/tools/validate_metrics" "${perf_dir}/scale_metrics.json"
 # bench_micro, cut to the calibration-search, identifier-scoring,
 # identification front-end, overlay-sync and tag-frame-codec benchmarks;
 # after them it exits 1 if disabled telemetry adds >= 3 % to the
@@ -85,19 +79,6 @@ if [ -f "${repo_root}/BENCH_seed.json" ]; then
   esac
 else
   echo "WARNING: BENCH_seed.json baseline missing; skipping obs_report diff"
-fi
-if [ -f "${repo_root}/BENCH_seed_scale.json" ]; then
-  diff_rc=0
-  "${repo_root}/build/tools/obs_report" diff \
-      "${repo_root}/BENCH_seed_scale.json" "${perf_dir}/scale_manifest.json" \
-      --tolerance 50 || diff_rc=$?
-  case "${diff_rc}" in
-    0|4) echo "obs_report: scale manifest consistent with BENCH_seed_scale.json" ;;
-    *)   echo "WARNING: obs_report diff vs BENCH_seed_scale.json exited ${diff_rc}" \
-             "(warn-only; refresh the baseline if the change is intentional)" ;;
-  esac
-else
-  echo "WARNING: BENCH_seed_scale.json baseline missing; skipping obs_report diff"
 fi
 
 echo "=== ASan+UBSan build ==="

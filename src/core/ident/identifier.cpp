@@ -91,7 +91,6 @@ double ProtocolIdentifier::score_one(std::span<const float> trace,
 
 std::array<double, 4> ProtocolIdentifier::scores(
     std::span<const float> adc_trace) const {
-  OBS_SCOPE("ident.scores");
   const std::size_t onset = detect_onset(adc_trace);
   std::array<double, 4> out{};
   // The packed OneBit kernel scores all four templates in one pass when

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
 
 #include "common/error.h"
 
@@ -50,6 +51,18 @@ std::vector<float> design_gaussian(double bt, std::size_t sps,
 
 namespace {
 
+using F4 = float __attribute__((vector_size(16)));
+constexpr std::size_t kBlock = 16;  // outputs per block: four F4 accumulators
+
+// IEEE 754 leaves the sign of an arithmetic NaN open, and GCC may commute
+// a float add, so one NaN could leave as -nan on one build and +nan on
+// another.  Every output is stored through canonical(), which turns any
+// NaN into the canonical quiet NaN and leaves every other value alone.
+constexpr float kNan = std::numeric_limits<float>::quiet_NaN();
+float canonical(float v) { return v == v ? v : kNan; }
+Cf canonical(Cf v) { return {canonical(v.real()), canonical(v.imag())}; }
+F4 canonical(F4 v) { return v == v ? v : F4{kNan, kNan, kNan, kNan}; }
+
 /// Output i of the "same"-length convolution, skipping the taps whose
 /// input index falls outside x.  Only the outputs whose window overhangs
 /// an edge come here.
@@ -66,9 +79,6 @@ T convolve_at(std::span<const T> x, std::span<const float> taps,
   }
   return acc;
 }
-
-using F4 = float __attribute__((vector_size(16)));
-constexpr std::size_t kBlock = 16;  // outputs per block: four F4 accumulators
 
 /// Real FIR over a float stream, for outputs whose window lies inside it:
 ///   out[m] = Σ_k in[m + stride·(L/2 − k)] · taps[k],   m in [lo, hi).
@@ -95,6 +105,10 @@ void fir_interior(const float* in, float* out, std::size_t lo, std::size_t hi,
       a2 += x2 * t;
       a3 += x3 * t;
     }
+    a0 = canonical(a0);
+    a1 = canonical(a1);
+    a2 = canonical(a2);
+    a3 = canonical(a3);
     std::memcpy(out + m, &a0, sizeof(F4));
     std::memcpy(out + m + 4, &a1, sizeof(F4));
     std::memcpy(out + m + 8, &a2, sizeof(F4));
@@ -104,7 +118,7 @@ void fir_interior(const float* in, float* out, std::size_t lo, std::size_t hi,
     float acc = 0.0f;
     for (std::size_t k = 0; k < taps.size(); ++k)
       acc += in[m + reach - stride * k] * taps[k];
-    out[m] = acc;
+    out[m] = canonical(acc);
   }
 }
 
@@ -117,12 +131,14 @@ std::vector<T> convolve_same(std::span<const T> x, std::span<const float> taps) 
   const std::size_t lo = std::min(half, n);
   const std::size_t hi = std::max(lo, n - lo);
   std::vector<T> out(n, T{});
-  for (std::size_t i = 0; i < lo; ++i) out[i] = convolve_at(x, taps, i);
+  for (std::size_t i = 0; i < lo; ++i)
+    out[i] = canonical(convolve_at(x, taps, i));
   // std::complex<float> is layout-compatible with float[2].
   constexpr std::size_t w = sizeof(T) / sizeof(float);
   fir_interior(reinterpret_cast<const float*>(x.data()),
                reinterpret_cast<float*>(out.data()), w * lo, w * hi, taps, w);
-  for (std::size_t i = hi; i < n; ++i) out[i] = convolve_at(x, taps, i);
+  for (std::size_t i = hi; i < n; ++i)
+    out[i] = canonical(convolve_at(x, taps, i));
   return out;
 }
 

@@ -24,7 +24,9 @@ std::vector<float> design_gaussian(double bt, std::size_t sps,
                                    std::size_t span_symbols = 3);
 
 /// "Same"-length convolution of a real signal with the taps: the output is
-/// aligned with the input (group delay removed for symmetric taps).
+/// aligned with the input (group delay removed for symmetric taps).  Both
+/// overloads return every NaN as the canonical quiet NaN, so a NaN's sign
+/// never depends on the build.
 Samples fir_filter(std::span<const float> x, std::span<const float> taps);
 
 /// "Same"-length convolution of a complex signal with real taps.

@@ -33,8 +33,7 @@ namespace ms::obs::ledger {
 /// that change WHAT a run computes.  Threads and the waveform cache are
 /// left out on purpose — results are invariant to them, so runs that
 /// differ only there share an identity and `obs_report diff` compares
-/// them.  Committed baselines pin the values (BENCH_seed.json,
-/// BENCH_seed_scale.json).
+/// them.  The committed baseline BENCH_seed.json pins its value.
 std::uint64_t config_hash(const std::string& program, std::uint64_t seed,
                           std::uint64_t trials);
 

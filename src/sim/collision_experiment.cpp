@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "sim/fleet/capture.h"
-
 namespace ms {
 
 CollisionSetup fig16_time_collision() {
@@ -21,6 +19,10 @@ CollisionSetup fig16_frequency_collision() {
   s.b = fig16_zigbee();
   s.time_overlap = false;
   return s;
+}
+
+double airtime_overlap_loss(double other_duty, double vulnerability) {
+  return std::min(1.0, vulnerability * other_duty);
 }
 
 CollisionResult run_collision(const CollisionSetup& setup,
@@ -66,8 +68,8 @@ CollisionResult run_collision(const CollisionSetup& setup,
       std::min(1.0, setup.collision_vulnerability * filter_gain);
   const double duty_a = setup.a.airtime_duty();
   const double duty_b = setup.b.airtime_duty();
-  r.b_loss_fraction = fleet::airtime_overlap_loss(duty_a, vulnerability);
-  r.a_loss_fraction = fleet::airtime_overlap_loss(duty_b, vulnerability);
+  r.b_loss_fraction = airtime_overlap_loss(duty_a, vulnerability);
+  r.a_loss_fraction = airtime_overlap_loss(duty_b, vulnerability);
 
   auto scale = [](const Throughput& t, double keep) {
     Throughput s = t;

@@ -48,6 +48,14 @@ CollisionSetup fig16_time_collision();
 /// not overlapping in time.
 CollisionSetup fig16_frequency_collision();
 
+/// Airtime-overlap loss: the fraction of a flow's decode chances lost
+/// when it shares air with another flow of duty `other_duty`, with
+/// `vulnerability` the fraction of an overlapped packet's chances an
+/// overlap destroys (capture leaves partial survivals, so
+/// vulnerability < 1).  Clamped to 1: a saturated interferer wipes out
+/// at most the whole flow.
+double airtime_overlap_loss(double other_duty, double vulnerability);
+
 CollisionResult run_collision(const CollisionSetup& setup,
                               const BackscatterLink& link, double distance_m);
 

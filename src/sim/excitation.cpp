@@ -84,15 +84,4 @@ ExcitationSpec fig16_zigbee() {
   return e;
 }
 
-ExcitationSpec fleet_excitation() {
-  // Max-length 802.15.4 frames at the fig12 saturated rate: duty ≈ 0.34,
-  // so slot period ≈ 3× packet airtime — contention slots stay aligned
-  // to real packets without the carrier monopolizing the channel.
-  ExcitationSpec e;
-  e.protocol = Protocol::Zigbee;
-  e.pkt_rate_hz = 82.0;
-  e.payload_bytes = 125;
-  return e;
-}
-
 }  // namespace ms

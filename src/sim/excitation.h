@@ -25,10 +25,4 @@ ExcitationSpec fig16_wifi_n();
 ExcitationSpec fig16_ble();
 ExcitationSpec fig16_zigbee();
 
-/// Excitation the many-tag fleet sweep rides (bench_scale_tags): a
-/// ZigBee carrier dense enough that every contention slot maps to one
-/// excitation packet, but with headroom so the slot period (airtime /
-/// duty) stays meaningful for goodput accounting.
-ExcitationSpec fleet_excitation();
-
 }  // namespace ms

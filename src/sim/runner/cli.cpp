@@ -1,6 +1,5 @@
 #include "sim/runner/cli.h"
 
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <exception>
@@ -27,18 +26,6 @@ bool parse_u64(const std::string& s, std::uint64_t& out) {
     if (v > (~0ull - d) / 10) return false;
     v = v * 10 + d;
   }
-  out = v;
-  return true;
-}
-
-/// Parse a finite double; returns false on garbage, trailing junk, or
-/// non-finite values ("nan"/"inf" are not experiment knobs).
-bool parse_double(const std::string& s, double& out) {
-  if (s.empty()) return false;
-  char* end = nullptr;
-  const double v = std::strtod(s.c_str(), &end);
-  if (end != s.c_str() + s.size()) return false;
-  if (!std::isfinite(v)) return false;
   out = v;
   return true;
 }
@@ -129,21 +116,6 @@ std::optional<std::string> parse_cli(int argc, const char* const* argv,
       const auto v = value("--manifest-out");
       if (!v) return bad_value("--manifest-out", v, "a file path");
       opts.manifest_out = *v;
-    } else if (arg == "--tags") {
-      const auto v = value("--tags");
-      std::uint64_t n = 0;
-      // A fleet of zero tags has nothing to sweep; the bench default is
-      // what you get by omitting the flag.
-      if (!v || !parse_u64(*v, n) || n == 0)
-        return bad_value("--tags", v, "a positive integer");
-      opts.tags = static_cast<std::size_t>(n);
-    } else if (arg == "--capture-threshold-db") {
-      const auto v = value("--capture-threshold-db");
-      double x = 0.0;
-      if (!v || !parse_double(*v, x) || x < 0.0)
-        return bad_value("--capture-threshold-db", v,
-                         "a finite non-negative margin in dB");
-      opts.capture_threshold_db = x;
     } else if (!arg.empty() && arg[0] == '-') {
       return "unknown flag: " + arg;
     } else {
@@ -162,7 +134,7 @@ std::string cli_usage(const char* prog) {
   u +=
       " [--threads N] [--trials N] [--seed S] [--out DIR]\n"
       "       [--metrics-out FILE] [--trace-out FILE] [--waveform-cache on|off]\n"
-      "       [--manifest-out FILE] [--tags N] [--capture-threshold-db X]\n"
+      "       [--manifest-out FILE]\n"
       "  --threads N        trial-engine worker threads (default: all cores)\n"
       "  --trials N         override the default trial count\n"
       "  --seed S           override the default master seed\n"
@@ -180,11 +152,6 @@ std::string cli_usage(const char* prog) {
       "                     results) + nondeterministic section (git SHA,\n"
       "                     wall timings, profile totals); compare runs with\n"
       "                     obs_report diff\n"
-      "  --tags N           fleet benches: sweep tag counts 1 → N\n"
-      "                     (doubling); ignored by benches with no fleet\n"
-      "  --capture-threshold-db X\n"
-      "                     capture-effect margin in dB for the fleet\n"
-      "                     arbitration engine (finite, >= 0)\n"
       "  --help             show this message\n";
   return u;
 }

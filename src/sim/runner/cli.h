@@ -16,11 +16,6 @@
 //                     metrics digest + bench results in a deterministic
 //                     section; git SHA, wall timings, profile totals in
 //                     a nondeterministic one) — see tools/obs_report
-//   --tags N          fleet benches: sweep tag counts 1 → N (doubling);
-//                     benches that have no fleet simply ignore it
-//   --capture-threshold-db X
-//                     capture-effect margin (dB) for the fleet
-//                     arbitration engine (finite, >= 0)
 //   --help            print usage and exit 0
 // plus, for backward compatibility with the original benches, a single
 // bare positional argument which is treated as --out.  Anything else is
@@ -44,8 +39,6 @@ struct CliOptions {
   std::string trace_out;      ///< empty = no trace JSONL dump
   bool waveform_cache = true; ///< reuse synthesized waveforms across trials
   std::string manifest_out;   ///< empty = no run manifest
-  std::size_t tags = 0;       ///< 0 = use the bench's default max tag count
-  double capture_threshold_db = -1.0;  ///< < 0 = use the bench's default
   bool help = false;
 };
 

@@ -50,9 +50,7 @@ namespace ms {
 /// What family of waveform a key describes (disjoint key spaces, so an
 /// excitation key can never alias a future backscatter/template key).
 enum class WaveformKind : std::uint8_t {
-  Excitation = 0,       ///< packet-start waveform a tag hears (ident trials)
-  FleetBackscatter = 1, ///< one tag's overlay-modulated backscatter
-                        ///< (keyed per tag content; fleet waveform probe)
+  Excitation = 0,  ///< packet-start waveform a tag hears (ident trials)
 };
 
 /// Cache key: the complete recipe for one synthesis.  `payload` holds

@@ -43,6 +43,11 @@ std::vector<T> convolve_same(std::span<const T> x, std::span<const float> taps) 
     }
     out[i] = acc;
   }
+  // The production FIR's NaN contract: every NaN out is the canonical
+  // quiet NaN, whatever sign the arithmetic gave it.
+  float* f = reinterpret_cast<float*>(out.data());
+  for (std::size_t i = 0; i < out.size() * sizeof(T) / sizeof(float); ++i)
+    if (std::isnan(f[i])) f[i] = std::numeric_limits<float>::quiet_NaN();
   return out;
 }
 

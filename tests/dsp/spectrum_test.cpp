@@ -1,4 +1,4 @@
-#include "dsp/spectrum.h"
+#include "spectrum.h"
 
 #include <gtest/gtest.h>
 

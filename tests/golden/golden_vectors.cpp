@@ -2,7 +2,6 @@
 
 #include <cstdio>
 
-#include "channel/superposition.h"
 #include "common/bits.h"
 #include "common/rng.h"
 #include "core/ident/templates.h"
@@ -15,6 +14,7 @@
 #include "phy/interleaver.h"
 #include "phy/whitening.h"
 #include "phy/zigbee/zigbee.h"
+#include "superposition.h"
 
 namespace ms::golden {
 namespace {

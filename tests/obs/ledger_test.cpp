@@ -123,12 +123,11 @@ TEST(Ledger, ConfigHashSeparatesEveryField) {
 }
 
 TEST(Ledger, ConfigHashMatchesCommittedBaselines) {
-  // The run identities recorded in BENCH_seed.json and
-  // BENCH_seed_scale.json.  obs_report diff refuses to compare manifests
-  // whose config_hash differs, so a change here breaks both baselines.
+  // The run identity recorded in BENCH_seed.json.  obs_report diff
+  // refuses to compare manifests whose config_hash differs, so a change
+  // here breaks the baseline.
   EXPECT_EQ(config_hash("bench_ident_throughput", 0, 1),
             0xd74e00f3a8a27052ull);
-  EXPECT_EQ(config_hash("bench_scale_tags", 7, 2), 0x4e8064167b526675ull);
 }
 
 }  // namespace

@@ -170,7 +170,8 @@ TEST(Cli, RejectsMissingTelemetryValues) {
 TEST(Cli, RemovedFlagsAreUnknown) {
   // The checkpoint journal, resume loader and heartbeat are gone, and so
   // are the switch to the scalar PHY oracles, the per-trial deadline,
-  // the flight recorder and the single-cell filter; their flags must fail
+  // the flight recorder, the single-cell filter and the many-tag sweep's
+  // tag count and capture margin; their flags must fail
   // like any other unknown flag, not be skipped, and the usage text must
   // not offer them.  The names are spelled in pieces so that a search
   // for the deleted flags turns up no live use of them.
@@ -185,7 +186,9 @@ TEST(Cli, RemovedFlagsAreUnknown) {
       {dash + "fast" + "-path", "8"},
       {dash + "trial" + "-deadline-ms", "5"},
       {dash + "flight" + "-out", "d"},
-      {dash + "only" + "-cell", "0,0"}};
+      {dash + "only" + "-cell", "0,0"},
+      {dash + "tags", "256"},
+      {dash + "capture" + "-threshold-db", "3.5"}};
   for (const auto& [flag, value] : removed) {
     CliOptions o;
     const auto err = parse({flag.c_str(), value}, o);
@@ -214,63 +217,6 @@ TEST(Cli, RejectsBadObservabilityValues) {
 
 TEST(Cli, UsageNamesObservabilityFlags) {
   EXPECT_NE(cli_usage("bench_x").find("--manifest-out"), std::string::npos);
-}
-
-TEST(Cli, ParsesFleetFlags) {
-  CliOptions o;
-  EXPECT_FALSE(
-      parse({"--tags", "256", "--capture-threshold-db", "3.5"}, o)
-          .has_value());
-  EXPECT_EQ(o.tags, 256u);
-  EXPECT_DOUBLE_EQ(o.capture_threshold_db, 3.5);
-}
-
-TEST(Cli, FleetFlagsDefaultToBenchDefaults) {
-  CliOptions o;
-  EXPECT_FALSE(parse({}, o).has_value());
-  EXPECT_EQ(o.tags, 0u);                     // 0 = bench default
-  EXPECT_LT(o.capture_threshold_db, 0.0);    // < 0 = bench default
-}
-
-TEST(Cli, CaptureThresholdZeroIsValid) {
-  // 0 dB margin = "strongest always captures" — a legitimate model.
-  CliOptions o;
-  EXPECT_FALSE(parse({"--capture-threshold-db", "0"}, o).has_value());
-  EXPECT_DOUBLE_EQ(o.capture_threshold_db, 0.0);
-}
-
-TEST(Cli, RejectsBadTagsValues) {
-  CliOptions o;
-  EXPECT_TRUE(parse({"--tags"}, o).has_value());
-  EXPECT_TRUE(parse({"--tags", "0"}, o).has_value());
-  EXPECT_TRUE(parse({"--tags", "-4"}, o).has_value());
-  EXPECT_TRUE(parse({"--tags", "lots"}, o).has_value());
-  EXPECT_TRUE(parse({"--tags", "12.5"}, o).has_value());
-  const auto err = parse({"--tags", "lots"}, o);
-  ASSERT_TRUE(err.has_value());
-  EXPECT_NE(err->find("--tags"), std::string::npos) << *err;
-  EXPECT_NE(err->find("'lots'"), std::string::npos)
-      << "error message should quote the bad value: " << *err;
-}
-
-TEST(Cli, RejectsBadCaptureThresholdValues) {
-  CliOptions o;
-  EXPECT_TRUE(parse({"--capture-threshold-db"}, o).has_value());
-  EXPECT_TRUE(parse({"--capture-threshold-db", "-3"}, o).has_value());
-  EXPECT_TRUE(parse({"--capture-threshold-db", "nan"}, o).has_value());
-  EXPECT_TRUE(parse({"--capture-threshold-db", "inf"}, o).has_value());
-  EXPECT_TRUE(parse({"--capture-threshold-db", "6dB"}, o).has_value());
-  const auto err = parse({"--capture-threshold-db", "-3"}, o);
-  ASSERT_TRUE(err.has_value());
-  EXPECT_NE(err->find("--capture-threshold-db"), std::string::npos) << *err;
-  EXPECT_NE(err->find("'-3'"), std::string::npos)
-      << "error message should quote the bad value: " << *err;
-}
-
-TEST(Cli, UsageNamesFleetFlags) {
-  const std::string usage = cli_usage("bench_x");
-  for (const char* flag : {"--tags", "--capture-threshold-db"})
-    EXPECT_NE(usage.find(flag), std::string::npos) << flag;
 }
 
 TEST(Cli, OrExitCreatesMissingOutDirectories) {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+
 namespace ms {
 namespace {
 
@@ -43,6 +46,28 @@ TEST(Collision, LossFractionsBounded) {
   const CollisionResult r = run_collision(setup, link, 4.0);
   EXPECT_LE(r.b_loss_fraction, 1.0);
   EXPECT_GE(r.b_collided.aggregate_bps(), 0.0);
+}
+
+TEST(CollisionSpecialCaseTest, Fig16LossIsTheFleetOverlapModel) {
+  // run_collision()'s time-overlap loss is airtime_overlap_loss applied
+  // to the two flows, with the vulnerability the tag filter leaves.
+  const CollisionSetup setup = fig16_time_collision();
+  const BackscatterLink link;
+  const CollisionResult r = run_collision(setup, link, 1.0);
+  const double filter_gain =
+      std::pow(10.0, -setup.tag_filter_rejection_db / 10.0);
+  const double vulnerability =
+      std::min(1.0, setup.collision_vulnerability * filter_gain);
+  EXPECT_DOUBLE_EQ(
+      r.b_loss_fraction,
+      airtime_overlap_loss(setup.a.airtime_duty(), vulnerability));
+  EXPECT_DOUBLE_EQ(
+      r.a_loss_fraction,
+      airtime_overlap_loss(setup.b.airtime_duty(), vulnerability));
+  // And the helper itself clamps: a saturated interferer wipes out at
+  // most the whole flow, never more.
+  EXPECT_DOUBLE_EQ(airtime_overlap_loss(2.0, 1.0), 1.0);
+  EXPECT_DOUBLE_EQ(airtime_overlap_loss(0.0, 1.0), 0.0);
 }
 
 }  // namespace

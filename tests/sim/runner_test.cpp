@@ -135,7 +135,7 @@ TEST(TrialRunner, ThrowingCellRethrowsAndKeepsPartialTelemetry) {
   // 3 x 2 cells: every pool range holds one cell at these thread counts,
   // so the throw skips no sibling and all six cells run.
   const obs::MetricId cells = obs::counter("test.runner.throwing_grid_cells");
-  for (std::size_t threads : {1u, 4u}) {
+  for (std::size_t threads : {1u, 2u, 4u}) {
     obs::reset_aggregate();
     TrialRunner runner({threads, 7});
     try {

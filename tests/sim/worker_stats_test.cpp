@@ -1,16 +1,13 @@
-// ThreadPool scheduling observability (WorkerStats) and the trial
-// engine's exception-path telemetry guarantee: a throwing cell's shard
-// still reaches the aggregate.
+// ThreadPool scheduling observability (WorkerStats).  The trial
+// engine's exception-path telemetry (a throwing cell's shard still
+// reaches the aggregate) is pinned in runner_test.cpp.
 #include <atomic>
 #include <cstdint>
 #include <stdexcept>
 
 #include <gtest/gtest.h>
 
-#include "obs/metrics.h"
-#include "obs/telemetry.h"
 #include "sim/runner/thread_pool.h"
-#include "sim/runner/trial_runner.h"
 
 namespace ms {
 namespace {
@@ -67,26 +64,6 @@ TEST(WorkerStats, TasksStillCountedWhenATaskThrows) {
   // The pool drains the whole job before rethrowing, so every index is
   // accounted for — including the one that threw.
   EXPECT_EQ(sum_tasks(pool.worker_stats()), 50u);
-}
-
-TEST(TrialRunnerTelemetry, ThrowingCellsShardStillMerges) {
-  const obs::MetricId cells = obs::counter("test.runner.cells_started");
-  obs::set_enabled(true);
-  obs::reset_aggregate();
-  TrialRunner runner({2, 1});
-  EXPECT_THROW(
-      runner.run_grid(2, 3,
-                      [&](std::size_t point, std::size_t trial, Rng&) -> int {
-                        obs::add(cells);
-                        if (point == 1 && trial == 1)
-                          throw std::runtime_error("cell failure");
-                        return 0;
-                      }),
-      std::runtime_error);
-  // All 6 cells ran (the pool drains the grid), and the failing cell's
-  // metrics — recorded before the throw — survive into the aggregate.
-  EXPECT_EQ(obs::aggregate().counter_value(cells), 6u);
-  obs::reset_aggregate();
 }
 
 }  // namespace

@@ -1,6 +1,6 @@
 // Power spectral density estimation (Welch's method) — used to verify
 // occupied bandwidths, frequency-shift images, and spectral masks in
-// tests and benches.
+// tests (test-only: linked through ms_test_support, never by src/).
 #pragma once
 
 #include <span>

@@ -1,4 +1,4 @@
-#include "channel/superposition.h"
+#include "superposition.h"
 
 #include <algorithm>
 #include <cmath>

@@ -1,4 +1,6 @@
-// Multi-tag waveform superposition (the "air" of the fleet world model).
+// Multi-tag waveform superposition (test-only: linked through
+// ms_test_support, never by src/).  The fleet_superposed_{2,3}tag.txt
+// golden fixtures pin its arithmetic.
 //
 // When N tags backscatter one excitation, the receiver's ADC sees the
 // complex sum of N per-tag waveforms, each scaled and rotated by its own
@@ -12,8 +14,8 @@
 // composite is bit-identical to summing the N single-tag reference
 // buffers element-wise in the same order — at any thread count, chunk
 // size, and whether the per-tag waveforms came fresh from the PHY or
-// from the waveform cache.  The capture-arbitration property suite
-// (tests/property/capture_property_test.cpp) pins this equivalence.
+// from the waveform cache.  The property suite
+// (tests/property/superposition_property_test.cpp) pins this equivalence.
 #pragma once
 
 #include <cstddef>
@@ -24,8 +26,8 @@
 namespace ms {
 
 /// Static per-tag channel between one tag and the shared receiver.
-/// Gains are relative to an arbitrary reference (the fleet engine uses
-/// the slot winner at 0 dB), the phase models the round-trip path, and
+/// Gains are relative to an arbitrary reference (the golden fixtures put
+/// the strongest tag at 0 dB), the phase models the round-trip path, and
 /// the delay is the integer-sample arrival offset within the slot.
 struct TagChannel {
   double gain_db = 0.0;
