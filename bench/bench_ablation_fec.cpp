@@ -7,6 +7,7 @@
 #include "channel/awgn.h"
 #include "core/overlay/ble_overlay.h"
 #include "core/overlay/fec.h"
+#include "experiments.h"
 
 using namespace ms;
 
@@ -62,7 +63,7 @@ double repetition_tag_ber(unsigned gamma, double snr_db, Rng& rng) {
 
 }  // namespace
 
-int main() {
+int ms::bench::ablation_fec(const CliOptions&) {
   bench::title("Ablation: FEC", "tag-data coding on a BLE overlay (BER %)");
   std::printf("%-24s %10s %10s %10s %10s\n", "scheme", "4 dB", "6 dB",
               "8 dB", "10 dB");

@@ -4,11 +4,12 @@
 #include <cstdio>
 
 #include "bench_util.h"
+#include "experiments.h"
 #include "sim/collision_experiment.h"
 
 using namespace ms;
 
-int main() {
+int ms::bench::ablation_filter(const CliOptions&) {
   bench::title("Ablation: tag filter",
                "BLE throughput under 802.11n collision vs filter rejection");
   const BackscatterLink link;

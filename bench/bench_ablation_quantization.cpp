@@ -4,6 +4,7 @@
 #include <cstdio>
 
 #include "bench_util.h"
+#include "experiments.h"
 #include "sim/ident_experiment.h"
 
 using namespace ms;
@@ -22,7 +23,7 @@ double accuracy(double adc_rate, std::size_t lp, std::size_t lt,
 
 }  // namespace
 
-int main() {
+int ms::bench::ablation_quantization(const CliOptions&) {
   bench::title("Ablation: quantization x downsampling",
                "average blind accuracy (extended window)");
   std::printf("%-12s %16s %14s %10s\n", "ADC rate", "full precision",

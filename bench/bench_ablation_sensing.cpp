@@ -5,10 +5,11 @@
 
 #include "bench_util.h"
 #include "core/tag/channel_sense.h"
+#include "experiments.h"
 
 using namespace ms;
 
-int main() {
+int ms::bench::ablation_sensing(const CliOptions&) {
   bench::title("Ablation: channel sensing",
                "shift-target collision probability vs channel utilization");
   const double burst_s = 400e-6;  // typical WiFi burst on the target

@@ -5,11 +5,12 @@
 #include <cstdio>
 
 #include "bench_util.h"
+#include "experiments.h"
 #include "sim/ident_experiment.h"
 
 using namespace ms;
 
-int main() {
+int ms::bench::ablation_snr(const CliOptions&) {
   bench::title("Ablation: operating SNR",
                "avg blind accuracy vs RF SNR at the tag");
   std::printf("%-10s %16s %16s\n", "SNR (dB)", "20M fullprec",

@@ -6,10 +6,11 @@
 #include "analog/power.h"
 #include "analog/wakeup.h"
 #include "bench_util.h"
+#include "experiments.h"
 
 using namespace ms;
 
-int main() {
+int ms::bench::ablation_wakeup(const CliOptions&) {
   bench::title("Ablation: wake-up module",
                "average identification power vs packet rate");
   const TagPowerModel power;

@@ -5,11 +5,12 @@
 
 #include "bench_util.h"
 #include "common/rng.h"
+#include "experiments.h"
 #include "sim/excitation.h"
 
 using namespace ms;
 
-int main() {
+int ms::bench::fig12_tradeoffs(const CliOptions&) {
   bench::title("Fig 12", "throughput trade-offs across modes (kbps)");
   const BackscatterLink link;
   Rng rng(7);

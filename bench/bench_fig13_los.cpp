@@ -1,12 +1,12 @@
 // Fig 13: LoS deployment — backscatter RSSI, BER, and aggregate
 // throughput across tag→receiver distances, and the maximal ranges.
-// --out DIR (or a bare directory argument) dumps the series as CSV (one
-// file per protocol); --threads N sets the trial-engine worker count.
+// --out DIR dumps the series as CSV (one file per protocol); --threads N
+// sets the trial-engine worker count.
 #include <cstdio>
 
 #include "bench_util.h"
+#include "experiments.h"
 #include "sim/range_experiment.h"
-#include "sim/runner/cli.h"
 #include "sim/trace_io.h"
 
 using namespace ms;
@@ -28,8 +28,7 @@ void dump_csv(const std::string& dir, Protocol p,
 }
 }  // namespace
 
-int main(int argc, char** argv) {
-  const CliOptions opt = parse_cli_or_exit(argc, argv);
+int ms::bench::fig13_los(const CliOptions& opt) {
   bench::title("Fig 13", "LoS: RSSI / BER / throughput vs distance");
   RangeSweepConfig cfg = los_sweep_config();
   cfg.threads = opt.threads;
@@ -55,5 +54,5 @@ int main(int argc, char** argv) {
         range_m);
   }
   bench::note("paper: WiFi 28 m, ZigBee 22 m, BLE 20 m; low BER out to 16 m");
-  return finish_bench_output(opt) ? 0 : 1;
+  return 0;
 }

@@ -7,8 +7,8 @@
 #include <vector>
 
 #include "bench_util.h"
+#include "experiments.h"
 #include "sim/range_experiment.h"
-#include "sim/runner/cli.h"
 #include "sim/trace_io.h"
 
 using namespace ms;
@@ -30,8 +30,7 @@ void dump_csv(const std::string& dir, Protocol p,
 }
 }  // namespace
 
-int main(int argc, char** argv) {
-  const CliOptions opt = parse_cli_or_exit(argc, argv);
+int ms::bench::fig14_nlos(const CliOptions& opt) {
   bench::title("Fig 14", "NLoS: RSSI / BER / throughput vs distance");
   RangeSweepConfig cfg = nlos_sweep_config();
   cfg.threads = opt.threads;
@@ -56,5 +55,5 @@ int main(int argc, char** argv) {
                 max_range_m(p, los));
   bench::note("paper: NLoS 22/18/16 m for WiFi/ZigBee/BLE — uniformly below"
               " the LoS 28/22/20 m");
-  return finish_bench_output(opt) ? 0 : 1;
+  return 0;
 }

@@ -7,14 +7,13 @@
 #include <vector>
 
 #include "bench_util.h"
+#include "experiments.h"
 #include "sim/occlusion_experiment.h"
-#include "sim/runner/cli.h"
 #include "sim/trace_io.h"
 
 using namespace ms;
 
-int main(int argc, char** argv) {
-  const CliOptions opt = parse_cli_or_exit(argc, argv);
+int ms::bench::fig15_occlusion(const CliOptions& opt) {
   bench::title("Fig 15", "tag throughput with the original channel drywalled");
   OcclusionScenario sc;
   sc.threads = opt.threads;
@@ -37,5 +36,5 @@ int main(int argc, char** argv) {
               " Hitchhike 94; FreeRider 33");
   bench::note("multiscatter does not use the original channel at all, so"
               " the wall is irrelevant to it");
-  return finish_bench_output(opt) ? 0 : 1;
+  return 0;
 }

@@ -12,8 +12,8 @@
 #include <vector>
 
 #include "bench_util.h"
+#include "experiments.h"
 #include "sim/collision_experiment.h"
-#include "sim/runner/cli.h"
 #include "sim/trace_io.h"
 
 using namespace ms;
@@ -60,8 +60,7 @@ void report(const char* id, const char* what, const CollisionSetup& setup,
 }
 }  // namespace
 
-int main(int argc, char** argv) {
-  const CliOptions opt = parse_cli_or_exit(argc, argv);
+int ms::bench::fig16_collisions(const CliOptions& opt) {
   const RunnerConfig rc{opt.threads, opt.seed ? opt.seed : 1};
 
   report("Fig 16a/b", "time-domain collision: 802.11n + BLE",
@@ -78,5 +77,5 @@ int main(int argc, char** argv) {
     dump_sweep(opt.out_dir, "fig16_frequency_collision.csv",
                fig16_frequency_collision(), rc);
   }
-  return finish_bench_output(opt) ? 0 : 1;
+  return 0;
 }

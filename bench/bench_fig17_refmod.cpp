@@ -7,6 +7,7 @@
 #include "bench_util.h"
 #include "core/overlay/wifi_b_overlay.h"
 #include "core/overlay/wifi_n_overlay.h"
+#include "experiments.h"
 
 using namespace ms;
 
@@ -22,7 +23,7 @@ double measure_tag_ber(const OverlayCodec& codec, double snr_db, int trials,
 
 }  // namespace
 
-int main() {
+int ms::bench::fig17_refmod(const CliOptions&) {
   Rng rng(5);
   const int kTrials = 15;
   // The despreading/voting gains make the overlay error-free at positive

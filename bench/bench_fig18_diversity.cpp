@@ -11,14 +11,13 @@
 #include <vector>
 
 #include "bench_util.h"
+#include "experiments.h"
 #include "sim/diversity_experiment.h"
-#include "sim/runner/cli.h"
 #include "sim/trace_io.h"
 
 using namespace ms;
 
-int main(int argc, char** argv) {
-  const CliOptions opt = parse_cli_or_exit(argc, argv);
+int ms::bench::fig18_diversity(const CliOptions& opt) {
   const BackscatterLink link;
 
   bench::title("Fig 18a", "uninterrupted backscatter over alternating carriers");
@@ -62,5 +61,5 @@ int main(int argc, char** argv) {
               pick.single_meets_goal ? "met" : "MISSED");
   bench::note("paper: multiscatter selects 802.11n and meets the goal; the"
               " 802.11b tag cannot");
-  return finish_bench_output(opt) ? 0 : 1;
+  return 0;
 }

@@ -8,8 +8,9 @@
 #include "core/ident/frontend.h"
 #include "core/ident/templates.h"
 #include "dsp/ops.h"
+#include "experiments.h"
 
-int main() {
+int ms::bench::fig4_rectifier(const CliOptions&) {
   using namespace ms;
   bench::title("Fig 4a", "clamped vs basic rectifier output (steady carrier)");
   std::printf("%-12s %14s %14s\n", "input (V)", "basic (V)", "clamped (V)");

@@ -7,11 +7,12 @@
 
 #include "bench_util.h"
 #include "dsp/ops.h"
+#include "experiments.h"
 #include "sim/ident_experiment.h"
 
 using namespace ms;
 
-int main() {
+int ms::bench::fig5_templates(const CliOptions&) {
   bench::title("Fig 5a", "envelope shape statistics of the four preambles");
   std::printf("%-10s %10s %12s %14s\n", "protocol", "mean (V)", "stddev (V)",
               "peak/mean");

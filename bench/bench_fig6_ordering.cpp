@@ -5,11 +5,12 @@
 #include <cstdio>
 
 #include "bench_util.h"
+#include "experiments.h"
 #include "sim/ident_experiment.h"
 
 using namespace ms;
 
-int main() {
+int ms::bench::fig6_ordering(const CliOptions&) {
   bench::title("Fig 6", "ordered matching: per-stage resolution statistics");
   IdentTrialConfig cfg;
   cfg.ident.templates.adc_rate_hz = 10e6;

@@ -9,8 +9,8 @@
 #include <vector>
 
 #include "bench_util.h"
+#include "experiments.h"
 #include "sim/ident_experiment.h"
-#include "sim/runner/cli.h"
 #include "sim/trace_io.h"
 
 using namespace ms;
@@ -37,9 +37,8 @@ void dump_confusion(const std::string& dir, const char* file,
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const CliOptions opt = parse_cli_or_exit(argc, argv);
-  const std::size_t trials = opt.trials ? opt.trials : 200;
+int ms::bench::fig7_ordered(const CliOptions& opt) {
+  const std::size_t trials = opt.trials;
 
   IdentTrialConfig cfg;
   cfg.ident.templates.adc_rate_hz = 10e6;
@@ -95,5 +94,5 @@ int main(int argc, char** argv) {
     dump_confusion(opt.out_dir, "fig7_blind_confusion.csv", blind);
     dump_confusion(opt.out_dir, "fig7_ordered_confusion.csv", ordered);
   }
-  return finish_bench_output(opt) ? 0 : 1;
+  return 0;
 }

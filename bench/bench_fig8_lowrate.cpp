@@ -5,6 +5,7 @@
 #include <cstdio>
 
 #include "bench_util.h"
+#include "experiments.h"
 #include "sim/ident_experiment.h"
 
 using namespace ms;
@@ -38,7 +39,7 @@ IdentTrialConfig make(double adc, std::size_t lp, std::size_t lt) {
 
 }  // namespace
 
-int main() {
+int ms::bench::fig8_lowrate(const CliOptions&) {
   report("Fig 8a", "2.5 Msps, minimal 8 us window", make(2.5e6, 5, 15),
          "paper: 0.485");
   report("Fig 8b", "2.5 Msps, extended 40 us window", make(2.5e6, 20, 80),

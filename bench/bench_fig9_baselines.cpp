@@ -6,11 +6,12 @@
 #include <cstdio>
 
 #include "bench_util.h"
+#include "experiments.h"
 #include "sim/occlusion_experiment.h"
 
 using namespace ms;
 
-int main() {
+int ms::bench::fig9_baselines(const CliOptions&) {
   bench::title("Fig 9a", "baseline tag BER vs original-channel occlusion");
   OcclusionScenario sc;
   std::printf("%-12s %14s %14s\n", "occlusion", "Hitchhike", "FreeRider");

@@ -21,9 +21,9 @@
 #include <vector>
 
 #include "bench_util.h"
+#include "experiments.h"
 #include "oracles.h"
 #include "sim/ident_experiment.h"
-#include "sim/runner/cli.h"
 #include "sim/trace_io.h"
 
 using namespace ms;
@@ -63,9 +63,8 @@ Timing time_kernel(Score score, const std::vector<Samples>& corpus,
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const CliOptions opt = parse_cli_or_exit(argc, argv);
-  const std::size_t trials = opt.trials ? opt.trials : 32;
+int ms::bench::ident_throughput(const CliOptions& opt) {
+  const std::size_t trials = opt.trials;
 
   IdentTrialConfig cfg;
   cfg.ident.templates.adc_rate_hz = 10e6;
@@ -140,5 +139,5 @@ int main(int argc, char** argv) {
         {"speedup", {speedup}}};
     save_csv(opt.out_dir + "/ident_throughput.csv", cols);
   }
-  return finish_bench_output(opt) ? 0 : 1;
+  return 0;
 }

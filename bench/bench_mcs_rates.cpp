@@ -5,12 +5,13 @@
 #include "bench_util.h"
 #include "channel/awgn.h"
 #include "common/rng.h"
+#include "experiments.h"
 #include "phy/ofdm/mcs.h"
 #include "phy/ofdm/wifi_n.h"
 
 using namespace ms;
 
-int main() {
+int ms::bench::mcs_rates(const CliOptions&) {
   bench::title("802.11n MCS ladder", "payload BER vs SNR per MCS");
   Rng rng(3);
   const double snrs[] = {6.0, 12.0, 18.0, 24.0, 30.0};

@@ -24,12 +24,12 @@
 
 #include "bench_util.h"
 #include "channel/awgn.h"
+#include "experiments.h"
 #include "oracles.h"
 #include "phy/ble/ble.h"
 #include "phy/dsss/wifi_b.h"
 #include "phy/ofdm/wifi_n.h"
 #include "phy/zigbee/zigbee.h"
-#include "sim/runner/cli.h"
 #include "sim/runner/trial_runner.h"
 #include "sim/trace_io.h"
 
@@ -100,9 +100,8 @@ std::vector<std::uint8_t> detects_bytes(
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const CliOptions opt = parse_cli_or_exit(argc, argv);
-  const std::size_t trials = opt.trials ? opt.trials : 24;
+int ms::bench::phy_throughput(const CliOptions& opt) {
+  const std::size_t trials = opt.trials;
   const std::uint64_t seed = opt.seed ? opt.seed : 1;
   const double snr_db = 12.0;
 
@@ -255,5 +254,5 @@ int main(int argc, char** argv) {
 
   if (!opt.out_dir.empty())
     save_csv(opt.out_dir + "/phy_throughput.csv", cols);
-  return finish_bench_output(opt) ? 0 : 1;
+  return 0;
 }

@@ -11,8 +11,7 @@
 //      burst interferers, dropouts, truncated sample streams).
 // Runs on the parallel trial engine: every (sweep row × link variant)
 // is an independent task and output is byte-identical at any --threads
-// value.  --out DIR (or a bare directory argument) additionally dumps
-// each sweep as CSV.
+// value.  --out DIR additionally dumps each sweep as CSV.
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -21,8 +20,8 @@
 
 #include "bench_util.h"
 #include "core/tag/link_session.h"
+#include "experiments.h"
 #include "sim/ident_experiment.h"
-#include "sim/runner/cli.h"
 #include "sim/runner/trial_runner.h"
 #include "sim/trace_io.h"
 
@@ -146,8 +145,7 @@ double ident_accuracy(const FaultConfig& faults, std::size_t threads) {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const CliOptions opt = parse_cli_or_exit(argc, argv);
+int ms::bench::robustness_faults(const CliOptions& opt) {
   bench::title("Robustness: faults",
                "link-layer goodput and identification under injected faults");
 
@@ -240,5 +238,5 @@ int main(int argc, char** argv) {
               " loses whole readings to single-frame holes; under deep"
               " fades the NACK-driven (gamma, FEC) step-up keeps frames"
               " decodable where fixed protection stalls in retries");
-  return finish_bench_output(opt) ? 0 : 1;
+  return 0;
 }

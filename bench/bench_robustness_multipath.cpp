@@ -6,6 +6,7 @@
 #include <cstdio>
 
 #include "bench_util.h"
+#include "experiments.h"
 #include "sim/ident_experiment.h"
 
 using namespace ms;
@@ -26,7 +27,7 @@ double accuracy_with(bool multipath, double k_db, double spread_s) {
 
 }  // namespace
 
-int main() {
+int ms::bench::robustness_multipath(const CliOptions&) {
   bench::title("Robustness: multipath",
                "1-bit blind accuracy at 10 Msps across fading conditions");
   std::printf("%-34s %10s\n", "channel", "avg acc");

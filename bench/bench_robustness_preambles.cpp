@@ -6,11 +6,12 @@
 #include <cstdio>
 
 #include "bench_util.h"
+#include "experiments.h"
 #include "sim/ident_experiment.h"
 
 using namespace ms;
 
-int main() {
+int ms::bench::robustness_preambles(const CliOptions&) {
   bench::title("Robustness: 802.11b preamble formats",
                "accuracy vs short-preamble traffic share (10 Msps 1-bit)");
   std::printf("%-18s %12s %14s\n", "short-pre share", "avg acc",

@@ -26,7 +26,7 @@
 
 #include "bench_util.h"
 #include "core/tag/link_session.h"
-#include "sim/runner/cli.h"
+#include "experiments.h"
 #include "sim/runner/trial_runner.h"
 #include "sim/workload/scenarios.h"
 #include "sim/workload/workload.h"
@@ -36,7 +36,6 @@ using namespace ms;
 namespace {
 
 constexpr std::uint64_t kSeed = 2020;
-constexpr std::size_t kTrials = 5;
 constexpr std::size_t kVariants = 3;
 const char* const kVariantNames[kVariants] = {"full", "blind", "seed"};
 
@@ -97,10 +96,9 @@ struct Cell {
 
 }  // namespace
 
-int main(int argc, char** argv) {
-  const CliOptions opt = parse_cli_or_exit(argc, argv);
+int ms::bench::robustness_workloads(const CliOptions& opt) {
   const std::uint64_t seed = opt.seed ? opt.seed : kSeed;
-  const std::size_t trials = opt.trials ? opt.trials : kTrials;
+  const std::size_t trials = opt.trials;
   bench::title("Robustness: adversarial workloads",
                "survival scorecard under trace-driven excitation, "
                "time-varying channels, and energy budgets");
@@ -210,7 +208,6 @@ int main(int argc, char** argv) {
               " floor by rationing energy and retries; the energy-blind"
               " variant browns out, loses its ARQ state, and pays the"
               " resync + recovery latency the governor avoids");
-  const bool io_ok = finish_bench_output(opt);
   if (!ok) std::printf("  SCORECARD GATES FAILED\n");
-  return (ok && io_ok) ? 0 : 1;
+  return ok ? 0 : 1;
 }

@@ -10,16 +10,15 @@
 #include <vector>
 
 #include "bench_util.h"
+#include "experiments.h"
 #include "sim/ident_experiment.h"
-#include "sim/runner/cli.h"
 #include "sim/runner/thread_pool.h"
 #include "sim/trace_io.h"
 
 using namespace ms;
 
-int main(int argc, char** argv) {
-  const CliOptions opt = parse_cli_or_exit(argc, argv);
-  const std::size_t trials = opt.trials ? opt.trials : 60;
+int ms::bench::runner_scaling(const CliOptions& opt) {
+  const std::size_t trials = opt.trials;
 
   IdentTrialConfig cfg;
   cfg.ident.templates.adc_rate_hz = 10e6;
@@ -99,5 +98,5 @@ int main(int argc, char** argv) {
   bench::note("machine's core count, flat beyond it (this box may have");
   bench::note("fewer than 8 cores — the determinism column must stay");
   bench::note("'yes' regardless)");
-  return finish_bench_output(opt) ? 0 : 1;
+  return 0;
 }

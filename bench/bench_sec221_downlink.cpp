@@ -6,10 +6,11 @@
 
 #include "bench_util.h"
 #include "channel/link.h"
+#include "experiments.h"
 
 using namespace ms;
 
-int main() {
+int ms::bench::sec221_downlink(const CliOptions&) {
   bench::title("Sec 2.2.1", "downlink range: incident power at the tag");
   BackscatterLink link;
   link.tx_power_dbm = 30.0;  // paper uses a PA for this experiment

@@ -6,6 +6,7 @@
 #include <cstdio>
 
 #include "bench_util.h"
+#include "experiments.h"
 
 namespace {
 struct Row {
@@ -15,7 +16,7 @@ struct Row {
 };
 }  // namespace
 
-int main() {
+int ms::bench::table1_comparison(const CliOptions&) {
   using namespace ms;
   bench::title("Table 1", "comparison of backscatter systems");
   const Row rows[] = {

@@ -4,8 +4,9 @@
 
 #include "bench_util.h"
 #include "core/ident/resources.h"
+#include "experiments.h"
 
-int main() {
+int ms::bench::table2_resources(const CliOptions&) {
   using namespace ms;
   bench::title("Table 2", "FPGA implementations of 4-protocol identification");
   std::printf("%-22s %12s %8s %14s\n", "", "Multipliers", "Adders",

@@ -3,8 +3,9 @@
 
 #include "analog/power.h"
 #include "bench_util.h"
+#include "experiments.h"
 
-int main() {
+int ms::bench::table3_power(const CliOptions&) {
   using namespace ms;
   bench::title("Table 3", "power consumption of the COTS prototype (20 Msps)");
   const TagPowerModel m;

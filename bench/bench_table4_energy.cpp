@@ -6,9 +6,10 @@
 #include "analog/energy.h"
 #include "analog/power.h"
 #include "bench_util.h"
+#include "experiments.h"
 #include "sim/excitation.h"
 
-int main() {
+int ms::bench::table4_energy(const CliOptions&) {
   using namespace ms;
   bench::title("Table 4", "average tag-data exchange times (solar harvesting)");
   const TagPowerModel power;

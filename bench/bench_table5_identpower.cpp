@@ -5,8 +5,9 @@
 
 #include "bench_util.h"
 #include "core/ident/resources.h"
+#include "experiments.h"
 
-int main() {
+int ms::bench::table5_identpower(const CliOptions&) {
   using namespace ms;
   bench::title("Table 5", "identification power/LUTs vs rate and quantization");
   std::printf("%-28s %12s %8s\n", "Setup", "Power(mW)", "LUTs");

@@ -5,8 +5,9 @@
 
 #include "bench_util.h"
 #include "core/overlay/overlay.h"
+#include "experiments.h"
 
-int main() {
+int ms::bench::table6_modes(const CliOptions&) {
   using namespace ms;
   bench::title("Table 6", "mode presets: kappa per protocol and mode");
   std::printf("%-18s %8s %8s %8s %10s\n", "", "Mode 1 k", "Mode 2 k",

@@ -8,10 +8,11 @@
 #include "channel/awgn.h"
 #include "channel/link.h"
 #include "core/overlay/overlay.h"
+#include "experiments.h"
 
 using namespace ms;
 
-int main() {
+int ms::bench::validation_waveform(const CliOptions&) {
   bench::title("Validation", "analytic vs waveform tag BER at link SNRs");
   const BackscatterLink link;
   Rng rng(21);

@@ -5,10 +5,11 @@
 
 #include "bench_util.h"
 #include "core/overlay/overlay.h"
+#include "experiments.h"
 
 using namespace ms;
 
-int main() {
+int ms::bench::waterfalls(const CliOptions&) {
   bench::title("Waterfalls", "overlay BER vs SNR (waveform chain, mode 1)");
   Rng rng(13);
   const double snrs[] = {-6.0, -2.0, 2.0, 6.0, 10.0, 14.0};

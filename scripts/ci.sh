@@ -5,16 +5,18 @@
 # differential suites, and the unit label the workload/degradation/
 # time-varying-channel suites and the check that every src/ module is
 # reached from a program, so all of them get an ASan+UBSan pass below
-# for free — then the bench-smoke label (which includes the threads-1
-# vs threads-8 byte-identity gates for the waveform cache, the workload
-# scorecard, and the fig7 and fig13 CSVs), a bench-perf smoke of the
-# identification- and PHY-throughput microbenches plus bench_micro's
+# for free — then the bench-smoke label (a smoke run of every msbench
+# experiment, the driver's usage errors, and the determinism gate: the
+# waveform cache, the workload scorecard, and the fig7 and fig13 CSVs
+# byte-identical at threads 1 and 8), a bench-perf smoke of the
+# identification- and PHY-throughput experiments plus bench_micro's
 # calibration-search, identifier-score, front-end (FIR, rf_envelope),
 # overlay-sync and tag-frame-codec benchmarks and its telemetry-overhead
 # gate, then the same four suites under ASan+UBSan (-DMS_SANITIZE=ON,
 # which also bounds-checks the standard containers with
 # _GLIBCXX_ASSERTIONS; the integration label runs the threaded engine's
-# test_runner there), and finally the golden and property suites built
+# test_runner there), the threaded engine and the perfbench harness
+# under ThreadSanitizer, and finally the golden and property suites built
 # for x86-64-v3 (FMA/AVX2), where bit-exactness rests on
 # -ffp-contract=off.  Exits nonzero on the first failing step.
 set -euo pipefail
@@ -40,22 +42,23 @@ ctest --test-dir "${repo_root}/build" -L bench-smoke --output-on-failure -j"${jo
 
 echo "==> bench-perf smoke (Release only)"
 # Short passes through the identification- and PHY-throughput
-# microbenches: each runs its live fast-vs-reference bitwise equivalence
+# experiments: each runs its live fast-vs-reference bitwise equivalence
 # gate and exercises the metrics plumbing.  Timing numbers on CI
 # hardware are informational; the >=3x acceptance figures are measured
-# on a quiet machine.  Each bench also writes a ms.run.v1 manifest;
-# obs_report diff compares bench_ident_throughput's against the
-# committed BENCH_seed.json baseline — warn-only, because CI hardware
-# timing noise is not a regression, but a determinism break (exit 8 on
-# the deterministic section) or an incomparable manifest (exit 2) still
-# deserves a loud line in the log.
+# on a quiet machine.  Each run also writes a ms.run.v1 manifest;
+# obs_report diff compares ident_throughput's (program
+# bench_ident_throughput) against the committed BENCH_seed.json
+# baseline — warn-only, because CI hardware timing noise is not a
+# regression, but a determinism break (exit 8 on the deterministic
+# section) or an incomparable manifest (exit 2) still deserves a loud
+# line in the log.
 perf_dir="${repo_root}/build/bench-perf"
 mkdir -p "${perf_dir}"
-"${repo_root}/build/bench/bench_ident_throughput" --trials 1 \
+"${repo_root}/build/bench/msbench" ident_throughput --trials 1 \
     --out "${perf_dir}" --metrics-out "${perf_dir}/metrics.json" \
     --manifest-out "${perf_dir}/ident_manifest.json"
 "${repo_root}/build/tools/validate_metrics" "${perf_dir}/metrics.json"
-"${repo_root}/build/bench/bench_phy_throughput" --trials 2 \
+"${repo_root}/build/bench/msbench" phy_throughput --trials 2 \
     --out "${perf_dir}" --metrics-out "${perf_dir}/phy_metrics.json" \
     --manifest-out "${perf_dir}/phy_manifest.json"
 "${repo_root}/build/tools/validate_metrics" "${perf_dir}/phy_metrics.json"
@@ -89,6 +92,35 @@ export ASAN_OPTIONS="detect_leaks=1:strict_string_checks=1"
 export UBSAN_OPTIONS="print_stacktrace=1"
 run_suites "${repo_root}/build-asan"
 
+echo "=== ThreadSanitizer build ==="
+# What the trial engine's workers share, under TSan: the integration
+# label (the runner at several thread counts), test_sim, test_zigbee
+# (ZigbeePhy builds its candidate bank once, under std::call_once), and
+# one perfbench harness run, whose overlay_decode 2-thread pass shares
+# each OverlayReceiver between both workers.  perfbench/ is built from
+# its own CMake project, unchanged, with the same flags.  halt_on_error
+# makes the first report fail the step.
+tsan_flags=(-DCMAKE_BUILD_TYPE=RelWithDebInfo
+            -DCMAKE_CXX_FLAGS=-fsanitize=thread
+            -DCMAKE_EXE_LINKER_FLAGS=-fsanitize=thread)
+cmake -B "${repo_root}/build-tsan" -S "${repo_root}" "${tsan_flags[@]}"
+cmake --build "${repo_root}/build-tsan" -j"${jobs}" --target test_runner \
+    test_obs_determinism test_integration test_sim test_zigbee
+export TSAN_OPTIONS="halt_on_error=1"
+echo "==> ctest -L integration (build-tsan)"
+ctest --test-dir "${repo_root}/build-tsan" -L integration --output-on-failure -j"${jobs}"
+for suite in test_sim test_zigbee; do
+  echo "==> ${suite} (build-tsan)"
+  "${repo_root}/build-tsan/tests/${suite}" --gtest_brief=1
+done
+echo "==> perfbench overlay_decode (build-tsan-perfbench)"
+cmake -B "${repo_root}/build-tsan-perfbench" -S "${repo_root}/perfbench" \
+      "${tsan_flags[@]}"
+cmake --build "${repo_root}/build-tsan-perfbench" -j"${jobs}"
+"${repo_root}/build-tsan-perfbench/perfbench_harness" --workload overlay_decode \
+    --seed 0 --seconds 1 --trace 0 >/dev/null
+unset TSAN_OPTIONS
+
 echo "=== x86-64-v3 build ==="
 # The fast kernels and their scalar oracles must agree bit for bit on an
 # FMA target too: the golden fixtures, and the property label, which
@@ -101,4 +133,4 @@ for label in golden property; do
   ctest --test-dir "${repo_root}/build-v3" -L "${label}" --output-on-failure -j"${jobs}"
 done
 
-echo "CI: all suites green (Release + sanitizers + x86-64-v3)"
+echo "CI: all suites green (Release + sanitizers + TSan + x86-64-v3)"

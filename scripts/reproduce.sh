@@ -11,9 +11,9 @@ mkdir -p reproduction
 ctest --test-dir build 2>&1 | tee reproduction/test_output.txt
 
 : > reproduction/bench_output.txt
-for b in build/bench/bench_*; do
-  [ -x "$b" ] || continue
-  "$b" 2>&1 | tee -a reproduction/bench_output.txt
+# Every experiment msbench --help lists, one process each.
+for id in $(build/bench/msbench --help | awk 'on { print $1 } /^experiments/ { on = 1 }'); do
+  build/bench/msbench "$id" 2>&1 | tee -a reproduction/bench_output.txt
 done
 
 echo

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <cstdio>
 #include <cstring>
 
 #include "common/error.h"
@@ -94,6 +95,24 @@ void correlate_block(const Cf* x, std::size_t avail, std::span<const Cf> p,
     corr[j] = Cf(rs[j / 4][j % 4], ms[j / 4][j % 4]);
 }
 
+/// Thrown when a window's energy is not finite: names the first sample
+/// of `rx` with a NaN or infinite part, or whose float |x|² overflows.
+[[noreturn]] void throw_non_finite(std::span<const Cf> rx) {
+  for (std::size_t k = 0; k < rx.size(); ++k) {
+    const Cf v = rx[k];
+    if (std::isfinite(std::norm(v))) continue;
+    const bool finite = std::isfinite(v.real()) && std::isfinite(v.imag());
+    char what[160];
+    std::snprintf(what, sizeof what,
+                  "overlay sync: capture sample %zu of %zu, (%g, %g), %s", k,
+                  rx.size(), static_cast<double>(v.real()),
+                  static_cast<double>(v.imag()),
+                  finite ? "overflows float in |x|^2" : "is not finite");
+    throw Error(what);
+  }
+  throw Error("overlay sync: window energy is not finite");
+}
+
 }  // namespace
 
 OverlayReceiver::OverlayReceiver(Protocol protocol, OverlayParams params)
@@ -121,11 +140,13 @@ std::optional<SyncResult> OverlayReceiver::synchronize(
   // this O(N·L) multiplies but O(N) energy updates.
   double win_energy = 0.0;
   for (std::size_t i = 0; i < len; ++i) win_energy += std::norm(rx[i]);
-  // correlate_block has no __mulsc3 NaN recovery, and needs none: a
-  // non-finite sample, or one whose std::norm overflows, makes win_energy
-  // inf while it is in the window (metric 0 or NaN, never a win) and NaN
-  // for good once it leaves (the floor fails).  Every offset that can win
-  // has only finite samples, so no product is NaN (docs/PERF.md §7).
+  // A non-finite sample, or one whose float std::norm overflows, makes
+  // win_energy non-finite from the offset whose window first holds it,
+  // and that capture is an error naming the sample (docs/PERF.md §7).
+  // The test runs once per offset on the running energy, so finite
+  // captures take the same arithmetic as without it.  Every offset
+  // that is scored then has only finite samples, so no product in
+  // correlate_block is NaN and it needs no __mulsc3 NaN recovery.
   for (std::size_t block = 0; block < offsets; block += kBlock) {
     Cf corr[kBlock];
     correlate_block(rx.data() + block, rx.size() - block, preamble_, corr);
@@ -135,6 +156,7 @@ std::optional<SyncResult> OverlayReceiver::synchronize(
         win_energy += std::norm(rx[off + len - 1]);
         win_energy -= std::norm(rx[off - 1]);
       }
+      if (!std::isfinite(win_energy)) throw_non_finite(rx);
       if (win_energy > 1e-12) {
         const double metric = std::abs(corr[off - block]) /
                               std::sqrt(win_energy * preamble_energy_);

@@ -35,7 +35,8 @@ class OverlayReceiver {
   /// highest normalized correlation against the preamble, among windows
   /// whose energy passes a 1e-12 floor.  Returns nullopt when no such
   /// window correlates with the preamble at all, or when the peak is
-  /// below `min_metric`.
+  /// below `min_metric`.  Throws ms::Error naming the first sample
+  /// that is not finite or whose float |x|² overflows.
   std::optional<SyncResult> synchronize(std::span<const Cf> rx,
                                         double min_metric = 0.5) const;
 

@@ -17,18 +17,6 @@ Cf expj(double phi) {
   return Cf(static_cast<float>(std::cos(phi)), static_cast<float>(std::sin(phi)));
 }
 
-/// Average each chip's samples back into one complex chip value; `chips`
-/// holds the chip count.
-void collapse_chips(std::span<const Cf> iq, unsigned spc,
-                    std::span<Cf> chips) {
-  MS_CHECK(iq.size() >= chips.size() * spc);
-  for (std::size_t c = 0; c < chips.size(); ++c) {
-    Cf acc(0.0f, 0.0f);
-    for (unsigned s = 0; s < spc; ++s) acc += iq[c * spc + s];
-    chips[c] = acc / static_cast<float>(spc);
-  }
-}
-
 uint8_t rate_signal_byte(WifiBRate r) {
   switch (r) {
     case WifiBRate::Dbpsk1M: return 0x0a;
@@ -57,6 +45,16 @@ constexpr uint16_t kShortSfd = 0x05cf;  // time-reversed long SFD
 constexpr uint8_t kShortSeed = 0x1b;
 
 }  // namespace
+
+void collapse_chips(std::span<const Cf> iq, unsigned spc,
+                    std::span<Cf> chips) {
+  MS_CHECK(iq.size() >= chips.size() * spc);
+  for (std::size_t c = 0; c < chips.size(); ++c) {
+    Cf acc(0.0f, 0.0f);
+    for (unsigned s = 0; s < spc; ++s) acc += iq[c * spc + s];
+    chips[c] = acc / static_cast<float>(spc);
+  }
+}
 
 unsigned wifi_b_bits_per_symbol(WifiBRate rate) {
   switch (rate) {

@@ -96,4 +96,9 @@ class WifiBPhy {
   WifiBConfig cfg_;
 };
 
+/// Average each chip's `spc` samples back into one complex chip value;
+/// `chips` holds the chip count.  The first step of every 802.11b
+/// receive chain above.
+void collapse_chips(std::span<const Cf> iq, unsigned spc, std::span<Cf> chips);
+
 }  // namespace ms

@@ -53,8 +53,7 @@ std::optional<std::string> ensure_parent_dir(const std::string& file) {
 }  // namespace
 
 std::optional<std::string> parse_cli(int argc, const char* const* argv,
-                                     CliOptions& opts) {
-  bool have_positional = false;
+                                     CliOptions& opts, CliAccepts accepts) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     auto value = [&](const char* flag) -> std::optional<std::string> {
@@ -84,12 +83,18 @@ std::optional<std::string> parse_cli(int argc, const char* const* argv,
                          "a positive integer (omit the flag for all cores)");
       opts.threads = static_cast<std::size_t>(n);
     } else if (arg == "--trials") {
+      if (!accepts.trials)
+        return std::string(argv[0]) +
+               " does not take --trials: its trial counts are fixed";
       const auto v = value("--trials");
       std::uint64_t n = 0;
       if (!v || !parse_u64(*v, n) || n == 0)
         return bad_value("--trials", v, "a positive integer");
       opts.trials = static_cast<std::size_t>(n);
     } else if (arg == "--seed") {
+      if (!accepts.seed)
+        return std::string(argv[0]) +
+               " does not take --seed: its seeds are fixed";
       const auto v = value("--seed");
       std::uint64_t n = 0;
       if (!v || !parse_u64(*v, n))
@@ -119,10 +124,7 @@ std::optional<std::string> parse_cli(int argc, const char* const* argv,
     } else if (!arg.empty() && arg[0] == '-') {
       return "unknown flag: " + arg;
     } else {
-      // Legacy "bench OUTDIR" form.
-      if (have_positional) return "unexpected argument: " + arg;
-      have_positional = true;
-      opts.out_dir = arg;
+      return "unexpected argument: " + arg;
     }
   }
   return std::nullopt;
@@ -136,8 +138,10 @@ std::string cli_usage(const char* prog) {
       "       [--metrics-out FILE] [--trace-out FILE] [--waveform-cache on|off]\n"
       "       [--manifest-out FILE]\n"
       "  --threads N        trial-engine worker threads (default: all cores)\n"
-      "  --trials N         override the default trial count\n"
-      "  --seed S           override the default master seed\n"
+      "  --trials N         override the default trial count (experiments\n"
+      "                     with fixed trial counts reject it)\n"
+      "  --seed S           override the default master seed (experiments\n"
+      "                     with fixed seeds reject it)\n"
       "  --out DIR          dump CSVs into DIR (created if missing)\n"
       "  --metrics-out FILE write the aggregated metrics registry as JSON\n"
       "  --trace-out FILE   write structured trace events as JSONL; all\n"
@@ -156,9 +160,10 @@ std::string cli_usage(const char* prog) {
   return u;
 }
 
-CliOptions parse_cli_or_exit(int argc, const char* const* argv) {
+CliOptions parse_cli_or_exit(int argc, const char* const* argv,
+                             const std::string& program, CliAccepts accepts) {
   CliOptions opts;
-  auto err = parse_cli(argc, argv, opts);
+  auto err = parse_cli(argc, argv, opts, accepts);
   if (err) {
     std::fprintf(stderr, "error: %s\n%s", err->c_str(),
                  cli_usage(argv[0]).c_str());
@@ -184,7 +189,7 @@ CliOptions parse_cli_or_exit(int argc, const char* const* argv) {
   // The run identity covers only the knobs that change WHAT is computed
   // (obs/ledger.h).
   obs::ledger::RunInfo info;
-  info.program = std::filesystem::path(argv[0]).filename().string();
+  info.program = program;
   info.config_hash =
       obs::ledger::config_hash(info.program, opts.seed, opts.trials);
   info.seed = opts.seed;

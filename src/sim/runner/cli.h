@@ -1,10 +1,10 @@
-// Flag parsing shared by the experiment/bench CLIs.
+// Flag parsing for the msbench experiment driver (bench/msbench.cpp).
 //
-// Every ported bench accepts the same small vocabulary:
+// Every experiment accepts the same small vocabulary:
 //   --threads N       worker threads for the trial engine (0 = all cores)
-//   --trials N        override the bench's default trial count
+//   --trials N        override the experiment's default trial count
 //   --out DIR         dump CSVs into DIR (created if missing)
-//   --seed S          override the bench's master seed
+//   --seed S          override the experiment's master seed
 //   --metrics-out F   write the deterministic metrics registry to F (JSON)
 //   --trace-out F     write structured trace events to F (JSONL); enables
 //                     all trace subsystems unless MS_TRACE narrows them
@@ -17,10 +17,11 @@
 //                     section; git SHA, wall timings, profile totals in
 //                     a nondeterministic one) — see tools/obs_report
 //   --help            print usage and exit 0
-// plus, for backward compatibility with the original benches, a single
-// bare positional argument which is treated as --out.  Anything else is
-// an error: parse_cli reports it and parse_cli_or_exit prints the usage
-// message and exits nonzero instead of silently ignoring the flag.
+// An experiment with fixed trial counts or a fixed seed declines
+// --trials or --seed (CliAccepts).  Anything else — an unknown or
+// declined flag, a bad value, any positional argument — is an error:
+// parse_cli reports it and parse_cli_or_exit prints the usage message
+// and exits 2 instead of silently ignoring it.
 #pragma once
 
 #include <cstddef>
@@ -32,8 +33,8 @@ namespace ms {
 
 struct CliOptions {
   std::size_t threads = 0;    ///< 0 = ThreadPool::hardware_threads()
-  std::size_t trials = 0;     ///< 0 = use the bench's default
-  std::uint64_t seed = 0;     ///< 0 = use the bench's default
+  std::size_t trials = 0;     ///< 0 = use the experiment's default
+  std::uint64_t seed = 0;     ///< 0 = use the experiment's default
   std::string out_dir;        ///< empty = no CSV dump
   std::string metrics_out;    ///< empty = no metrics JSON dump
   std::string trace_out;      ///< empty = no trace JSONL dump
@@ -42,21 +43,34 @@ struct CliOptions {
   bool help = false;
 };
 
-/// Parse argv into opts.  Returns an error message on an unknown flag,
-/// a missing/invalid value, or a second positional; nullopt on success.
+/// Which of the two per-experiment flags the command takes.  A declined
+/// flag is an error that names the command, never a value it ignores.
+struct CliAccepts {
+  bool trials = true;
+  bool seed = true;
+};
+
+/// Parse argv[1 …] into opts; argv[0] names the command in errors.
+/// Returns an error message on an unknown or declined flag, a
+/// missing/invalid value, or a positional argument; nullopt on success.
 std::optional<std::string> parse_cli(int argc, const char* const* argv,
-                                     CliOptions& opts);
+                                     CliOptions& opts,
+                                     CliAccepts accepts = {});
 
 /// Usage text for the shared flag vocabulary.
 std::string cli_usage(const char* prog);
 
-/// parse_cli wrapper for bench main()s: on error prints the message and
-/// usage to stderr and exits 2; on --help prints usage and exits 0.
+/// parse_cli wrapper for the msbench driver: on error prints the message
+/// and usage to stderr and exits 2; on --help prints usage and exits 0.
 /// Creates --out (and the parent directories of --metrics-out /
-/// --trace-out) if missing, and arms tracing when --trace-out is given.
-CliOptions parse_cli_or_exit(int argc, const char* const* argv);
+/// --trace-out / --manifest-out) if missing, arms tracing when
+/// --trace-out is given, and records the run in the ledger as `program`
+/// with the flags as given.
+CliOptions parse_cli_or_exit(int argc, const char* const* argv,
+                             const std::string& program,
+                             CliAccepts accepts = {});
 
-/// Bench epilogue: dump the aggregated metrics registry / trace buffer /
+/// Run epilogue: dump the aggregated metrics registry / trace buffer /
 /// run manifest to the files requested on the command line (no-ops when
 /// the flags were absent) and print the per-stage profile table to
 /// stderr.  Reports and returns false on I/O failure instead of

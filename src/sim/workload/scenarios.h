@@ -3,7 +3,7 @@
 // Each scenario pairs a workload trace recipe (workload.h) with the
 // link-session configuration a tag would face it with, plus the
 // delivery-ratio floor the full degradation stack must hold — the
-// regression gate bench_robustness_workloads enforces.  The catalog is
+// regression gate `msbench robustness_workloads` enforces.  The catalog is
 // documented in docs/FAULTS.md; keep the two in sync.
 #pragma once
 

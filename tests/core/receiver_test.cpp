@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+
 #include "channel/awgn.h"
+#include "common/error.h"
 #include "common/rng.h"
 #include "common/units.h"
 #include "dsp/ops.h"
@@ -91,6 +95,30 @@ TEST(Receiver, SilentCaptureAtZeroThresholdReturnsNothing) {
   for (double min_metric : {0.0, -1.0}) {
     EXPECT_FALSE(rx.synchronize(silence, min_metric).has_value()) << min_metric;
     EXPECT_FALSE(rx.receive(silence, 4, min_metric).has_value()) << min_metric;
+  }
+}
+
+TEST(Receiver, NonFiniteSampleIsNamedNotSkipped) {
+  // One NaN at sample 100, well before a 20 dB packet at 500, used to
+  // poison the running window energy for the rest of the capture, so
+  // sync silently found nothing.  It is an error naming the sample.
+  for (Protocol p : kAllProtocols) {
+    Rng rng(40 + protocol_index(p));
+    const OverlayReceiver rx(p, mode_params(p, OverlayMode::Mode1));
+    PacketFixture f = make_capture(rx, 8, 500, 300, 20.0, rng);
+    const auto clean = rx.synchronize(f.capture);
+    ASSERT_TRUE(clean.has_value()) << protocol_name(p);
+    EXPECT_EQ(clean->preamble_start, 500u) << protocol_name(p);
+    f.capture[100] = Cf(std::numeric_limits<float>::quiet_NaN(), 0.0f);
+    try {
+      rx.synchronize(f.capture);
+      ADD_FAILURE() << protocol_name(p) << ": no error for a NaN sample";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("sample 100 of"),
+                std::string::npos)
+          << e.what();
+    }
+    EXPECT_THROW(rx.receive(f.capture, 8), Error) << protocol_name(p);
   }
 }
 

@@ -1,7 +1,8 @@
 // Differential suite for the 802.11b kernels: cck_demap's planar
 // codeword bank vs the per-symbol codeword rebuild, and the full
 // demodulate_air_bits chain (arena chip collapse + CCK correlation)
-// across every rate, against the oracles in oracles.h.
+// across every rate, its collapsed chips included, against the oracles
+// in oracles.h.
 #include "diff_harness.h"
 
 #include "oracles.h"
@@ -87,11 +88,23 @@ TEST(CckDiff, AirBitChainMatchesOracleAcrossRates) {
       Bits payload = rng.bits(n_sym * bps);
       const Iq clean = fast.modulate_payload(payload);
       const Iq iq = difftest::noisy(clean, rng, 2.0, 25.0);
+      const auto c =
+          difftest::ctx("rate=%u iter=%d", static_cast<unsigned>(rate), iter);
       difftest::expect_same_bits(
           fast.demodulate_air_bits(iq, payload.size()),
-          ref.demodulate_air_bits(iq, payload.size()),
-          "wifi_b air bits",
-          difftest::ctx("rate=%u iter=%d", static_cast<unsigned>(rate), iter));
+          ref.demodulate_air_bits(iq, payload.size()), "wifi_b air bits", c);
+      // The chips themselves: a collapse that drops one sample per chip
+      // still decides every hard bit right at these SNRs.
+      const std::size_t sps = fast.samples_per_symbol();
+      Iq chips(wifi_b_chips_per_symbol(rate));
+      for (std::size_t s = 0; s < n_sym; ++s) {
+        const auto sym = std::span<const Cf>(iq).subspan(s * sps, sps);
+        collapse_chips(sym, cfg.samples_per_chip, chips);
+        difftest::expect_same_samples(
+            chips,
+            oracle::collapse_chips(sym, cfg.samples_per_chip, chips.size()),
+            "wifi_b chips", c + difftest::ctx(" symbol=%zu", s));
+      }
     }
   }
 }

@@ -139,6 +139,17 @@ Bits cck_demap(std::span<const Cf> chips, bool rate11, Cf& rot) {
   return best_bits;
 }
 
+Iq collapse_chips(std::span<const Cf> sym_iq, unsigned spc, unsigned cps) {
+  // Average each chip's samples back into one complex chip value.
+  Iq chips(cps);
+  for (std::size_t c = 0; c < cps; ++c) {
+    Cf acc(0.0f, 0.0f);
+    for (unsigned k = 0; k < spc; ++k) acc += sym_iq[c * spc + k];
+    chips[c] = acc / static_cast<float>(spc);
+  }
+  return chips;
+}
+
 WifiB::WifiB(WifiBConfig cfg) : cfg_(cfg) {}
 
 Bits WifiB::demodulate_air_bits(std::span<const Cf> iq, std::size_t n_bits,
@@ -155,14 +166,7 @@ Bits WifiB::demodulate_air_bits(std::span<const Cf> iq, std::size_t n_bits,
   out.reserve(n_bits);
   Cf prev = init_ref;
   for (std::size_t s = 0; s < n_sym; ++s) {
-    // Average each chip's samples back into one complex chip value.
-    const auto sym_iq = iq.subspan(s * sps, sps);
-    Iq chips(cps);
-    for (std::size_t c = 0; c < cps; ++c) {
-      Cf acc(0.0f, 0.0f);
-      for (unsigned k = 0; k < spc; ++k) acc += sym_iq[c * spc + k];
-      chips[c] = acc / static_cast<float>(spc);
-    }
+    const Iq chips = collapse_chips(iq.subspan(s * sps, sps), spc, cps);
     switch (cfg_.rate) {
       case WifiBRate::Dbpsk1M: {
         const Cf sym = barker_despread(chips);

@@ -1,7 +1,7 @@
 // Scalar oracles for the production PHY kernels and the packed 1-bit
 // identification scorer.  Test-only: the ms_test_oracles library links
-// into test_differential, test_property, bench_phy_throughput and
-// bench_ident_throughput, never into src/.
+// into test_differential, test_property and msbench (for its
+// phy_throughput and ident_throughput experiments), never into src/.
 //
 // Each kernel in src/dsp/kernels/, and the packed scorer in
 // core/ident/templates.h, replaced a scalar loop that production no
@@ -61,6 +61,10 @@ class Zigbee {
 /// 802.11b CCK: rebuild every codeword's chips from cos/sin and
 /// correlate them one at a time.
 Bits cck_demap(std::span<const Cf> chips, bool rate11, Cf& rot);
+
+/// 802.11b: one symbol's `cps` chips, each the average of its `spc`
+/// samples, in a fresh vector.
+Iq collapse_chips(std::span<const Cf> sym_iq, unsigned spc, unsigned cps);
 
 /// 802.11b: the allocating per-symbol chip collapse feeding Barker
 /// despreading or the cck_demap oracle.

@@ -2,9 +2,10 @@
 // correlates 16 neighbouring offsets at a time in vector registers.  Its
 // SyncResult must be exactly the scalar loop's, bit for bit, on every
 // input: every block remainder, workload-shaped captures, silent
-// stretches under the energy floor, non-finite samples anywhere,
-// near-tied peaks and every threshold.  That scalar loop lives on here,
-// verbatim, as the oracle.
+// stretches under the energy floor, near-tied peaks and every
+// threshold; and both must reject a capture with a non-finite sample
+// anywhere.  That scalar loop lives on here, verbatim plus the same
+// finiteness test, as the oracle.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -15,6 +16,7 @@
 #include <vector>
 
 #include "channel/awgn.h"
+#include "common/error.h"
 #include "common/rng.h"
 #include "common/units.h"
 #include "core/ident/templates.h"
@@ -28,7 +30,8 @@ namespace {
 namespace oracle {
 
 /// OverlayReceiver::synchronize before the blocked kernel, plus the
-/// `found` guard: a capture where no offset wins finds no packet.
+/// `found` guard (a capture where no offset wins finds no packet) and
+/// the finiteness test on the running energy.
 std::optional<SyncResult> synchronize(std::span<const Cf> preamble_,
                                       double preamble_energy_,
                                       std::span<const Cf> rx,
@@ -46,6 +49,8 @@ std::optional<SyncResult> synchronize(std::span<const Cf> preamble_,
       win_energy += std::norm(rx[off + preamble_.size() - 1]);
       win_energy -= std::norm(rx[off - 1]);
     }
+    if (!std::isfinite(win_energy))
+      throw Error("oracle sync: window energy is not finite");
     if (win_energy > 1e-12) {
       Cf corr(0.0f, 0.0f);
       for (std::size_t i = 0; i < preamble_.size(); ++i)
@@ -90,26 +95,51 @@ std::vector<Chain> all_chains() {
   return out;
 }
 
-std::string describe(const std::optional<SyncResult>& s) {
-  if (!s) return "nullopt";
+/// What one synchronize call gave: a result, or the ms::Error it threw.
+struct Outcome {
+  std::optional<SyncResult> sync;
+  std::optional<std::string> error;
+};
+
+template <typename Sync>
+Outcome outcome(Sync sync) {
+  try {
+    return {sync(), std::nullopt};
+  } catch (const Error& e) {
+    return {std::nullopt, e.what()};
+  }
+}
+
+std::string describe(const Outcome& o) {
+  if (o.error) return "threw '" + *o.error + "'";
+  if (!o.sync) return "nullopt";
   char buf[96];
-  std::snprintf(buf, sizeof(buf), "{%zu, %zu, %a}", s->preamble_start,
-                s->payload_start, s->metric);
+  std::snprintf(buf, sizeof(buf), "{%zu, %zu, %a}", o.sync->preamble_start,
+                o.sync->payload_start, o.sync->metric);
   return buf;
 }
 
-/// Compares the production sync with the oracle at every threshold.
-/// Returns false after the first divergence, so a sweep stops there.
+/// Compares the production sync with the oracle at every threshold:
+/// both throw, or both return the same result.  Returns false after the
+/// first divergence, so a sweep stops there.
 bool same_sync(const Chain& c, std::span<const Cf> rx, const std::string& ctx,
                std::span<const double> thresholds = kThresholds) {
   for (double min_metric : thresholds) {
-    const auto fast = c.rx.synchronize(rx, min_metric);
-    const auto ref = oracle::synchronize(c.preamble, c.energy, rx, min_metric);
+    const Outcome fast_out =
+        outcome([&] { return c.rx.synchronize(rx, min_metric); });
+    const Outcome ref_out = outcome([&] {
+      return oracle::synchronize(c.preamble, c.energy, rx, min_metric);
+    });
     const std::string where = std::string(protocol_name(c.protocol)) +
                               ", n=" + std::to_string(rx.size()) +
                               ", min_metric=" + std::to_string(min_metric) +
-                              ", " + ctx + ": fast " + describe(fast) +
-                              " ref " + describe(ref);
+                              ", " + ctx + ": fast " + describe(fast_out) +
+                              " ref " + describe(ref_out);
+    EXPECT_EQ(fast_out.error.has_value(), ref_out.error.has_value()) << where;
+    if (fast_out.error.has_value() != ref_out.error.has_value()) return false;
+    if (fast_out.error) continue;
+    const auto& fast = fast_out.sync;
+    const auto& ref = ref_out.sync;
     EXPECT_EQ(fast.has_value(), ref.has_value()) << where;
     if (fast.has_value() != ref.has_value()) return false;
     if (!fast) continue;
@@ -233,6 +263,14 @@ TEST(SyncDiff, NonFiniteAndSignedZeroSamples) {
                         static_cast<double>(poison.real()),
                         static_cast<double>(poison.imag()), k, at);
           ASSERT_TRUE(same_sync(c, x, ctx));
+          // A sample that is not finite, or whose float |x|² overflows,
+          // makes both sides throw; production names it.
+          if (std::isfinite(std::norm(poison))) continue;
+          const Outcome fast = outcome([&] { return c.rx.synchronize(x); });
+          ASSERT_TRUE(fast.error.has_value()) << ctx;
+          EXPECT_NE(fast.error->find("sample " + std::to_string(k) + " of"),
+                    std::string::npos)
+              << ctx << ": " << *fast.error;
         }
       }
     }

@@ -123,7 +123,8 @@ TEST(Ledger, ConfigHashSeparatesEveryField) {
 }
 
 TEST(Ledger, ConfigHashMatchesCommittedBaselines) {
-  // The run identity recorded in BENCH_seed.json.  obs_report diff
+  // The run identity recorded in BENCH_seed.json (msbench names the
+  // ident_throughput run bench_ident_throughput).  obs_report diff
   // refuses to compare manifests whose config_hash differs, so a change
   // here breaks the baseline.
   EXPECT_EQ(config_hash("bench_ident_throughput", 0, 1),

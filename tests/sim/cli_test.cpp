@@ -41,13 +41,6 @@ TEST(Cli, ParsesFullVocabulary) {
   EXPECT_EQ(o.out_dir, "/tmp/results");
 }
 
-TEST(Cli, BarePositionalIsOutDir) {
-  // Legacy form used by reproduce.sh: `bench OUTDIR`.
-  CliOptions o;
-  EXPECT_FALSE(parse({"results"}, o).has_value());
-  EXPECT_EQ(o.out_dir, "results");
-}
-
 TEST(Cli, RejectsUnknownFlag) {
   CliOptions o;
   const auto err = parse({"--bogus"}, o);
@@ -109,9 +102,38 @@ TEST(Cli, MissingValueNamesFlag) {
   EXPECT_NE(err->find("--trials"), std::string::npos) << *err;
 }
 
-TEST(Cli, RejectsSecondPositional) {
+TEST(Cli, RejectsAnyPositional) {
+  // The experiment id is msbench's only positional; the flags after it
+  // take none (a bare OUTDIR no longer means --out).
+  for (const std::vector<const char*>& args :
+       {std::vector<const char*>{"outdir"},
+        std::vector<const char*>{"--threads", "2", "outdir"}}) {
+    CliOptions o;
+    const auto err = parse(args, o);
+    ASSERT_TRUE(err.has_value());
+    EXPECT_EQ(*err, "unexpected argument: outdir");
+    EXPECT_TRUE(o.out_dir.empty());
+  }
+}
+
+TEST(Cli, DeclinedFlagsNameTheCommand) {
+  // An experiment with fixed trial counts or seeds rejects the flag it
+  // would ignore, even at a value that means "the default".
+  const char* trials[] = {"msbench fig13_los", "--trials", "2"};
+  const char* seed[] = {"msbench fig13_los", "--seed", "0"};
   CliOptions o;
-  EXPECT_TRUE(parse({"outdir", "extra"}, o).has_value());
+  auto err = parse_cli(3, trials, o, {.trials = false, .seed = true});
+  ASSERT_TRUE(err.has_value());
+  EXPECT_EQ(*err, "msbench fig13_los does not take --trials: its trial "
+                  "counts are fixed");
+  EXPECT_FALSE(parse_cli(3, seed, o, {.trials = false, .seed = true})
+                   .has_value());
+  err = parse_cli(3, seed, o, {.trials = true, .seed = false});
+  ASSERT_TRUE(err.has_value());
+  EXPECT_EQ(*err, "msbench fig13_los does not take --seed: its seeds are "
+                  "fixed");
+  EXPECT_FALSE(parse_cli(3, trials, o, {.trials = true, .seed = false})
+                   .has_value());
 }
 
 TEST(Cli, HelpFlag) {
@@ -230,7 +252,7 @@ TEST(Cli, OrExitCreatesMissingOutDirectories) {
   const char* argv[] = {"bench",          "--out",
                         out.c_str(),      "--metrics-out",
                         metrics.c_str()};
-  const CliOptions o = parse_cli_or_exit(5, argv);
+  const CliOptions o = parse_cli_or_exit(5, argv, "bench_x");
   EXPECT_EQ(o.out_dir, out);
   EXPECT_TRUE(std::filesystem::is_directory(out));
   EXPECT_TRUE(std::filesystem::is_directory(base + "/telemetry"));

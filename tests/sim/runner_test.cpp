@@ -211,7 +211,7 @@ IdentTrialConfig small_ident_config(std::uint64_t seed) {
 }
 
 std::string confusion_csv_bytes(const IdentResult& r, const std::string& tag) {
-  // Serialize exactly like bench_fig7_ordered does, then read the bytes
+  // Serialize exactly like msbench fig7_ordered does, then read the bytes
   // back, so "byte-identical CSV" is tested end to end.
   const std::string path = ::testing::TempDir() + "runner_confusion_" + tag +
                            ".csv";
