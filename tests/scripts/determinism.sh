@@ -3,24 +3,26 @@
 # count or on the waveform cache.  Every trial draws from
 # Rng::fork(point, trial) streams and merges row-major, and cached
 # waveforms are bit-identical to fresh synthesis, so each compared file
-# must be byte-identical across runs:
-#   1. fig7_ordered at {--threads 1, 8} × {--waveform-cache on, off}:
-#      the metrics JSON (whose runner.waveform_cache_* counters pin the
-#      hit/miss accounting) and both confusion CSVs;
-#   2. fig7_ordered's ms.run.v1 manifests at 1 and 8 threads: `obs_report
-#      det` renders the deterministic sections equal, the full manifests
-#      differ (the thread count is recorded), and `obs_report diff` exits
-#      0 or 4, never 8;
-#   3. fig13_los at --threads 1 and 8: every CSV;
-#   4. robustness_workloads at --threads 1 and 8: the scorecard CSV, the
-#      metrics JSON and stdout.
+# must be byte-identical across runs.  One section per invocation:
+#   cache     fig7_ordered at {--threads 1, 8} × {--waveform-cache on,
+#             off}: the metrics JSON (whose runner.waveform_cache_*
+#             counters pin the hit/miss accounting) and both confusion
+#             CSVs;
+#   manifest  fig7_ordered's ms.run.v1 manifests at 1 and 8 threads:
+#             `obs_report det` renders the deterministic sections equal,
+#             the full manifests differ (the thread count is recorded),
+#             and `obs_report diff` exits 0 or 4, never 8;
+#   threads   fig7_ordered and fig13_los at --threads 1 and 8: every CSV;
+#   workloads robustness_workloads at --threads 1 and 8: the scorecard
+#             CSV, the metrics JSON and stdout.
 #
-# usage: determinism.sh <msbench> <obs_report> <workdir>
+# usage: determinism.sh <section> <msbench> <obs_report> <workdir>
 set -euo pipefail
 
-msbench="$1"
-report="$2"
-workdir="$3"
+section="$1"
+msbench="$2"
+report="$3"
+workdir="$4"
 
 rm -rf "$workdir"
 mkdir -p "$workdir"
@@ -49,60 +51,87 @@ same() {
   done
 }
 
-for threads in 1 8; do
-  for cache in on off; do
-    run "fig7_t${threads}_${cache}" fig7_ordered --trials 2 --seed 7 \
-      --threads "$threads" --waveform-cache "$cache"
+# same_csvs A B: run A wrote at least one CSV, and B wrote each the same.
+same_csvs() {
+  local csvs
+  csvs=$(cd "$workdir/$1" && ls ./*.csv)
+  [ -n "$csvs" ] || { echo "FAIL: no CSVs in $1" >&2; exit 1; }
+  for f in $csvs; do
+    same "$f" "$1" "$2"
   done
-  run "fig13_t${threads}" fig13_los --threads "$threads"
-  run "workloads_t${threads}" robustness_workloads --trials 3 --seed 11 \
-    --threads "$threads"
-done
+}
 
-for f in metrics.json fig7_blind_confusion.csv fig7_ordered_confusion.csv; do
-  same "$f" fig7_t1_on fig7_t8_on fig7_t1_off fig7_t8_off
-done
-echo "fig7: metrics + confusion byte-identical across threads 1/8 x cache on/off"
+check_cache() {
+  for threads in 1 8; do
+    for cache in on off; do
+      run "fig7_t${threads}_${cache}" fig7_ordered --trials 2 --seed 7 \
+        --threads "$threads" --waveform-cache "$cache"
+    done
+  done
+  for f in metrics.json fig7_blind_confusion.csv fig7_ordered_confusion.csv; do
+    same "$f" fig7_t1_on fig7_t8_on fig7_t1_off fig7_t8_off
+  done
+  echo "fig7: metrics + confusion byte-identical across threads 1/8 x cache on/off"
+}
 
-"$report" det "$workdir/fig7_t1_on/manifest.json" >"$workdir/t1.det"
-"$report" det "$workdir/fig7_t8_on/manifest.json" >"$workdir/t8.det"
-if ! cmp -s "$workdir/t1.det" "$workdir/t8.det"; then
-  echo "FAIL: deterministic manifest section differs across thread counts" >&2
-  diff "$workdir/t1.det" "$workdir/t8.det" >&2 || true
-  exit 1
-fi
-# The thread count lives in the nondeterministic section, so it must
-# actually differ between the two manifests — otherwise this gate is
-# comparing a run against itself.
-if cmp -s "$workdir/fig7_t1_on/manifest.json" \
-    "$workdir/fig7_t8_on/manifest.json"; then
-  echo "FAIL: full manifests are identical; --threads was not recorded" >&2
-  exit 1
-fi
-rc=0
-"$report" diff "$workdir/fig7_t1_on/manifest.json" \
-  "$workdir/fig7_t8_on/manifest.json" --tolerance 1000 \
-  >"$workdir/diff.txt" 2>&1 || rc=$?
-case "$rc" in
-  0|4) ;;
-  *)
-    echo "FAIL: obs_report diff exited $rc (want 0 or 4)" >&2
-    cat "$workdir/diff.txt" >&2
+check_manifest() {
+  run fig7_t1 fig7_ordered --trials 2 --seed 7 --threads 1
+  run fig7_t8 fig7_ordered --trials 2 --seed 7 --threads 8
+  "$report" det "$workdir/fig7_t1/manifest.json" >"$workdir/t1.det"
+  "$report" det "$workdir/fig7_t8/manifest.json" >"$workdir/t8.det"
+  if ! cmp -s "$workdir/t1.det" "$workdir/t8.det"; then
+    echo "FAIL: deterministic manifest section differs across thread counts" >&2
+    diff "$workdir/t1.det" "$workdir/t8.det" >&2 || true
     exit 1
+  fi
+  # The thread count lives in the nondeterministic section, so it must
+  # actually differ between the two manifests — otherwise this gate is
+  # comparing a run against itself.
+  if cmp -s "$workdir/fig7_t1/manifest.json" "$workdir/fig7_t8/manifest.json"; then
+    echo "FAIL: full manifests are identical; --threads was not recorded" >&2
+    exit 1
+  fi
+  local rc=0
+  "$report" diff "$workdir/fig7_t1/manifest.json" \
+    "$workdir/fig7_t8/manifest.json" --tolerance 1000 \
+    >"$workdir/diff.txt" 2>&1 || rc=$?
+  case "$rc" in
+    0|4) ;;
+    *)
+      echo "FAIL: obs_report diff exited $rc (want 0 or 4)" >&2
+      cat "$workdir/diff.txt" >&2
+      exit 1
+      ;;
+  esac
+  echo "fig7: deterministic manifest section byte-identical at 1 and 8 threads"
+}
+
+check_threads() {
+  for threads in 1 8; do
+    run "fig7_t${threads}" fig7_ordered --trials 2 --seed 7 --threads "$threads"
+    run "fig13_t${threads}" fig13_los --threads "$threads"
+  done
+  same_csvs fig7_t1 fig7_t8
+  same_csvs fig13_t1 fig13_t8
+  echo "fig7, fig13: CSVs byte-identical across threads 1/8"
+}
+
+check_workloads() {
+  for threads in 1 8; do
+    run "workloads_t${threads}" robustness_workloads --trials 3 --seed 11 \
+      --threads "$threads"
+  done
+  for f in workloads_scorecard.csv metrics.json stdout.txt; do
+    same "$f" workloads_t1 workloads_t8
+  done
+  echo "robustness_workloads: scorecard + metrics + stdout byte-identical across threads 1/8"
+}
+
+case "$section" in
+  cache|manifest|threads|workloads) "check_$section" ;;
+  *)
+    echo "usage: determinism.sh {cache|manifest|threads|workloads}" \
+      "<msbench> <obs_report> <workdir>" >&2
+    exit 2
     ;;
 esac
-echo "fig7: deterministic manifest section byte-identical at 1 and 8 threads"
-
-csvs=$(cd "$workdir/fig13_t1" && ls ./*.csv)
-[ -n "$csvs" ] || { echo "FAIL: no CSVs from fig13_los" >&2; exit 1; }
-for f in $csvs; do
-  same "$f" fig13_t1 fig13_t8
-done
-echo "fig13: CSVs byte-identical across threads 1/8"
-
-for f in workloads_scorecard.csv metrics.json stdout.txt; do
-  same "$f" workloads_t1 workloads_t8
-done
-echo "robustness_workloads: scorecard + metrics + stdout byte-identical across threads 1/8"
-
-echo "determinism: all outputs invariant to thread count and waveform cache"
