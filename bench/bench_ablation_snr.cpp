@@ -10,7 +10,7 @@
 
 using namespace ms;
 
-int ms::bench::ablation_snr(const CliOptions&) {
+int ms::bench::ablation_snr(const CliOptions& opt) {
   bench::title("Ablation: operating SNR",
                "avg blind accuracy vs RF SNR at the tag");
   std::printf("%-10s %16s %16s\n", "SNR (dB)", "20M fullprec",
@@ -22,12 +22,14 @@ int ms::bench::ablation_snr(const CliOptions&) {
     full.ident.templates.preprocess_len = 40;
     full.ident.templates.match_len = 120;
     full.rf_snr_db = snr;
+    full.threads = opt.threads;
     IdentTrialConfig low;
     low.ident.templates.adc_rate_hz = 2.5e6;
     low.ident.templates.preprocess_len = 20;
     low.ident.templates.match_len = 80;
     low.ident.compute = ComputeMode::OneBit;
     low.rf_snr_db = snr;
+    low.threads = opt.threads;
     std::printf("%-10.0f %16.3f %16.3f\n", snr,
                 run_ident_experiment(full, 80).average_accuracy(),
                 run_ident_experiment(low, 80).average_accuracy());

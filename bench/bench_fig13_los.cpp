@@ -1,7 +1,6 @@
 // Fig 13: LoS deployment — backscatter RSSI, BER, and aggregate
 // throughput across tag→receiver distances, and the maximal ranges.
-// --out DIR dumps the series as CSV (one file per protocol); --threads N
-// sets the trial-engine worker count.
+// --out DIR dumps the series as CSV (one file per protocol).
 #include <cstdio>
 
 #include "bench_util.h"
@@ -30,8 +29,7 @@ void dump_csv(const std::string& dir, Protocol p,
 
 int ms::bench::fig13_los(const CliOptions& opt) {
   bench::title("Fig 13", "LoS: RSSI / BER / throughput vs distance");
-  RangeSweepConfig cfg = los_sweep_config();
-  cfg.threads = opt.threads;
+  const RangeSweepConfig cfg = los_sweep_config();
   for (Protocol p : kAllProtocols) {
     if (!opt.out_dir.empty()) dump_csv(opt.out_dir, p, range_sweep(p, cfg));
     std::printf("\n  -- %s --\n", std::string(protocol_name(p)).c_str());

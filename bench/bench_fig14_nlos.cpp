@@ -1,7 +1,6 @@
 // Fig 14: NLoS deployment (transmitter and tag in the office, receiver in
 // the hallway behind drywall) — RSSI / BER / throughput vs distance.
-// --out DIR dumps the series as CSV; --threads N sets the trial-engine
-// worker count.
+// --out DIR dumps the series as CSV.
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -32,8 +31,7 @@ void dump_csv(const std::string& dir, Protocol p,
 
 int ms::bench::fig14_nlos(const CliOptions& opt) {
   bench::title("Fig 14", "NLoS: RSSI / BER / throughput vs distance");
-  RangeSweepConfig cfg = nlos_sweep_config();
-  cfg.threads = opt.threads;
+  const RangeSweepConfig cfg = nlos_sweep_config();
   for (Protocol p : kAllProtocols) {
     if (!opt.out_dir.empty()) dump_csv(opt.out_dir, p, range_sweep(p, cfg));
     std::printf("\n  -- %s --\n", std::string(protocol_name(p)).c_str());
@@ -47,8 +45,7 @@ int ms::bench::fig14_nlos(const CliOptions& opt) {
   }
   bench::rule();
   std::printf("  maximal NLoS ranges (LoS for comparison):\n");
-  RangeSweepConfig los = los_sweep_config();
-  los.threads = opt.threads;
+  const RangeSweepConfig los = los_sweep_config();
   for (Protocol p : kAllProtocols)
     std::printf("    %-10s %5.1f m   (LoS %5.1f m)\n",
                 std::string(protocol_name(p)).c_str(), max_range_m(p, cfg),

@@ -1,7 +1,6 @@
 // Fig 15: tag-data throughput when a drywall occludes the original
 // channel — multiscatter's single-receiver decode vs the two-receiver
-// Hitchhike and FreeRider baselines.  --threads N sets the trial-engine
-// worker count; --out DIR dumps the rows as CSV.
+// Hitchhike and FreeRider baselines.  --out DIR dumps the rows as CSV.
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -15,9 +14,7 @@ using namespace ms;
 
 int ms::bench::fig15_occlusion(const CliOptions& opt) {
   bench::title("Fig 15", "tag throughput with the original channel drywalled");
-  OcclusionScenario sc;
-  sc.threads = opt.threads;
-  const auto rows = occlusion_throughput(sc);
+  const auto rows = occlusion_throughput(OcclusionScenario{});
   if (!opt.out_dir.empty()) {
     CsvColumn idx{"system_index", {}}, kbps{"tag_kbps", {}};
     for (std::size_t i = 0; i < rows.size(); ++i) {

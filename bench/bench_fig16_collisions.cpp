@@ -4,9 +4,8 @@
 //         notices.
 //   (c/d) 802.11n + ZigBee on adjacent frequencies without time overlap:
 //         ordered matching separates the packets; neither flow suffers.
-// --threads N sets the trial-engine worker count; --out DIR additionally
-// dumps each scenario's distance sweep (1..10 m) as CSV.
-#include <array>
+// --out DIR additionally dumps each scenario's distance sweep (1..10 m)
+// as CSV.
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -21,11 +20,11 @@ using namespace ms;
 namespace {
 
 void dump_sweep(const std::string& dir, const char* file,
-                const CollisionSetup& setup, const RunnerConfig& rc) {
+                const CollisionSetup& setup) {
   const BackscatterLink link;
   std::vector<double> distances;
   for (double d = 1.0; d <= 10.0; d += 1.0) distances.push_back(d);
-  const auto sweep = run_collision_sweep(setup, link, distances, rc);
+  const auto sweep = run_collision_sweep(setup, link, distances);
   CsvColumn d{"distance_m", {}}, as{"a_solo_kbps", {}},
       ac{"a_collided_kbps", {}}, bs{"b_solo_kbps", {}},
       bc{"b_collided_kbps", {}};
@@ -40,12 +39,9 @@ void dump_sweep(const std::string& dir, const char* file,
   save_csv(dir + "/" + file, cols);
 }
 
-void report(const char* id, const char* what, const CollisionSetup& setup,
-            const RunnerConfig& rc) {
+void report(const char* id, const char* what, const CollisionSetup& setup) {
   bench::title(id, what);
-  const BackscatterLink link;
-  const std::array<double, 1> at = {4.0};
-  const CollisionResult r = run_collision_sweep(setup, link, at, rc)[0];
+  const CollisionResult r = run_collision(setup, BackscatterLink{}, 4.0);
   std::printf("%-10s %14s %14s %10s\n", "flow", "solo (kbps)",
               "collided (kbps)", "loss");
   bench::rule();
@@ -61,21 +57,19 @@ void report(const char* id, const char* what, const CollisionSetup& setup,
 }  // namespace
 
 int ms::bench::fig16_collisions(const CliOptions& opt) {
-  const RunnerConfig rc{opt.threads, opt.seed ? opt.seed : 1};
-
   report("Fig 16a/b", "time-domain collision: 802.11n + BLE",
-         fig16_time_collision(), rc);
+         fig16_time_collision());
   bench::note("paper: BLE drops 278 -> 92 kbps; 802.11n barely changes");
 
   report("Fig 16c/d", "frequency-domain collision: 802.11n + ZigBee",
-         fig16_frequency_collision(), rc);
+         fig16_frequency_collision());
   bench::note("paper: neither ZigBee nor 802.11n throughput is much affected");
 
   if (!opt.out_dir.empty()) {
     dump_sweep(opt.out_dir, "fig16_time_collision.csv",
-               fig16_time_collision(), rc);
+               fig16_time_collision());
     dump_sweep(opt.out_dir, "fig16_frequency_collision.csv",
-               fig16_frequency_collision(), rc);
+               fig16_frequency_collision());
   }
   return 0;
 }

@@ -4,8 +4,8 @@
 //       single-protocol tag idles half the time.
 //   (b) Intelligent carrier pick: abundant 802.11n vs spotty 802.11b with
 //       a 6.3 kbps smart-bracelet goodput goal.
-// --threads N sets the trial-engine worker count; --seed S overrides the
-// default; --out DIR dumps the Fig 18a timeline as CSV.
+// --seed S overrides the default; --out DIR dumps the Fig 18a timeline
+// as CSV.
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -22,7 +22,7 @@ int ms::bench::fig18_diversity(const CliOptions& opt) {
 
   bench::title("Fig 18a", "uninterrupted backscatter over alternating carriers");
   const DiversityResult r = run_discontinuous_excitations(
-      link, 4.0, 60.0, 0.5, opt.seed ? opt.seed : 7, opt.threads);
+      link, 4.0, 60.0, 0.5, opt.seed ? opt.seed : 7);
   if (!opt.out_dir.empty()) {
     CsvColumn t{"t_s", {}}, multi{"multiscatter_kbps", {}},
         single{"single_protocol_kbps", {}};

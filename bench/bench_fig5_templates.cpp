@@ -12,7 +12,7 @@
 
 using namespace ms;
 
-int ms::bench::fig5_templates(const CliOptions&) {
+int ms::bench::fig5_templates(const CliOptions& opt) {
   bench::title("Fig 5a", "envelope shape statistics of the four preambles");
   std::printf("%-10s %10s %12s %14s\n", "protocol", "mean (V)", "stddev (V)",
               "peak/mean");
@@ -41,6 +41,7 @@ int ms::bench::fig5_templates(const CliOptions&) {
       cfg.ident.templates.adc_rate_hz = 20e6;
       cfg.ident.templates.preprocess_len = lp;
       cfg.ident.templates.match_len = lt;
+      cfg.threads = opt.threads;
       const IdentResult r = run_ident_experiment(cfg, 120);
       double min_acc = 1.0;
       for (Protocol p : kAllProtocols) min_acc = std::min(min_acc, r.accuracy(p));

@@ -10,13 +10,14 @@
 
 using namespace ms;
 
-int ms::bench::fig6_ordering(const CliOptions&) {
+int ms::bench::fig6_ordering(const CliOptions& opt) {
   bench::title("Fig 6", "ordered matching: per-stage resolution statistics");
   IdentTrialConfig cfg;
   cfg.ident.templates.adc_rate_hz = 10e6;
   cfg.ident.templates.preprocess_len = 20;
   cfg.ident.templates.match_len = 60;
   cfg.ident.compute = ComputeMode::OneBit;
+  cfg.threads = opt.threads;
 
   const OrderedCalibration cal = calibrate_ordered_matching(cfg, 60);
   cfg.ident.decision = DecisionMode::Ordered;

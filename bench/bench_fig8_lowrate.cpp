@@ -28,23 +28,25 @@ void report(const char* id, const char* what, IdentTrialConfig cfg,
   std::printf("%-10s %10.3f   (%s)\n", "average", r.average_accuracy(), paper);
 }
 
-IdentTrialConfig make(double adc, std::size_t lp, std::size_t lt) {
+IdentTrialConfig make(double adc, std::size_t lp, std::size_t lt,
+                      std::size_t threads) {
   IdentTrialConfig cfg;
   cfg.ident.templates.adc_rate_hz = adc;
   cfg.ident.templates.preprocess_len = lp;
   cfg.ident.templates.match_len = lt;
   cfg.ident.compute = ComputeMode::OneBit;
+  cfg.threads = threads;
   return cfg;
 }
 
 }  // namespace
 
-int ms::bench::fig8_lowrate(const CliOptions&) {
-  report("Fig 8a", "2.5 Msps, minimal 8 us window", make(2.5e6, 5, 15),
+int ms::bench::fig8_lowrate(const CliOptions& opt) {
+  report("Fig 8a", "2.5 Msps, minimal 8 us window", make(2.5e6, 5, 15, opt.threads),
          "paper: 0.485");
-  report("Fig 8b", "2.5 Msps, extended 40 us window", make(2.5e6, 20, 80),
+  report("Fig 8b", "2.5 Msps, extended 40 us window", make(2.5e6, 20, 80, opt.threads),
          "paper: 0.93; per-protocol 94.3/95.9/81.8/99.9");
-  report("Fig 8c", "1 Msps, minimal window", make(1e6, 2, 6),
+  report("Fig 8c", "1 Msps, minimal window", make(1e6, 2, 6, opt.threads),
          "paper: ~0.5");
   bench::rule();
   bench::note("shape: extension rescues 2.5 Msps; the minimal window and"

@@ -44,7 +44,8 @@ LinkSessionReport run_variant(LinkSessionConfig cfg, bool arq, bool adapt) {
   cfg.adaptation_enabled = arq && adapt;
   Rng rng(kSeed);
   LinkSession session(cfg);
-  return session.run(kReadings, kMaxSlots, rng);
+  return session.run_trace(kReadings,
+                           std::vector<SlotConditions>(kMaxSlots), rng);
 }
 
 struct SweepRow {

@@ -13,7 +13,8 @@ using namespace ms;
 
 namespace {
 
-double accuracy_with(bool multipath, double k_db, double spread_s) {
+double accuracy_with(bool multipath, double k_db, double spread_s,
+                     std::size_t threads) {
   IdentTrialConfig cfg;
   cfg.ident.templates.adc_rate_hz = 10e6;
   cfg.ident.templates.preprocess_len = 20;
@@ -22,22 +23,23 @@ double accuracy_with(bool multipath, double k_db, double spread_s) {
   cfg.multipath = multipath;
   cfg.multipath_cfg.k_factor_db = k_db;
   cfg.multipath_cfg.delay_spread_s = spread_s;
+  cfg.threads = threads;
   return run_ident_experiment(cfg, 80).average_accuracy();
 }
 
 }  // namespace
 
-int ms::bench::robustness_multipath(const CliOptions&) {
+int ms::bench::robustness_multipath(const CliOptions& opt) {
   bench::title("Robustness: multipath",
                "1-bit blind accuracy at 10 Msps across fading conditions");
   std::printf("%-34s %10s\n", "channel", "avg acc");
   bench::rule();
   std::printf("%-34s %10.3f\n", "AWGN only (no fading)",
-              accuracy_with(false, 0, 0));
+              accuracy_with(false, 0, 0, opt.threads));
   for (double k : {12.0, 6.0, 3.0})
     for (double spread : {30e-9, 60e-9, 100e-9})
       std::printf("K=%4.0f dB, spread=%4.0f ns          %10.3f\n", k,
-                  spread * 1e9, accuracy_with(true, k, spread));
+                  spread * 1e9, accuracy_with(true, k, spread, opt.threads));
   bench::rule();
   bench::note("identification holds across fading realizations — the"
               " paper's 'no location-sensitivity' claim; accuracy only"

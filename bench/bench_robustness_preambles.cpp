@@ -11,7 +11,7 @@
 
 using namespace ms;
 
-int ms::bench::robustness_preambles(const CliOptions&) {
+int ms::bench::robustness_preambles(const CliOptions& opt) {
   bench::title("Robustness: 802.11b preamble formats",
                "accuracy vs short-preamble traffic share (10 Msps 1-bit)");
   std::printf("%-18s %12s %14s\n", "short-pre share", "avg acc",
@@ -24,6 +24,7 @@ int ms::bench::robustness_preambles(const CliOptions&) {
     cfg.ident.templates.match_len = 60;
     cfg.ident.compute = ComputeMode::OneBit;
     cfg.wifi_b_short_preamble_fraction = frac;
+    cfg.threads = opt.threads;
     const IdentResult r = run_ident_experiment(cfg, 100);
     std::printf("%-18.2f %12.3f %14.3f\n", frac, r.average_accuracy(),
                 r.accuracy(Protocol::WifiB));

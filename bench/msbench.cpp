@@ -54,7 +54,7 @@ constexpr Experiment kExperiments[] = {
     {"fig13_los", 0, false, fig13_los},
     {"fig14_nlos", 0, false, fig14_nlos},
     {"fig15_occlusion", 0, false, fig15_occlusion},
-    {"fig16_collisions", 0, true, fig16_collisions},
+    {"fig16_collisions", 0, false, fig16_collisions},
     {"fig17_refmod", 0, false, fig17_refmod},
     {"fig18_diversity", 0, true, fig18_diversity},
     {"sec221_downlink", 0, false, sec221_downlink},

@@ -7,8 +7,9 @@
 # reached from a program, so all of them get an ASan+UBSan pass below
 # for free — then the bench-smoke label (a smoke run of every msbench
 # experiment, the driver's usage errors, and the determinism gate: the
-# waveform cache, the workload scorecard, and the fig7 and fig13 CSVs
-# byte-identical at threads 1 and 8), a bench-perf smoke of the
+# waveform cache, the workload scorecard, the fig7 and fig13 CSVs, and
+# robustness_faults' CSVs, metrics JSON and stdout byte-identical at
+# threads 1 and 8), a bench-perf smoke of the
 # identification- and PHY-throughput experiments plus bench_micro's
 # calibration-search, identifier-score, front-end (FIR, rf_envelope),
 # overlay-sync and tag-frame-codec benchmarks and its telemetry-overhead
@@ -17,7 +18,8 @@
 # _GLIBCXX_ASSERTIONS; the integration label runs the threaded engine's
 # test_runner there), the threaded engine and the perfbench harness
 # under ThreadSanitizer, and finally the golden and property suites built
-# for x86-64-v3 (FMA/AVX2), where bit-exactness rests on
+# for x86-64-v3 (FMA/AVX2) and for -march=native (the host's own ISA,
+# AVX-512 where it has it), where bit-exactness rests on
 # -ffp-contract=off.  Exits nonzero on the first failing step.
 set -euo pipefail
 
@@ -133,4 +135,15 @@ for label in golden property; do
   ctest --test-dir "${repo_root}/build-v3" -L "${label}" --output-on-failure -j"${jobs}"
 done
 
-echo "CI: all suites green (Release + sanitizers + TSan + x86-64-v3)"
+echo "=== -march=native build ==="
+# The same two suites for whatever ISA this host has, so a kernel that
+# is bit-exact only up to AVX2 shows here.
+cmake -B "${repo_root}/build-native" -S "${repo_root}" \
+      -DCMAKE_BUILD_TYPE=RelWithDebInfo -DCMAKE_CXX_FLAGS=-march=native
+cmake --build "${repo_root}/build-native" -j"${jobs}"
+for label in golden property; do
+  echo "==> ctest -L ${label} (build-native)"
+  ctest --test-dir "${repo_root}/build-native" -L "${label}" --output-on-failure -j"${jobs}"
+done
+
+echo "CI: all suites green (Release + sanitizers + TSan + x86-64-v3 + native)"

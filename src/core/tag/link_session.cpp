@@ -33,7 +33,7 @@ struct LinkMetrics {
   obs::MetricId readings_delivered = obs::counter("tag.readings_delivered");
   obs::MetricId adapt_switch = obs::counter("tag.adapt_switch");
   obs::MetricId slot_snr = obs::histogram("tag.slot_snr_db", kSnrBounds);
-  // Degradation path (run_trace).
+  // Degradation path.
   obs::MetricId slots_dark = obs::counter("tag.slots_dark");
   obs::MetricId slot_undersized = obs::counter("tag.slot_undersized");
   obs::MetricId retry_shed = obs::counter("tag.retry_shed");
@@ -132,192 +132,6 @@ std::array<float, 32> sense_envelope(bool busy, const ChannelSenseConfig& sense,
 }
 
 }  // namespace
-
-LinkSessionReport LinkSession::run(std::size_t n_readings,
-                                   std::size_t max_slots, Rng& rng) {
-  OBS_SCOPE("tag.link_session");
-  const LinkMetrics& lm = link_metrics();
-  LinkSessionReport rep;
-  ArqSender sender(cfg_.arq);
-  ArqReceiver arq_rx;
-  std::deque<TagFrame> blind_queue;  // non-ARQ: fire-and-forget
-  FrameAssembler assembler;
-  AdaptivePolicy policy(cfg_.adapt);
-  LinkQualityProcess quality(cfg_.link_quality);
-  const ChannelSensor sensor(cfg_.sense);
-
-  ProtectionLevel level = cfg_.fixed;
-  bool head_failed = false;  // current ARQ head frame failed at least once
-  std::size_t transmissions = 0;
-
-  const auto pending = [&] {
-    return cfg_.arq_enabled ? !sender.idle() : !blind_queue.empty();
-  };
-
-  while (rep.slots < max_slots &&
-         (rep.readings_offered < n_readings || pending())) {
-    ++rep.slots;
-    // Slot index is this subsystem's deterministic time axis: every
-    // trace event below lands on (point, trial, slot).
-    obs::set_sim_time(static_cast<double>(rep.slots));
-    obs::add(lm.slots);
-    const double snr_db = cfg_.base_snr_db + quality.step(rng);
-    obs::observe(lm.slot_snr, snr_db);
-
-    // Readings are (re-)framed at the protection level in force when
-    // they are offered; the level then holds until the reading resolves.
-    if (!pending() && rep.readings_offered < n_readings) {
-      ++rep.readings_offered;
-      const Bytes reading = rng.bytes(cfg_.reading_bytes);
-      level = (cfg_.arq_enabled && cfg_.adaptation_enabled) ? policy.level()
-                                                            : cfg_.fixed;
-      const std::size_t budget = frame_payload_budget(level);
-      if (cfg_.arq_enabled) {
-        sender.load_reading(cfg_.tag_id, reading, budget);
-      } else {
-        for (TagFrame& f : segment_reading(cfg_.tag_id, reading,
-                                           TagFrame::frame_bits(budget)))
-          blind_queue.push_back(std::move(f));
-      }
-    }
-
-    // Clear-channel assessment before backscattering (footnote 6).
-    const bool busy = rng.chance(cfg_.sense_busy_prob);
-    if (sensor.channel_busy(sense_envelope(busy, cfg_.sense, rng))) {
-      ++rep.slots_deferred;
-      obs::add(lm.slots_deferred);
-      continue;
-    }
-
-    std::optional<TagFrame> frame;
-    if (cfg_.arq_enabled) {
-      frame = sender.poll();
-      if (!frame) continue;  // exponential holdoff
-    } else {
-      frame = std::move(blind_queue.front());
-      blind_queue.pop_front();
-    }
-    ++transmissions;
-    rep.mean_gamma += level.gamma;
-    rep.mean_fec_repeats += level.fec_repeats;
-    obs::add(lm.frames_tx);
-    obs::Event(obs::Subsystem::Overlay, obs::Severity::Debug, "tag.frame_tx")
-        .f("kappa", overlay_.kappa)
-        .f("gamma", level.gamma)
-        .f("fec_repeats", level.fec_repeats)
-        .f("snr_db", snr_db)
-        .emit();
-
-    // Through the channel: per-bit flips at the slot's tag BER, plus the
-    // fault injector's i.i.d. burst corruption.
-    Bits coded = encode_frame(*frame, level);
-    const double ber = backscatter_tag_ber(cfg_.protocol, snr_db, level.gamma);
-    for (uint8_t& b : coded)
-      if (rng.chance(ber)) b ^= 1u;
-    if (cfg_.frame_corrupt_prob > 0.0 && rng.chance(cfg_.frame_corrupt_prob)) {
-      const std::size_t len = std::max<std::size_t>(
-          1, static_cast<std::size_t>(cfg_.burst_fraction *
-                                      static_cast<double>(coded.size())));
-      const std::size_t start = rng.uniform_int(coded.size());
-      for (std::size_t i = start; i < std::min(coded.size(), start + len); ++i)
-        coded[i] ^= 1u;
-      obs::add(lm.frame_corrupt);
-      obs::Event(obs::Subsystem::Faults, obs::Severity::Warn,
-                 "fault.frame_corrupt")
-          .f("start", start)
-          .f("len", len)
-          .f("coded_bits", coded.size())
-          .emit();
-    }
-    const std::optional<TagFrame> rx = decode_frame(coded, level);
-    obs::add(rx ? lm.crc_ok : lm.crc_fail);
-    if (!rx) {
-      obs::Event(obs::Subsystem::Overlay, obs::Severity::Info, "tag.crc_fail")
-          .f("kappa", overlay_.kappa)
-          .f("gamma", level.gamma)
-          .f("snr_db", snr_db)
-          .emit();
-    }
-
-    if (cfg_.arq_enabled) {
-      bool acked = false;
-      if (rx) {
-        const ArqReceiver::Result res = arq_rx.push(*rx);
-        if (res.duplicate) ++rep.duplicates_seen;
-        if (res.reading) {
-          ++rep.readings_delivered;
-          rep.delivered_bytes += static_cast<double>(res.reading->size());
-          obs::add(lm.readings_delivered);
-        }
-        if (res.crc_ok && rng.chance(cfg_.ack_loss_prob)) {
-          ++rep.acks_lost;
-          obs::add(lm.acks_lost);
-        } else {
-          acked = res.crc_ok;
-        }
-      }
-      if (acked) {
-        if (head_failed) ++rep.frames_recovered;
-        head_failed = false;
-        sender.on_ack();
-      } else {
-        if (!rx && !head_failed) {
-          head_failed = true;
-          ++rep.frames_corrupted;
-        }
-        const std::size_t drops_before = sender.stats().frames_dropped;
-        const unsigned attempts = sender.attempts();
-        sender.on_nack();
-        if (sender.stats().frames_dropped != drops_before) {
-          head_failed = false;  // gave up on this frame
-          obs::add(lm.arq_drop);
-          obs::Event(obs::Subsystem::Arq, obs::Severity::Warn, "arq.drop")
-              .f("attempts", attempts)
-              .emit();
-        } else {
-          obs::add(lm.arq_retry);
-          obs::Event(obs::Subsystem::Arq, obs::Severity::Info, "arq.retry")
-              .f("attempt", attempts)
-              .f("holdoff", sender.holdoff())
-              .emit();
-        }
-      }
-      if (cfg_.adaptation_enabled) {
-        const std::size_t switches_before = policy.switches();
-        policy.on_frame_result(acked);
-        if (policy.switches() != switches_before) {
-          obs::add(lm.adapt_switch);
-          obs::Event(obs::Subsystem::Arq, obs::Severity::Info, "arq.adapt")
-              .f("level", policy.level_index())
-              .f("gamma", policy.level().gamma)
-              .f("fec_repeats", policy.level().fec_repeats)
-              .f("nack_rate", policy.nack_rate())
-              .f("probing", policy.probing())
-              .emit();
-        }
-      }
-    } else {
-      if (rx) {
-        if (std::optional<Bytes> done = assembler.push(*rx)) {
-          ++rep.readings_delivered;
-          rep.delivered_bytes += static_cast<double>(done->size());
-          obs::add(lm.readings_delivered);
-        }
-      } else {
-        ++rep.frames_corrupted;
-      }
-    }
-  }
-
-  rep.sender = sender.stats();
-  if (transmissions > 0) {
-    rep.mean_gamma /= static_cast<double>(transmissions);
-    rep.mean_fec_repeats /= static_cast<double>(transmissions);
-  }
-  rep.level_switches = policy.switches();
-  rep.final_nack_rate = policy.nack_rate();
-  return rep;
-}
 
 LinkSessionReport LinkSession::run_trace(std::size_t n_readings,
                                          std::span<const SlotConditions> trace,

@@ -64,7 +64,7 @@ struct LinkSessionConfig {
   double sense_busy_prob = 0.0;     ///< P(clear-channel assessment busy)
   ChannelSenseConfig sense;
 
-  // --- graceful degradation (run_trace only) ---
+  // --- graceful degradation ---
   EnergyPolicyConfig energy;       ///< Table-4 capacitor model
   RetryBudgetConfig retry_budget;  ///< bound on retransmission spend
   /// P(the CCA catches a coexistence interferer and defers); a missed
@@ -75,10 +75,10 @@ struct LinkSessionConfig {
 
   std::size_t reading_bytes = 96;  ///< sensor reading size
 
-  /// Sensor cadence for run_trace: reading k is not offered before slot
-  /// k * interval, so a session spans its trace instead of draining the
-  /// reading queue in the first few clean slots.  0 = as fast as the
-  /// link resolves them (the run() behaviour).
+  /// Sensor cadence: reading k is not offered before slot k * interval,
+  /// so a session spans its trace instead of draining the reading queue
+  /// in the first few clean slots.  0 = as fast as the link resolves
+  /// them.
   std::size_t reading_interval_slots = 0;
 
   uint8_t tag_id = 1;
@@ -100,7 +100,7 @@ struct LinkSessionReport {
   std::size_t level_switches = 0;
   double final_nack_rate = 0.0;
 
-  // --- degradation path (populated by run_trace) ---
+  // --- degradation path ---
   std::size_t slots_dark = 0;        ///< no excitation on the air
   std::size_t slots_undersized = 0;  ///< frame did not fit the slot
   std::size_t brownouts = 0;         ///< capacitor collapses
@@ -144,17 +144,13 @@ class LinkSession {
  public:
   explicit LinkSession(LinkSessionConfig cfg);
 
-  /// Offer `n_readings` random sensor readings and run slots until all
-  /// are resolved (delivered or abandoned) or `max_slots` elapse.
-  LinkSessionReport run(std::size_t n_readings, std::size_t max_slots,
-                        Rng& rng);
-
-  /// Run the session against an adversarial workload trace: one
-  /// SlotConditions entry per slot (dark air, coexistence interferers,
+  /// Offer `n_readings` random sensor readings and run one slot per
+  /// SlotConditions entry (dark air, coexistence interferers,
   /// time-varying SNR, variable slot capacity), with the full graceful-
   /// degradation stack — capacitor governor, brownout + resync, retry
   /// budget, holdoff jitter — engaged as configured.  Stops when the
-  /// trace is exhausted or all readings are resolved.
+  /// trace is exhausted or all readings are resolved (delivered or
+  /// abandoned).  A trace of default SlotConditions is clear air.
   LinkSessionReport run_trace(std::size_t n_readings,
                               std::span<const SlotConditions> trace,
                               Rng& rng);

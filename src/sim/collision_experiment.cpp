@@ -84,12 +84,11 @@ CollisionResult run_collision(const CollisionSetup& setup,
 
 std::vector<CollisionResult> run_collision_sweep(
     const CollisionSetup& setup, const BackscatterLink& link,
-    std::span<const double> distances, const RunnerConfig& runner_cfg) {
-  TrialRunner runner(runner_cfg);
-  return runner.map_points(
-      distances.size(), [&](std::size_t i, Rng&) -> CollisionResult {
-        return run_collision(setup, link, distances[i]);
-      });
+    std::span<const double> distances) {
+  std::vector<CollisionResult> out;
+  out.reserve(distances.size());
+  for (double d : distances) out.push_back(run_collision(setup, link, d));
+  return out;
 }
 
 }  // namespace ms

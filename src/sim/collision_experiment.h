@@ -13,7 +13,6 @@
 
 #include "core/overlay/throughput.h"
 #include "sim/excitation.h"
-#include "sim/runner/trial_runner.h"
 
 namespace ms {
 
@@ -59,10 +58,9 @@ double airtime_overlap_loss(double other_duty, double vulnerability);
 CollisionResult run_collision(const CollisionSetup& setup,
                               const BackscatterLink& link, double distance_m);
 
-/// Distance fan-out on the trial engine: one task per distance, results
-/// in input order (byte-identical at any thread count).
+/// run_collision at each distance, results in input order.
 std::vector<CollisionResult> run_collision_sweep(
     const CollisionSetup& setup, const BackscatterLink& link,
-    std::span<const double> distances, const RunnerConfig& runner = {});
+    std::span<const double> distances);
 
 }  // namespace ms

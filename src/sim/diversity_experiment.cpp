@@ -43,20 +43,19 @@ VariantRun run_variant_timeline(bool multiprotocol,
 DiversityResult run_discontinuous_excitations(const BackscatterLink& link,
                                               double distance_m,
                                               double duration_s, double slot_s,
-                                              std::uint64_t seed,
-                                              std::size_t threads) {
-  // Two grid points — the multiscatter tag and the 802.11b-only tag —
-  // each on its own (seed, variant, 0) stream, merged in variant order.
-  TrialRunner runner({threads, seed});
-  const auto variants =
-      runner.map_points(2, [&](std::size_t point, Rng& rng) -> VariantRun {
-        return run_variant_timeline(/*multiprotocol=*/point == 0, link,
-                                    distance_m, duration_s, slot_s, rng);
-      });
+                                              std::uint64_t seed) {
+  // The multiscatter tag and the 802.11b-only tag, each on its own
+  // (seed, variant, 0) stream.
+  const Rng master(seed);
+  Rng multi_rng = master.fork(0, 0);
+  Rng single_rng = master.fork(1, 0);
+  const VariantRun multi = run_variant_timeline(
+      /*multiprotocol=*/true, link, distance_m, duration_s, slot_s, multi_rng);
+  const VariantRun single = run_variant_timeline(
+      /*multiprotocol=*/false, link, distance_m, duration_s, slot_s,
+      single_rng);
 
   DiversityResult out;
-  const VariantRun& multi = variants[0];
-  const VariantRun& single = variants[1];
   for (std::size_t i = 0; i < multi.kbps_per_slot.size(); ++i)
     out.timeline.push_back({slot_s * static_cast<double>(i),
                             multi.kbps_per_slot[i],

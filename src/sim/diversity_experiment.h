@@ -13,7 +13,6 @@
 
 #include "core/tag/controller.h"
 #include "sim/excitation.h"
-#include "sim/runner/trial_runner.h"
 
 namespace ms {
 
@@ -32,16 +31,15 @@ struct DiversityResult {
 };
 
 /// Fig 18a: alternating 802.11b / 802.11n excitation periods.  The two
-/// tag variants (multiscatter, 802.11b-only) run as independent trial
-/// tasks on the engine, each on its own counter-based stream; slots
-/// within a variant stay sequential because the controller carries
-/// state across them.
+/// tag variants (multiscatter, 802.11b-only) each draw from their own
+/// counter-based stream, Rng(seed).fork(variant, 0); slots within a
+/// variant are sequential because the controller carries state across
+/// them.
 DiversityResult run_discontinuous_excitations(const BackscatterLink& link,
                                               double distance_m,
                                               double duration_s = 60.0,
                                               double slot_s = 0.5,
-                                              std::uint64_t seed = 7,
-                                              std::size_t threads = 0);
+                                              std::uint64_t seed = 7);
 
 struct CarrierPickResult {
   Protocol picked = Protocol::WifiB;

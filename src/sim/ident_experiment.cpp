@@ -311,8 +311,8 @@ OrderedCalibration calibrate_ordered_matching(
   } while (std::next_permutation(perm.begin(), perm.end()));
 
   TrialRunner runner({cfg.threads, cfg.seed});
-  const auto searched = runner.map_points(
-      orders.size(), [&](std::size_t i, Rng&) -> ThresholdSearch {
+  const auto searched = runner.run_grid(
+      orders.size(), 1, [&](std::size_t i, std::size_t, Rng&) {
         return detail::search_thresholds(trials, orders[i]);
       });
 

@@ -30,14 +30,10 @@ std::array<double, 3> baseline_occlusion_ber(const BaselineConfig& baseline,
   const double back_snr = sc.link.snr_db(sc.tag_rx_distance_m, baseline.carrier);
   const std::array<WallMaterial, 3> walls = {
       WallMaterial::None, WallMaterial::Wood, WallMaterial::Concrete};
-  TrialRunner runner({sc.threads, 0});
-  const auto bers =
-      runner.map_points(walls.size(), [&](std::size_t i, Rng&) -> double {
-        return sys.tag_ber(sc.original_snr_db(walls[i], baseline.carrier),
-                           back_snr);
-      });
   std::array<double, 3> out{};
-  for (std::size_t i = 0; i < walls.size(); ++i) out[i] = bers[i];
+  for (std::size_t i = 0; i < walls.size(); ++i)
+    out[i] = sys.tag_ber(sc.original_snr_db(walls[i], baseline.carrier),
+                         back_snr);
   return out;
 }
 
@@ -53,33 +49,30 @@ std::array<Fig15Row, 4> occlusion_throughput(const OcclusionScenario& sc) {
   const double duty_keep =
       std::clamp(1.0 - sc.excitation_dropout_fraction, 0.0, 1.0);
 
-  // One task per system row, merged in fixed row order: multiscatter's
-  // single-receiver decodes first (the original channel's occlusion is
-  // irrelevant to them), then the two-receiver baselines whose tag
-  // throughput collapses with the drywalled original link.
+  // Multiscatter's single-receiver decodes first (the original
+  // channel's occlusion is irrelevant to them), then the two-receiver
+  // baselines whose tag throughput collapses with the drywalled
+  // original link.
+  for (std::size_t i = 0; i < 2; ++i) {
+    const Protocol p = i == 0 ? Protocol::Ble : Protocol::WifiB;
+    const ExcitationSpec exc = fig12_excitation(p);
+    const OverlayParams params = mode_params(p, OverlayMode::Mode1);
+    const Throughput t =
+        overlay_throughput_at(exc, params, link, sc.tag_rx_distance_m);
+    rows[i] = {i == 0 ? "multiscatter-BLE" : "multiscatter-11b",
+               duty_keep * t.tag_bps / 1e3};
+  }
   const std::array<BaselineConfig, 2> base = {hitchhike_config(),
                                               freerider_config()};
-  TrialRunner runner({sc.threads, 0});
-  const auto computed =
-      runner.map_points(rows.size(), [&](std::size_t i, Rng&) -> Fig15Row {
-        if (i < 2) {
-          const Protocol p = i == 0 ? Protocol::Ble : Protocol::WifiB;
-          const ExcitationSpec exc = fig12_excitation(p);
-          const OverlayParams params = mode_params(p, OverlayMode::Mode1);
-          const Throughput t =
-              overlay_throughput_at(exc, params, link, sc.tag_rx_distance_m);
-          return {i == 0 ? "multiscatter-BLE" : "multiscatter-11b",
-                  duty_keep * t.tag_bps / 1e3};
-        }
-        const BaselineConfig& b = base[i - 2];
-        const TwoReceiverBaseline sys(b);
-        const ExcitationSpec exc = fig12_excitation(b.carrier);
-        const double thr = sys.tag_throughput_bps(
-            exc.airtime_duty(), sc.original_snr_db(kWall, b.carrier),
-            link.snr_db(sc.tag_rx_distance_m, b.carrier));
-        return {b.name, duty_keep * thr / 1e3};
-      });
-  for (std::size_t i = 0; i < rows.size(); ++i) rows[i] = computed[i];
+  for (std::size_t i = 0; i < base.size(); ++i) {
+    const BaselineConfig& b = base[i];
+    const TwoReceiverBaseline sys(b);
+    const ExcitationSpec exc = fig12_excitation(b.carrier);
+    const double thr = sys.tag_throughput_bps(
+        exc.airtime_duty(), sc.original_snr_db(kWall, b.carrier),
+        link.snr_db(sc.tag_rx_distance_m, b.carrier));
+    rows[2 + i] = {b.name, duty_keep * thr / 1e3};
+  }
   return rows;
 }
 

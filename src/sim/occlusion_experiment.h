@@ -10,7 +10,6 @@
 
 #include "core/baseline/baseline.h"
 #include "core/overlay/throughput.h"
-#include "sim/runner/trial_runner.h"
 
 namespace ms {
 
@@ -26,9 +25,6 @@ struct OcclusionScenario {
   /// near the tag), applied on top of the wall loss.  0 = the paper's
   /// clean deployment.
   double backscatter_fade_db = 0.0;
-  /// Trial-engine worker threads for the per-system fan-out (0 = all
-  /// cores).  Rows merge in fixed system order.
-  std::size_t threads = 0;
   /// Direct-link budget for the original channel.
   double original_snr_db(WallMaterial wall, Protocol p) const;
 };

@@ -1,5 +1,7 @@
 #include "sim/range_experiment.h"
 
+#include <algorithm>
+
 #include "channel/ber.h"
 
 namespace ms {
@@ -21,14 +23,12 @@ RangeSweepConfig nlos_sweep_config() {
 std::vector<RangePoint> range_sweep(Protocol p, const RangeSweepConfig& cfg) {
   const ExcitationSpec exc = fig12_excitation(p);
   const OverlayParams params = mode_params(p, cfg.mode);
-  // Distance grid, fanned out one point per task; the output vector is
-  // assembled in distance order regardless of scheduling.
   const std::size_t n_points = static_cast<std::size_t>(
       (cfg.max_distance_m + 1e-9) / cfg.step_m);
-  TrialRunner runner({cfg.threads, 0});
-  return runner.map_points(n_points, [&](std::size_t i, Rng&) -> RangePoint {
+  std::vector<RangePoint> out(n_points);
+  for (std::size_t i = 0; i < n_points; ++i) {
     const double d = cfg.step_m * static_cast<double>(i + 1);
-    RangePoint pt;
+    RangePoint& pt = out[i];
     pt.distance_m = d;
     pt.rssi_dbm = cfg.link.rssi_dbm(d);
     const double snr = cfg.link.snr_db(d, p);
@@ -45,8 +45,8 @@ std::vector<RangePoint> range_sweep(Protocol p, const RangeSweepConfig& cfg) {
         per < 0.9;
     const Throughput t = overlay_throughput_at(exc, params, cfg.link, d);
     pt.aggregate_kbps = pt.decodable ? t.aggregate_bps() / 1e3 : 0.0;
-    return pt;
-  });
+  }
+  return out;
 }
 
 double max_range_m(Protocol p, const RangeSweepConfig& cfg) {

@@ -5,7 +5,6 @@
 
 #include "core/overlay/throughput.h"
 #include "sim/excitation.h"
-#include "sim/runner/trial_runner.h"
 
 namespace ms {
 
@@ -25,10 +24,6 @@ struct RangeSweepConfig {
   double step_m = 2.0;
   /// Extra margin on top of rx_sensitivity_dbm(p) (0 = datasheet values).
   double sensitivity_margin_db = 0.0;
-  /// Trial-engine worker threads for the distance fan-out (0 = all
-  /// cores).  Points are merged in distance order, so the sweep is
-  /// byte-identical for any value.
-  std::size_t threads = 0;
 };
 
 /// LoS configuration matching §3's hallway deployment.

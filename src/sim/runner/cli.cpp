@@ -130,18 +130,26 @@ std::optional<std::string> parse_cli(int argc, const char* const* argv,
   return std::nullopt;
 }
 
-std::string cli_usage(const char* prog) {
+std::string cli_usage(const char* prog, CliAccepts accepts) {
   std::string u = "usage: ";
   u += prog;
+  u += " [--threads N]";
+  if (accepts.trials) u += " [--trials N]";
+  if (accepts.seed) u += " [--seed S]";
   u +=
-      " [--threads N] [--trials N] [--seed S] [--out DIR]\n"
+      " [--out DIR]\n"
       "       [--metrics-out FILE] [--trace-out FILE] [--waveform-cache on|off]\n"
       "       [--manifest-out FILE]\n"
-      "  --threads N        trial-engine worker threads (default: all cores)\n"
-      "  --trials N         override the default trial count (experiments\n"
-      "                     with fixed trial counts reject it)\n"
-      "  --seed S           override the default master seed (experiments\n"
-      "                     with fixed seeds reject it)\n"
+      "  --threads N        trial-engine worker threads (default: all cores)\n";
+  if (accepts.trials)
+    u +=
+        "  --trials N         override the default trial count (experiments\n"
+        "                     with fixed trial counts reject it)\n";
+  if (accepts.seed)
+    u +=
+        "  --seed S           override the default master seed (experiments\n"
+        "                     with fixed seeds reject it)\n";
+  u +=
       "  --out DIR          dump CSVs into DIR (created if missing)\n"
       "  --metrics-out FILE write the aggregated metrics registry as JSON\n"
       "  --trace-out FILE   write structured trace events as JSONL; all\n"
@@ -166,11 +174,11 @@ CliOptions parse_cli_or_exit(int argc, const char* const* argv,
   auto err = parse_cli(argc, argv, opts, accepts);
   if (err) {
     std::fprintf(stderr, "error: %s\n%s", err->c_str(),
-                 cli_usage(argv[0]).c_str());
+                 cli_usage(argv[0], accepts).c_str());
     std::exit(2);
   }
   if (opts.help) {
-    std::fprintf(stdout, "%s", cli_usage(argv[0]).c_str());
+    std::fprintf(stdout, "%s", cli_usage(argv[0], accepts).c_str());
     std::exit(0);
   }
   if (!(err = ensure_dir(opts.out_dir)) &&

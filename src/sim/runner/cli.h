@@ -57,8 +57,9 @@ std::optional<std::string> parse_cli(int argc, const char* const* argv,
                                      CliOptions& opts,
                                      CliAccepts accepts = {});
 
-/// Usage text for the shared flag vocabulary.
-std::string cli_usage(const char* prog);
+/// Usage text for the shared flag vocabulary, without the
+/// per-experiment flags the command declines.
+std::string cli_usage(const char* prog, CliAccepts accepts = {});
 
 /// parse_cli wrapper for the msbench driver: on error prints the message
 /// and usage to stderr and exits 2; on --help prints usage and exits 0.

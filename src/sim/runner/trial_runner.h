@@ -111,16 +111,6 @@ class TrialRunner {
     return acc;
   }
 
-  /// Point-only sweep (one trial per point): fn(point, rng) -> R.
-  /// Delegates to run_grid(points, 1, ...) — same Rng forks, same trace
-  /// cells, same merge order as the hand-rolled loop it replaces.
-  template <typename Fn>
-  auto map_points(std::size_t points, Fn&& fn) {
-    return run_grid(points, 1,
-                    [&fn](std::size_t point, std::size_t /*trial*/,
-                          Rng& rng) { return fn(point, rng); });
-  }
-
  private:
   /// The "runner.trace_ring_dropped" histogram: one observation per cell
   /// that overflowed its trace ring, valued at that cell's dropped-event

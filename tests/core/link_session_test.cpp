@@ -1,5 +1,7 @@
 #include "core/tag/link_session.h"
 
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "common/error.h"
@@ -13,12 +15,15 @@ LinkSessionConfig base_config() {
   return cfg;
 }
 
+/// `max_slots` slots of clear air: every slot excited, no interferer,
+/// no SNR offset, full capacity.
 LinkSessionReport run_once(const LinkSessionConfig& cfg, std::uint64_t seed,
                            std::size_t readings = 80,
                            std::size_t max_slots = 2500) {
   LinkSession session(cfg);
   Rng rng(seed);
-  return session.run(readings, max_slots, rng);
+  return session.run_trace(readings,
+                           std::vector<SlotConditions>(max_slots), rng);
 }
 
 TEST(LinkSession, FaultFreeDeliversEverything) {
@@ -90,6 +95,36 @@ TEST(LinkSession, SameSeedSameReport) {
   EXPECT_EQ(a.level_switches, b.level_switches);
   EXPECT_DOUBLE_EQ(a.delivered_bytes, b.delivered_bytes);
   EXPECT_DOUBLE_EQ(a.mean_gamma, b.mean_gamma);
+}
+
+TEST(LinkSession, ClearAirPinsTheFaultStudyCell) {
+  // msbench robustness_faults' first study at 10 % frame corruption
+  // (seed 2020, 160 readings, 4000 slots): these tallies are its
+  // printed goodput, delivery and recovery for the three link variants.
+  struct Expected {
+    bool arq, adapt;
+    std::size_t slots, delivered, corrupted, recovered, transmissions;
+    double bytes;
+  };
+  const Expected variants[] = {
+      {true, true, 777, 160, 61, 61, 706, 15360.0},
+      {true, false, 777, 160, 61, 61, 706, 15360.0},
+      {false, false, 640, 121, 47, 0, 0, 11616.0},
+  };
+  for (const Expected& e : variants) {
+    LinkSessionConfig cfg = base_config();
+    cfg.frame_corrupt_prob = 0.10;
+    cfg.arq_enabled = e.arq;
+    cfg.adaptation_enabled = e.adapt;
+    const LinkSessionReport rep = run_once(cfg, 2020, 160, 4000);
+    SCOPED_TRACE(testing::Message() << "arq " << e.arq << " adapt " << e.adapt);
+    EXPECT_EQ(rep.slots, e.slots);
+    EXPECT_EQ(rep.readings_delivered, e.delivered);
+    EXPECT_EQ(rep.frames_corrupted, e.corrupted);
+    EXPECT_EQ(rep.frames_recovered, e.recovered);
+    EXPECT_EQ(rep.sender.transmissions, e.transmissions);
+    EXPECT_EQ(rep.delivered_bytes, e.bytes);
+  }
 }
 
 TEST(LinkSession, LostAcksCauseDuplicatesNotCorruption) {

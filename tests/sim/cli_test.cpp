@@ -151,6 +151,27 @@ TEST(Cli, UsageNamesEveryFlag) {
   EXPECT_NE(usage.find("bench_x"), std::string::npos);
 }
 
+TEST(Cli, UsageLeavesOutDeclinedFlags) {
+  // A command that declines --trials and --seed must not offer them
+  // under the error that says it does not take them.
+  const std::string usage =
+      cli_usage("msbench fig13_los", {.trials = false, .seed = false});
+  EXPECT_EQ(usage.find("--trials"), std::string::npos);
+  EXPECT_EQ(usage.find("--seed"), std::string::npos);
+  EXPECT_EQ(usage.rfind("usage: msbench fig13_los [--threads N] [--out DIR]\n",
+                        0),
+            0u);
+  for (const char* flag : {"--threads", "--out", "--metrics-out",
+                           "--trace-out", "--waveform-cache",
+                           "--manifest-out", "--help"})
+    EXPECT_NE(usage.find(flag), std::string::npos) << flag;
+  // Declining one keeps the other.
+  const std::string seeded =
+      cli_usage("msbench fig18_diversity", {.trials = false, .seed = true});
+  EXPECT_EQ(seeded.find("--trials"), std::string::npos);
+  EXPECT_NE(seeded.find("[--seed S]"), std::string::npos);
+}
+
 TEST(Cli, WaveformCacheFlag) {
   CliOptions o;
   EXPECT_FALSE(parse({}, o).has_value());
