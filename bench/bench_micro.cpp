@@ -1,6 +1,7 @@
 // Hot-path microbenchmarks (google-benchmark): the operations a tag or
 // receiver runs per packet — correlation, despreading, FFT, GFSK
-// discrimination, the identification front end, rectifier simulation,
+// discrimination, the channel stages and front end of an identification
+// trace, rectifier simulation,
 // overlay packet sync and full overlay decode, and the tag link layer's
 // frame coding — plus the ordered-matching calibration search every
 // identification figure runs once.
@@ -17,6 +18,7 @@
 
 #include "analog/rectifier.h"
 #include "channel/awgn.h"
+#include "channel/multipath.h"
 #include "obs/telemetry.h"
 #include "obs/trace.h"
 #include "common/rng.h"
@@ -120,6 +122,39 @@ void BM_FirFilterComplex(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * x.size());
 }
 BENCHMARK(BM_FirFilterComplex);
+
+/// The channel of one identification trace, stage by stage: AWGN on 1400
+/// samples, a default 3-tap Rician channel at 20 Msps and |x| over 1600.
+void BM_AddNoisePower(benchmark::State& state) {
+  Rng rng(14);
+  Iq x(1400);
+  for (auto& v : x)
+    v = Cf(static_cast<float>(rng.normal()), static_cast<float>(rng.normal()));
+  for (auto _ : state) benchmark::DoNotOptimize(add_noise_power(x, 0.1, rng));
+  state.SetItemsProcessed(state.iterations() * x.size());
+}
+BENCHMARK(BM_AddNoisePower);
+
+void BM_MultipathApply(benchmark::State& state) {
+  Rng rng(15);
+  const MultipathChannel ch = sample_multipath(MultipathConfig{}, 20e6, rng);
+  Iq x(1600);
+  for (auto& v : x)
+    v = Cf(static_cast<float>(rng.normal()), static_cast<float>(rng.normal()));
+  for (auto _ : state) benchmark::DoNotOptimize(ch.apply(x));
+  state.SetItemsProcessed(state.iterations() * x.size());
+}
+BENCHMARK(BM_MultipathApply);
+
+void BM_Envelope(benchmark::State& state) {
+  Rng rng(16);
+  Iq x(1600);
+  for (auto& v : x)
+    v = Cf(static_cast<float>(rng.normal()), static_cast<float>(rng.normal()));
+  for (auto _ : state) benchmark::DoNotOptimize(envelope(x));
+  state.SetItemsProcessed(state.iterations() * x.size());
+}
+BENCHMARK(BM_Envelope);
 
 /// rf_envelope on BM_Discriminator's random-phase walk, at the BLE/ZigBee
 /// rate (8 Msps) and the 802.11n rate (20 Msps).  The higher the rate, the

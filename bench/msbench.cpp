@@ -26,6 +26,9 @@ namespace {
 
 struct Experiment {
   const char* id;
+  /// false = the experiment runs no trial engine, or sweeps its own
+  /// thread counts, and --threads is an error.
+  bool threaded;
   /// Trials per point when --trials is absent; 0 = the experiment's
   /// trial counts are fixed, and --trials is an error.
   std::size_t default_trials;
@@ -35,45 +38,46 @@ struct Experiment {
   int (*run)(const CliOptions&);
 };
 
-// bench/CMakeLists.txt lists the same ids: it compiles each
-// bench_<id>.cpp into msbench and smoke-tests each row.
+// bench/CMakeLists.txt lists the same ids, and the threaded ones again:
+// it compiles each bench_<id>.cpp into msbench and smoke-tests each
+// row, with --threads 2 where the row takes it.
 constexpr Experiment kExperiments[] = {
-    {"table1_comparison", 0, false, table1_comparison},
-    {"table2_resources", 0, false, table2_resources},
-    {"table3_power", 0, false, table3_power},
-    {"table4_energy", 0, false, table4_energy},
-    {"table5_identpower", 0, false, table5_identpower},
-    {"table6_modes", 0, false, table6_modes},
-    {"fig4_rectifier", 0, false, fig4_rectifier},
-    {"fig5_templates", 0, false, fig5_templates},
-    {"fig6_ordering", 0, false, fig6_ordering},
-    {"fig7_ordered", 200, true, fig7_ordered},
-    {"fig8_lowrate", 0, false, fig8_lowrate},
-    {"fig9_baselines", 0, false, fig9_baselines},
-    {"fig12_tradeoffs", 0, false, fig12_tradeoffs},
-    {"fig13_los", 0, false, fig13_los},
-    {"fig14_nlos", 0, false, fig14_nlos},
-    {"fig15_occlusion", 0, false, fig15_occlusion},
-    {"fig16_collisions", 0, false, fig16_collisions},
-    {"fig17_refmod", 0, false, fig17_refmod},
-    {"fig18_diversity", 0, true, fig18_diversity},
-    {"sec221_downlink", 0, false, sec221_downlink},
-    {"mcs_rates", 0, false, mcs_rates},
-    {"waterfalls", 0, false, waterfalls},
-    {"validation_waveform", 0, false, validation_waveform},
-    {"ablation_fec", 0, false, ablation_fec},
-    {"ablation_filter", 0, false, ablation_filter},
-    {"ablation_quantization", 0, false, ablation_quantization},
-    {"ablation_sensing", 0, false, ablation_sensing},
-    {"ablation_snr", 0, false, ablation_snr},
-    {"ablation_wakeup", 0, false, ablation_wakeup},
-    {"robustness_faults", 0, false, robustness_faults},
-    {"robustness_multipath", 0, false, robustness_multipath},
-    {"robustness_preambles", 0, false, robustness_preambles},
-    {"robustness_workloads", 5, true, robustness_workloads},
-    {"ident_throughput", 32, true, ident_throughput},
-    {"phy_throughput", 24, true, phy_throughput},
-    {"runner_scaling", 60, true, runner_scaling},
+    {"table1_comparison", false, 0, false, table1_comparison},
+    {"table2_resources", false, 0, false, table2_resources},
+    {"table3_power", false, 0, false, table3_power},
+    {"table4_energy", false, 0, false, table4_energy},
+    {"table5_identpower", false, 0, false, table5_identpower},
+    {"table6_modes", false, 0, false, table6_modes},
+    {"fig4_rectifier", false, 0, false, fig4_rectifier},
+    {"fig5_templates", true, 0, false, fig5_templates},
+    {"fig6_ordering", true, 0, false, fig6_ordering},
+    {"fig7_ordered", true, 200, true, fig7_ordered},
+    {"fig8_lowrate", true, 0, false, fig8_lowrate},
+    {"fig9_baselines", false, 0, false, fig9_baselines},
+    {"fig12_tradeoffs", false, 0, false, fig12_tradeoffs},
+    {"fig13_los", false, 0, false, fig13_los},
+    {"fig14_nlos", false, 0, false, fig14_nlos},
+    {"fig15_occlusion", false, 0, false, fig15_occlusion},
+    {"fig16_collisions", false, 0, false, fig16_collisions},
+    {"fig17_refmod", false, 0, false, fig17_refmod},
+    {"fig18_diversity", false, 0, true, fig18_diversity},
+    {"sec221_downlink", false, 0, false, sec221_downlink},
+    {"mcs_rates", false, 0, false, mcs_rates},
+    {"waterfalls", false, 0, false, waterfalls},
+    {"validation_waveform", false, 0, false, validation_waveform},
+    {"ablation_fec", false, 0, false, ablation_fec},
+    {"ablation_filter", false, 0, false, ablation_filter},
+    {"ablation_quantization", true, 0, false, ablation_quantization},
+    {"ablation_sensing", false, 0, false, ablation_sensing},
+    {"ablation_snr", true, 0, false, ablation_snr},
+    {"ablation_wakeup", false, 0, false, ablation_wakeup},
+    {"robustness_faults", true, 0, false, robustness_faults},
+    {"robustness_multipath", true, 0, false, robustness_multipath},
+    {"robustness_preambles", true, 0, false, robustness_preambles},
+    {"robustness_workloads", true, 5, true, robustness_workloads},
+    {"ident_throughput", true, 32, true, ident_throughput},
+    {"phy_throughput", true, 24, true, phy_throughput},
+    {"runner_scaling", false, 60, true, runner_scaling},
 };
 
 std::string usage() {
@@ -81,7 +85,8 @@ std::string usage() {
   u += "experiments (and the per-experiment flags each takes):\n";
   for (const Experiment& e : kExperiments) {
     std::string line = std::string("  ") + e.id;
-    if (e.default_trials || e.seeded) line.resize(24, ' ');
+    if (e.threaded || e.default_trials || e.seeded) line.resize(24, ' ');
+    if (e.threaded) line += " --threads";
     if (e.default_trials)
       line += " --trials (default " + std::to_string(e.default_trials) + ")";
     if (e.seeded) line += " --seed";
@@ -122,7 +127,9 @@ int main(int argc, char** argv) {
   ms::CliOptions opts = ms::parse_cli_or_exit(
       static_cast<int>(args.size()), args.data(),
       std::string("bench_") + exp->id,
-      {.trials = exp->default_trials != 0, .seed = exp->seeded});
+      {.threads = exp->threaded,
+       .trials = exp->default_trials != 0,
+       .seed = exp->seeded});
   if (opts.trials == 0) opts.trials = exp->default_trials;
   const int status = exp->run(opts);
   const bool io_ok = ms::finish_bench_output(opts);

@@ -7,12 +7,13 @@
 # reached from a program, so all of them get an ASan+UBSan pass below
 # for free — then the bench-smoke label (a smoke run of every msbench
 # experiment, the driver's usage errors, and the determinism gate: the
-# waveform cache, the workload scorecard, the fig7 and fig13 CSVs, and
+# waveform cache, the workload scorecard, the fig7 CSVs, and
 # robustness_faults' CSVs, metrics JSON and stdout byte-identical at
 # threads 1 and 8), a bench-perf smoke of the
 # identification- and PHY-throughput experiments plus bench_micro's
-# calibration-search, identifier-score, front-end (FIR, rf_envelope),
-# overlay-sync and tag-frame-codec benchmarks and its telemetry-overhead
+# calibration-search, identifier-score, channel (noise, multipath,
+# envelope), front-end (FIR, rf_envelope), overlay-sync and
+# tag-frame-codec benchmarks and its telemetry-overhead
 # gate, then the same four suites under ASan+UBSan (-DMS_SANITIZE=ON,
 # which also bounds-checks the standard containers with
 # _GLIBCXX_ASSERTIONS; the integration label runs the threaded engine's
@@ -65,11 +66,11 @@ mkdir -p "${perf_dir}"
     --manifest-out "${perf_dir}/phy_manifest.json"
 "${repo_root}/build/tools/validate_metrics" "${perf_dir}/phy_metrics.json"
 # bench_micro, cut to the calibration-search, identifier-scoring,
-# identification front-end, overlay-sync and tag-frame-codec benchmarks;
-# after them it exits 1 if disabled telemetry adds >= 3 % to the
-# identifier scoring loop.
+# identification channel and front-end, overlay-sync and tag-frame-codec
+# benchmarks; after them it exits 1 if disabled telemetry adds >= 3 % to
+# the identifier scoring loop.
 "${repo_root}/build/bench/bench_micro" \
-    --benchmark_filter='BM_CalibrationSearch|BM_IdentifierScore|BM_FirFilterComplex|BM_RfEnvelope|BM_OverlaySync|BM_TagFrameCodec'
+    --benchmark_filter='BM_CalibrationSearch|BM_IdentifierScore|BM_AddNoisePower|BM_MultipathApply|BM_Envelope|BM_FirFilterComplex|BM_RfEnvelope|BM_OverlaySync|BM_TagFrameCodec'
 
 echo "==> cross-run regression report (warn-only)"
 if [ -f "${repo_root}/BENCH_seed.json" ]; then

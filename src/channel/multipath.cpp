@@ -1,7 +1,9 @@
 #include "channel/multipath.h"
 
+#include <algorithm>
 #include <cmath>
 #include <complex>
+#include <cstring>
 
 #include "channel/timevarying.h"
 #include "common/error.h"
@@ -101,14 +103,68 @@ double MultipathFader::tap_energy() const {
   return e;
 }
 
+namespace {
+
+using F4 = float __attribute__((vector_size(16)));
+using I4 = int __attribute__((vector_size(16)));
+
+/// Output i of the tapped delay line: from (+0, +0), add x[i − d_t]·h_t
+/// for every tap t in order whose delay d_t reaches back no further than
+/// x[0], each product the library's std::complex<float> product.
+Cf apply_at(std::span<const Cf> x, const MultipathChannel& ch, std::size_t i) {
+  Cf acc(0.0f, 0.0f);
+  for (std::size_t t = 0; t < ch.taps.size(); ++t)
+    if (ch.delays[t] <= i) acc += x[i - ch.delays[t]] * ch.taps[t];
+  return acc;
+}
+
+}  // namespace
+
 Iq MultipathChannel::apply(std::span<const Cf> x) const {
   MS_CHECK(taps.size() == delays.size());
   MS_CHECK(!taps.empty());
-  Iq out(x.size(), Cf(0.0f, 0.0f));
-  for (std::size_t t = 0; t < taps.size(); ++t) {
-    const std::size_t d = delays[t];
-    for (std::size_t i = d; i < x.size(); ++i) out[i] += x[i - d] * taps[t];
+  const std::size_t n = x.size();
+  const std::size_t reach = *std::max_element(delays.begin(), delays.end());
+  Iq out(n);
+  // Outputs [0, reach) miss some taps; they, the last (n − reach) mod 4
+  // outputs and any block that needs the NaN recovery take apply_at.
+  std::size_t i = 0;
+  for (; i < std::min(reach, n); ++i) out[i] = apply_at(x, *this, i);
+  // Four outputs at a time in planar lanes.  Each lane starts at +0.0f
+  // and adds its taps in order, and each product is the four-multiply
+  // form GCC inlines for std::complex<float> (re = a·c − b·d,
+  // im = a·d + b·c), so every sum is apply_at's bit for bit unless a
+  // product is NaN in both parts, where the library calls __mulsc3 to
+  // recover an infinity.  Such a product leaves both parts of its sum
+  // NaN, so a block with a NaN-in-both-parts lane is redone by apply_at.
+  // std::complex<float> is layout-compatible with float[2].
+  const float* xf = reinterpret_cast<const float*>(x.data());
+  float* of = reinterpret_cast<float*>(out.data());
+  for (; i + 4 <= n; i += 4) {
+    F4 re = {}, im = {};
+    for (std::size_t t = 0; t < taps.size(); ++t) {
+      const float c = taps[t].real(), d = taps[t].imag();
+      const F4 cc = {c, c, c, c};
+      const F4 dd = {d, d, d, d};
+      F4 lo, hi;
+      std::memcpy(&lo, xf + 2 * (i - delays[t]), sizeof(F4));
+      std::memcpy(&hi, xf + 2 * (i - delays[t]) + 4, sizeof(F4));
+      const F4 a = __builtin_shuffle(lo, hi, I4{0, 2, 4, 6});
+      const F4 b = __builtin_shuffle(lo, hi, I4{1, 3, 5, 7});
+      re += a * cc - b * dd;
+      im += a * dd + b * cc;
+    }
+    const I4 both_nan = (re != re) & (im != im);
+    if (both_nan[0] | both_nan[1] | both_nan[2] | both_nan[3]) {
+      for (std::size_t j = i; j < i + 4; ++j) out[j] = apply_at(x, *this, j);
+      continue;
+    }
+    const F4 lo = __builtin_shuffle(re, im, I4{0, 4, 1, 5});
+    const F4 hi = __builtin_shuffle(re, im, I4{2, 6, 3, 7});
+    std::memcpy(of + 2 * i, &lo, sizeof(F4));
+    std::memcpy(of + 2 * i + 4, &hi, sizeof(F4));
   }
+  for (; i < n; ++i) out[i] = apply_at(x, *this, i);
   return out;
 }
 

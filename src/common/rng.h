@@ -5,9 +5,13 @@
 // experiments are reproducible from a single seed.  The engine is
 // xoshiro256**, which is small, fast, and high quality; it is seeded via
 // splitmix64 so that nearby integer seeds produce uncorrelated streams.
+// The drawn values are the contract, not the calls: normals() returns
+// in one batch the very doubles that successive normal() calls would,
+// and tests/golden/channel_noise_stream.txt pins them.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/bits.h"
@@ -24,17 +28,7 @@ class Rng {
   /// Raw 64-bit draw (UniformRandomBitGenerator interface).  It is
   /// inline, as are uniform() and chance(): the tag link layer draws once
   /// per coded bit and 32 times per sensed slot.
-  std::uint64_t operator()() {
-    const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-    const std::uint64_t t = s_[1] << 17;
-    s_[2] ^= s_[0];
-    s_[3] ^= s_[1];
-    s_[1] ^= s_[2];
-    s_[0] ^= s_[3];
-    s_[2] ^= t;
-    s_[3] = rotl(s_[3], 45);
-    return result;
-  }
+  std::uint64_t operator()() { return next(s_); }
   static constexpr std::uint64_t min() { return 0; }
   static constexpr std::uint64_t max() { return ~0ull; }
 
@@ -49,6 +43,12 @@ class Rng {
   std::uint64_t uniform_int(std::uint64_t n);
   /// Standard normal draw (Marsaglia polar method, cached spare).
   double normal();
+  /// Fills `out` with exactly what out.size() successive normal() calls
+  /// would return, and leaves the generator and its spare as they would.
+  /// It accepts polar candidates in blocks without a branch and takes
+  /// their scale in two-lane passes; the channel noise draws every
+  /// identification trace through it (docs/PERF.md §9).
+  void normals(std::span<double> out);
   /// Normal draw with the given mean and standard deviation.
   double normal(double mean, double stddev);
   /// Bernoulli draw with probability p of returning true.
@@ -77,6 +77,19 @@ class Rng {
  private:
   static std::uint64_t rotl(std::uint64_t x, int k) {
     return (x << k) | (x >> (64 - k));
+  }
+  /// One xoshiro256** step of the state `s`; normals() runs it on a copy
+  /// held in locals.
+  static std::uint64_t next(std::uint64_t (&s)[4]) {
+    const std::uint64_t result = rotl(s[1] * 5, 7) * 9;
+    const std::uint64_t t = s[1] << 17;
+    s[2] ^= s[0];
+    s[3] ^= s[1];
+    s[1] ^= s[2];
+    s[0] ^= s[3];
+    s[2] ^= t;
+    s[3] = rotl(s[3], 45);
+    return result;
   }
 
   std::uint64_t seed_ = 0;

@@ -1,9 +1,11 @@
 #include "dsp/ops.h"
 
 #include <algorithm>
+#include <cfloat>
 #include <cmath>
 
 #include "common/error.h"
+#include "common/lanes.h"
 
 namespace ms {
 
@@ -30,8 +32,28 @@ void set_mean_power(Iq& x, double target) {
 }
 
 Samples envelope(std::span<const Cf> x) {
+  // For finite parts, glibc's hypotf (behind std::abs) returns
+  // float(sqrt(double(re)² + double(im)²)): both squares are exact in
+  // double, and the sum and the square root round once each.  Two
+  // samples at a time in double lanes; a pair holding an infinite or
+  // NaN part, the only inputs whose sum is not finite, goes through
+  // std::abs.
   Samples out(x.size());
-  for (std::size_t i = 0; i < x.size(); ++i) out[i] = std::abs(x[i]);
+  std::size_t i = 0;
+  for (; i + 2 <= x.size(); i += 2) {
+    const lanes::D2 re = {x[i].real(), x[i + 1].real()};
+    const lanes::D2 im = {x[i].imag(), x[i + 1].imag()};
+    const lanes::D2 s = re * re + im * im;
+    if (!(s[0] <= DBL_MAX && s[1] <= DBL_MAX)) {
+      out[i] = std::abs(x[i]);
+      out[i + 1] = std::abs(x[i + 1]);
+      continue;
+    }
+    const lanes::D2 m = lanes::sqrt(s);
+    out[i] = static_cast<float>(m[0]);
+    out[i + 1] = static_cast<float>(m[1]);
+  }
+  if (i < x.size()) out[i] = std::abs(x[i]);
   return out;
 }
 

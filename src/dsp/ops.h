@@ -19,7 +19,8 @@ double mean_power(std::span<const float> x);
 /// No-op on silence (all-zero input).
 void set_mean_power(Iq& x, double target);
 
-/// |x| of every sample — the ideal envelope of a complex waveform.
+/// |x| of every sample — the ideal envelope of a complex waveform, bit
+/// for bit what std::abs returns (docs/PERF.md §9).
 Samples envelope(std::span<const Cf> x);
 
 /// Arithmetic mean; 0 for an empty input.

@@ -74,6 +74,9 @@ std::optional<std::string> parse_cli(int argc, const char* const* argv,
     if (arg == "--help" || arg == "-h") {
       opts.help = true;
     } else if (arg == "--threads") {
+      if (!accepts.threads)
+        return std::string(argv[0]) +
+               " does not take --threads: its thread counts are fixed";
       const auto v = value("--threads");
       std::uint64_t n = 0;
       // 0 threads cannot run anything; "use all cores" is the default
@@ -133,14 +136,17 @@ std::optional<std::string> parse_cli(int argc, const char* const* argv,
 std::string cli_usage(const char* prog, CliAccepts accepts) {
   std::string u = "usage: ";
   u += prog;
-  u += " [--threads N]";
+  if (accepts.threads) u += " [--threads N]";
   if (accepts.trials) u += " [--trials N]";
   if (accepts.seed) u += " [--seed S]";
   u +=
       " [--out DIR]\n"
       "       [--metrics-out FILE] [--trace-out FILE] [--waveform-cache on|off]\n"
-      "       [--manifest-out FILE]\n"
-      "  --threads N        trial-engine worker threads (default: all cores)\n";
+      "       [--manifest-out FILE]\n";
+  if (accepts.threads)
+    u +=
+        "  --threads N        trial-engine worker threads (default: all cores;\n"
+        "                     experiments with fixed thread counts reject it)\n";
   if (accepts.trials)
     u +=
         "  --trials N         override the default trial count (experiments\n"

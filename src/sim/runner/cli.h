@@ -17,7 +17,8 @@
 //                     section; git SHA, wall timings, profile totals in
 //                     a nondeterministic one) — see tools/obs_report
 //   --help            print usage and exit 0
-// An experiment with fixed trial counts or a fixed seed declines
+// An experiment with fixed thread counts (no trial engine, or its own
+// sweep of them), fixed trial counts or a fixed seed declines --threads,
 // --trials or --seed (CliAccepts).  Anything else — an unknown or
 // declined flag, a bad value, any positional argument — is an error:
 // parse_cli reports it and parse_cli_or_exit prints the usage message
@@ -43,9 +44,11 @@ struct CliOptions {
   bool help = false;
 };
 
-/// Which of the two per-experiment flags the command takes.  A declined
-/// flag is an error that names the command, never a value it ignores.
+/// Which of the three per-experiment flags the command takes.  A
+/// declined flag is an error that names the command, never a value it
+/// ignores.
 struct CliAccepts {
+  bool threads = true;
   bool trials = true;
   bool seed = true;
 };

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
+#include "common/error.h"
 #include "common/units.h"
 #include "dsp/ops.h"
 
@@ -79,6 +81,45 @@ TEST(Awgn, FirstDrawLandsInTheImaginaryPart) {
     EXPECT_EQ(y[i].imag(), static_cast<float>(d.normal(0.0, sigma))) << i;
     EXPECT_EQ(y[i].real(), static_cast<float>(d.normal(0.0, sigma))) << i;
   }
+}
+
+/// fn(power) must throw an ms::Error whose message names `value`.
+template <typename Fn>
+void expect_power_rejected(Fn fn, double power, const char* value) {
+  try {
+    fn(power);
+    ADD_FAILURE() << "accepted noise power " << value;
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find(value), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(Awgn, ComplexNoiseRejectsBadPower) {
+  // A negative or non-finite power once made every sample NaN through
+  // the square root; zero stays valid and draws nothing but zeros.
+  Rng rng(10);
+  auto fn = [&](double p) { return complex_noise(4, p, rng); };
+  expect_power_rejected(fn, -1.0, "-1");
+  expect_power_rejected(fn, std::nan(""), "nan");
+  expect_power_rejected(fn, HUGE_VAL, "inf");
+  for (const Cf& v : complex_noise(4, 0.0, rng))
+    EXPECT_EQ(v, Cf(0.0f, 0.0f));
+}
+
+TEST(Awgn, AddNoisePowerRejectsBadPower) {
+  // add_awgn reaches add_noise_power with a NaN power when the signal
+  // holds a NaN; that is now the same named error.
+  Rng rng(11);
+  const Iq x(4, Cf(1.0f, -1.0f));
+  auto fn = [&](double p) { return add_noise_power(x, p, rng); };
+  expect_power_rejected(fn, -0.5, "-0.5");
+  expect_power_rejected(fn, -HUGE_VAL, "-inf");
+  expect_power_rejected(fn, std::nan(""), "nan");
+  Iq bad = x;
+  bad[2] = Cf(std::nanf(""), 0.0f);
+  EXPECT_THROW(add_awgn(bad, 10.0, rng), Error);
+  EXPECT_EQ(add_noise_power(x, 0.0, rng), x);
 }
 
 }  // namespace

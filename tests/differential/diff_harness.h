@@ -73,6 +73,23 @@ inline void expect_same_floats(std::span<const float> fast,
   }
 }
 
+inline void expect_same_doubles(std::span<const double> fast,
+                                std::span<const double> ref,
+                                const std::string& what,
+                                const std::string& ctx) {
+  ASSERT_EQ(fast.size(), ref.size()) << what << " size mismatch (" << ctx
+                                     << ")";
+  for (std::size_t i = 0; i < fast.size(); ++i) {
+    if (std::memcmp(&fast[i], &ref[i], sizeof(double)) != 0) {
+      char buf[96];
+      std::snprintf(buf, sizeof(buf), "fast=%a ref=%a", fast[i], ref[i]);
+      ADD_FAILURE() << what << " diverges at index " << i << " (" << ctx
+                    << "): " << buf;
+      return;
+    }
+  }
+}
+
 inline void expect_same_bits(std::span<const std::uint8_t> fast,
                              std::span<const std::uint8_t> ref,
                              const std::string& what,

@@ -1,7 +1,11 @@
 #include "golden_vectors.h"
 
+#include <cmath>
 #include <cstdio>
+#include <string>
 
+#include "channel/awgn.h"
+#include "channel/multipath.h"
 #include "common/bits.h"
 #include "common/rng.h"
 #include "core/ident/templates.h"
@@ -220,6 +224,61 @@ Vector fleet_superposed_vector(const char* filename, std::size_t n_tags) {
   return v;
 }
 
+// Channel noise and fading: the drawn values themselves.  complex_noise
+// and add_noise_power at seeds 1 and 2020 over lengths around a
+// 128-sample boundary, with one call at seed 2020 entered with a normal()
+// spare pending (the draws before and after it are pinned too), then the
+// taps, delays and output of a default 3-tap channel at 20 Msps applied
+// to a fixed waveform.  Pins every Gaussian draw behind the
+// identification traces, whichever code computes it: a change to
+// Rng::normal and to the batched draws together still fails here.
+Vector channel_noise_vector() {
+  Vector v{"channel_noise_stream.txt", {}};
+  auto draw_line = [&](const char* what, double x) {
+    char buf[64];
+    std::snprintf(buf, sizeof buf, "%s %a", what, x);
+    v.lines.push_back(buf);
+  };
+  const std::size_t lengths[] = {1, 127, 128, 129, 1400};
+  for (std::uint64_t seed : {1ull, 2020ull}) {
+    Rng rng(seed);
+    for (std::size_t n : lengths) {
+      const bool spare = seed == 2020 && n == 129;
+      if (spare) draw_line("normal", rng.normal());
+      char buf[80];
+      std::snprintf(buf, sizeof buf, "complex_noise seed %llu n %zu",
+                    static_cast<unsigned long long>(seed), n);
+      v.lines.push_back(buf);
+      append_iq(v.lines, complex_noise(n, 0.5, rng));
+      if (spare) draw_line("normal", rng.normal());
+      Iq x(n);
+      for (std::size_t k = 0; k < n; ++k)
+        x[k] = Cf(static_cast<float>(k % 7) - 3.0f,
+                  0.25f * static_cast<float>(k % 5));
+      std::snprintf(buf, sizeof buf, "add_noise_power seed %llu n %zu",
+                    static_cast<unsigned long long>(seed), n);
+      v.lines.push_back(buf);
+      append_iq(v.lines, add_noise_power(x, 2.0, rng));
+    }
+  }
+  Rng rng(7);
+  const MultipathChannel ch = sample_multipath(MultipathConfig{}, 20e6, rng);
+  v.lines.push_back("multipath taps");
+  append_iq(v.lines, Iq(ch.taps.begin(), ch.taps.end()));
+  std::string delays = "multipath delays";
+  for (std::size_t d : ch.delays) {
+    delays += ' ';
+    delays += std::to_string(d);
+  }
+  v.lines.push_back(delays);
+  Iq x(40);
+  for (std::size_t k = 0; k < x.size(); ++k)
+    x[k] = Cf(static_cast<float>(std::cos(0.3 * static_cast<double>(k))),
+              static_cast<float>(std::sin(0.7 * static_cast<double>(k))));
+  append_iq(v.lines, ch.apply(x));
+  return v;
+}
+
 }  // namespace
 
 std::vector<Vector> build_all() {
@@ -228,7 +287,8 @@ std::vector<Vector> build_all() {
           overlay_vector(),  packed_template_vector(),
           gfsk_softbits_vector(), ofdm_deinterleave_vector(),
           fleet_superposed_vector("fleet_superposed_2tag.txt", 2),
-          fleet_superposed_vector("fleet_superposed_3tag.txt", 3)};
+          fleet_superposed_vector("fleet_superposed_3tag.txt", 3),
+          channel_noise_vector()};
 }
 
 }  // namespace ms::golden

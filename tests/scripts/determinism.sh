@@ -12,7 +12,7 @@
 #             `obs_report det` renders the deterministic sections equal,
 #             the full manifests differ (the thread count is recorded),
 #             and `obs_report diff` exits 0 or 4, never 8;
-#   threads   fig7_ordered and fig13_los at --threads 1 and 8: every CSV;
+#   threads   fig7_ordered at --threads 1 and 8: every CSV;
 #             robustness_faults at --threads 1 and 8: its five CSVs, the
 #             metrics JSON and stdout;
 #   workloads robustness_workloads at --threads 1 and 8: the scorecard
@@ -111,16 +111,14 @@ check_manifest() {
 check_threads() {
   for threads in 1 8; do
     run "fig7_t${threads}" fig7_ordered --trials 2 --seed 7 --threads "$threads"
-    run "fig13_t${threads}" fig13_los --threads "$threads"
     run "faults_t${threads}" robustness_faults --threads "$threads"
   done
   same_csvs fig7_t1 fig7_t8
-  same_csvs fig13_t1 fig13_t8
   same_csvs faults_t1 faults_t8
   for f in metrics.json stdout.txt; do
     same "$f" faults_t1 faults_t8
   done
-  echo "fig7, fig13: CSVs byte-identical across threads 1/8"
+  echo "fig7: CSVs byte-identical across threads 1/8"
   echo "robustness_faults: CSVs + metrics + stdout byte-identical across threads 1/8"
 }
 

@@ -136,6 +136,24 @@ TEST(Cli, DeclinedFlagsNameTheCommand) {
                    .has_value());
 }
 
+TEST(Cli, DeclinedThreadsNamesTheCommand) {
+  // A row that runs no trial engine, or sweeps its own thread counts,
+  // rejects --threads, and its usage does not offer the flag.
+  const char* threads[] = {"msbench fig13_los", "--threads", "8"};
+  CliOptions o;
+  const auto err = parse_cli(3, threads, o, {.threads = false});
+  ASSERT_TRUE(err.has_value());
+  EXPECT_EQ(*err, "msbench fig13_los does not take --threads: its thread "
+                  "counts are fixed");
+  EXPECT_EQ(o.threads, 0u);
+  EXPECT_FALSE(parse_cli(3, threads, o, {}).has_value());
+  EXPECT_EQ(o.threads, 8u);
+  const std::string usage = cli_usage(
+      "msbench fig13_los", {.threads = false, .trials = false, .seed = false});
+  EXPECT_EQ(usage.find("--threads"), std::string::npos);
+  EXPECT_EQ(usage.rfind("usage: msbench fig13_los [--out DIR]\n", 0), 0u);
+}
+
 TEST(Cli, HelpFlag) {
   CliOptions o;
   EXPECT_FALSE(parse({"--help"}, o).has_value());
