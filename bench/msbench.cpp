@@ -34,6 +34,10 @@ struct Experiment {
   std::size_t default_trials;
   /// false = the experiment's seeds are fixed, and --seed is an error.
   bool seeded;
+  /// false = the experiment synthesizes no identification waveform
+  /// (sim/ident_experiment.h), so it never reads the waveform cache, and
+  /// --waveform-cache is an error.
+  bool cached;
   /// Gets the flags with --trials resolved; returns the exit status.
   int (*run)(const CliOptions&);
 };
@@ -42,42 +46,42 @@ struct Experiment {
 // it compiles each bench_<id>.cpp into msbench and smoke-tests each
 // row, with --threads 2 where the row takes it.
 constexpr Experiment kExperiments[] = {
-    {"table1_comparison", false, 0, false, table1_comparison},
-    {"table2_resources", false, 0, false, table2_resources},
-    {"table3_power", false, 0, false, table3_power},
-    {"table4_energy", false, 0, false, table4_energy},
-    {"table5_identpower", false, 0, false, table5_identpower},
-    {"table6_modes", false, 0, false, table6_modes},
-    {"fig4_rectifier", false, 0, false, fig4_rectifier},
-    {"fig5_templates", true, 0, false, fig5_templates},
-    {"fig6_ordering", true, 0, false, fig6_ordering},
-    {"fig7_ordered", true, 200, true, fig7_ordered},
-    {"fig8_lowrate", true, 0, false, fig8_lowrate},
-    {"fig9_baselines", false, 0, false, fig9_baselines},
-    {"fig12_tradeoffs", false, 0, false, fig12_tradeoffs},
-    {"fig13_los", false, 0, false, fig13_los},
-    {"fig14_nlos", false, 0, false, fig14_nlos},
-    {"fig15_occlusion", false, 0, false, fig15_occlusion},
-    {"fig16_collisions", false, 0, false, fig16_collisions},
-    {"fig17_refmod", false, 0, false, fig17_refmod},
-    {"fig18_diversity", false, 0, true, fig18_diversity},
-    {"sec221_downlink", false, 0, false, sec221_downlink},
-    {"mcs_rates", false, 0, false, mcs_rates},
-    {"waterfalls", false, 0, false, waterfalls},
-    {"validation_waveform", false, 0, false, validation_waveform},
-    {"ablation_fec", false, 0, false, ablation_fec},
-    {"ablation_filter", false, 0, false, ablation_filter},
-    {"ablation_quantization", true, 0, false, ablation_quantization},
-    {"ablation_sensing", false, 0, false, ablation_sensing},
-    {"ablation_snr", true, 0, false, ablation_snr},
-    {"ablation_wakeup", false, 0, false, ablation_wakeup},
-    {"robustness_faults", true, 0, false, robustness_faults},
-    {"robustness_multipath", true, 0, false, robustness_multipath},
-    {"robustness_preambles", true, 0, false, robustness_preambles},
-    {"robustness_workloads", true, 5, true, robustness_workloads},
-    {"ident_throughput", true, 32, true, ident_throughput},
-    {"phy_throughput", true, 24, true, phy_throughput},
-    {"runner_scaling", false, 60, true, runner_scaling},
+    {"table1_comparison", false, 0, false, false, table1_comparison},
+    {"table2_resources", false, 0, false, false, table2_resources},
+    {"table3_power", false, 0, false, false, table3_power},
+    {"table4_energy", false, 0, false, false, table4_energy},
+    {"table5_identpower", false, 0, false, false, table5_identpower},
+    {"table6_modes", false, 0, false, false, table6_modes},
+    {"fig4_rectifier", false, 0, false, false, fig4_rectifier},
+    {"fig5_templates", true, 0, false, true, fig5_templates},
+    {"fig6_ordering", true, 0, false, true, fig6_ordering},
+    {"fig7_ordered", true, 200, true, true, fig7_ordered},
+    {"fig8_lowrate", true, 0, false, true, fig8_lowrate},
+    {"fig9_baselines", false, 0, false, false, fig9_baselines},
+    {"fig12_tradeoffs", false, 0, false, false, fig12_tradeoffs},
+    {"fig13_los", false, 0, false, false, fig13_los},
+    {"fig14_nlos", false, 0, false, false, fig14_nlos},
+    {"fig15_occlusion", false, 0, false, false, fig15_occlusion},
+    {"fig16_collisions", false, 0, false, false, fig16_collisions},
+    {"fig17_refmod", false, 0, false, false, fig17_refmod},
+    {"fig18_diversity", false, 0, true, false, fig18_diversity},
+    {"sec221_downlink", false, 0, false, false, sec221_downlink},
+    {"mcs_rates", false, 0, false, false, mcs_rates},
+    {"waterfalls", false, 0, false, false, waterfalls},
+    {"validation_waveform", false, 0, false, false, validation_waveform},
+    {"ablation_fec", false, 0, false, false, ablation_fec},
+    {"ablation_filter", false, 0, false, false, ablation_filter},
+    {"ablation_quantization", true, 0, false, true, ablation_quantization},
+    {"ablation_sensing", false, 0, false, false, ablation_sensing},
+    {"ablation_snr", true, 0, false, true, ablation_snr},
+    {"ablation_wakeup", false, 0, false, false, ablation_wakeup},
+    {"robustness_faults", true, 0, false, true, robustness_faults},
+    {"robustness_multipath", true, 0, false, true, robustness_multipath},
+    {"robustness_preambles", true, 0, false, true, robustness_preambles},
+    {"robustness_workloads", true, 5, true, false, robustness_workloads},
+    {"ident_throughput", true, 32, true, true, ident_throughput},
+    {"phy_throughput", true, 24, true, false, phy_throughput},
+    {"runner_scaling", false, 60, true, true, runner_scaling},
 };
 
 std::string usage() {
@@ -85,11 +89,13 @@ std::string usage() {
   u += "experiments (and the per-experiment flags each takes):\n";
   for (const Experiment& e : kExperiments) {
     std::string line = std::string("  ") + e.id;
-    if (e.threaded || e.default_trials || e.seeded) line.resize(24, ' ');
+    if (e.threaded || e.default_trials || e.seeded || e.cached)
+      line.resize(24, ' ');
     if (e.threaded) line += " --threads";
     if (e.default_trials)
       line += " --trials (default " + std::to_string(e.default_trials) + ")";
     if (e.seeded) line += " --seed";
+    if (e.cached) line += " --waveform-cache";
     u += line + '\n';
   }
   return u;
@@ -129,7 +135,8 @@ int main(int argc, char** argv) {
       std::string("bench_") + exp->id,
       {.threads = exp->threaded,
        .trials = exp->default_trials != 0,
-       .seed = exp->seeded});
+       .seed = exp->seeded,
+       .waveform_cache = exp->cached});
   if (opts.trials == 0) opts.trials = exp->default_trials;
   const int status = exp->run(opts);
   const bool io_ok = ms::finish_bench_output(opts);

@@ -1,20 +1,22 @@
 #!/usr/bin/env bash
 # Full CI sweep: Release build + the four labeled ctest suites (unit,
 # property, integration, golden) — the property label includes the
-# bitpack equivalence, multipath-trajectory and PHY kernel-vs-oracle
-# differential suites, and the unit label the workload/degradation/
+# bitpack equivalence and PHY kernel-vs-oracle differential suites,
+# and the unit label the workload/degradation/
 # time-varying-channel suites and the check that every src/ module is
 # reached from a program, so all of them get an ASan+UBSan pass below
 # for free — then the bench-smoke label (a smoke run of every msbench
 # experiment, the driver's usage errors, and the determinism gate: the
 # waveform cache, the workload scorecard, the fig7 CSVs, and
 # robustness_faults' CSVs, metrics JSON and stdout byte-identical at
-# threads 1 and 8), a bench-perf smoke of the
-# identification- and PHY-throughput experiments plus bench_micro's
-# calibration-search, identifier-score, channel (noise, multipath,
-# envelope), front-end (FIR, rf_envelope), overlay-sync and
-# tag-frame-codec benchmarks and its telemetry-overhead
-# gate, then the same four suites under ASan+UBSan (-DMS_SANITIZE=ON,
+# threads 1 and 8), the function-reach gate (two -O0 --gc-sections
+# trees, build-reach and build-reach-perfbench: every out-of-line src/
+# function must be linked into a production program), a bench-perf
+# smoke of the identification- and PHY-throughput experiments plus
+# bench_micro's calibration-search, identifier-score, channel (noise,
+# multipath, envelope), front-end (FIR, rf_envelope), overlay-sync and
+# tag-frame-codec benchmarks and its telemetry-overhead gate, then the
+# same four suites under ASan+UBSan (-DMS_SANITIZE=ON,
 # which also bounds-checks the standard containers with
 # _GLIBCXX_ASSERTIONS; the integration label runs the threaded engine's
 # test_runner there), the threaded engine and the perfbench harness
@@ -42,6 +44,18 @@ cmake --build "${repo_root}/build" -j"${jobs}"
 run_suites "${repo_root}/build"
 echo "==> ctest -L bench-smoke (Release only)"
 ctest --test-dir "${repo_root}/build" -L bench-smoke --output-on-failure -j"${jobs}"
+
+echo "==> src function reach (build-reach, build-reach-perfbench)"
+# Every out-of-line function in src/ must be linked into msbench,
+# bench_micro, an example or perfbench_harness, except the few that
+# tests/scripts/src_functions_reached.sh lists (a list that can only
+# shrink).  It builds its own -O0 trees, so it stays out of tier-1; it
+# runs here, before the sanitizer builds, so dead code fails early.
+# Known gap: msbench still links the test-only ms_test_oracles for its
+# ident_throughput and phy_throughput rows, so a src/ function that
+# only those oracles call counts as reached until the rows leave
+# msbench.
+bash "${repo_root}/tests/scripts/src_functions_reached.sh" "${repo_root}"
 
 echo "==> bench-perf smoke (Release only)"
 # Short passes through the identification- and PHY-throughput
@@ -147,4 +161,5 @@ for label in golden property; do
   ctest --test-dir "${repo_root}/build-native" -L "${label}" --output-on-failure -j"${jobs}"
 done
 
-echo "CI: all suites green (Release + sanitizers + TSan + x86-64-v3 + native)"
+echo "CI: all suites green (Release + function reach + sanitizers + TSan +" \
+     "x86-64-v3 + native)"

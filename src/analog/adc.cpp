@@ -43,9 +43,4 @@ Samples Adc::capture(std::span<const float> analog_v,
   return out;
 }
 
-double Adc::power_mw() const {
-  if (!cfg_.enabled) return 0.0;
-  return 260.0 * cfg_.sample_rate_hz / 20e6;
-}
-
 }  // namespace ms

@@ -29,10 +29,6 @@ class Adc {
   std::vector<unsigned> capture_codes(std::span<const float> analog_v,
                                       double input_rate_hz) const;
 
-  /// Power draw (mW) — scales linearly with sample rate from the paper's
-  /// 260 mW at 20 Msps (Table 3); zero when disabled.
-  double power_mw() const;
-
   const AdcConfig& config() const { return cfg_; }
 
  private:

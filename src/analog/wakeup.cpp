@@ -22,8 +22,4 @@ double wakeup_saving_factor(const WakeupConfig& cfg, double active_power_w,
   return active_power_w / with;
 }
 
-bool wakeup_triggers(const WakeupConfig& cfg, double incident_dbm) {
-  return incident_dbm >= cfg.sensitivity_dbm;
-}
-
 }  // namespace ms

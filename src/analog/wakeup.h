@@ -26,8 +26,4 @@ double duty_cycled_power_w(const WakeupConfig& cfg, double active_power_w,
 double wakeup_saving_factor(const WakeupConfig& cfg, double active_power_w,
                             double pkt_rate_hz);
 
-/// Whether the wake-up receiver can hear a tag-adjacent excitation at
-/// all (incident power above its sensitivity).
-bool wakeup_triggers(const WakeupConfig& cfg, double incident_dbm);
-
 }  // namespace ms

@@ -12,7 +12,7 @@ namespace ms {
 
 namespace {
 
-/// Normal draws per stack block: 128 complex or 256 real samples.
+/// Normal draws per stack block: two per complex sample.
 constexpr std::size_t kDrawBlock = 256;
 
 /// A negative or non-finite noise power would make every sample NaN
@@ -66,21 +66,6 @@ Iq add_awgn(std::span<const Cf> x, double snr_db, Rng& rng) {
   const double p = mean_power(x);
   if (p <= 0.0) return Iq(x.begin(), x.end());
   return add_noise_power(x, p / db_to_linear(snr_db), rng);
-}
-
-Samples add_awgn(std::span<const float> x, double snr_db, Rng& rng) {
-  const double p = mean_power(x);
-  Samples out(x.begin(), x.end());
-  if (p <= 0.0) return out;
-  const double sigma = std::sqrt(p / db_to_linear(snr_db));
-  double z[kDrawBlock];
-  for (std::size_t k0 = 0; k0 < out.size(); k0 += kDrawBlock) {
-    const std::size_t m = std::min(kDrawBlock, out.size() - k0);
-    rng.normals(std::span<double>(z, m));
-    for (std::size_t j = 0; j < m; ++j)
-      out[k0 + j] += static_cast<float>(0.0 + sigma * z[j]);
-  }
-  return out;
 }
 
 }  // namespace ms

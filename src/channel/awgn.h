@@ -22,9 +22,6 @@ Iq add_noise_power(std::span<const Cf> x, double noise_power, Rng& rng);
 /// add_noise_power rejects.
 Iq add_awgn(std::span<const Cf> x, double snr_db, Rng& rng);
 
-/// Real-valued variant for envelope-domain traces.
-Samples add_awgn(std::span<const float> x, double snr_db, Rng& rng);
-
 /// Pure complex noise of length n and total power `noise_power`, which
 /// must be finite and >= 0 (ms::Error naming it otherwise).
 Iq complex_noise(std::size_t n, double noise_power, Rng& rng);

@@ -17,19 +17,6 @@ double ber_dbpsk(double ebn0_db) {
   return 0.5 * std::exp(-db_to_linear(ebn0_db));
 }
 
-double ber_dqpsk(double ebn0_db) {
-  // Standard tight approximation using the effective 3 dB DQPSK penalty.
-  const double g = db_to_linear(ebn0_db);
-  return qfunc(std::sqrt(2.0 * g * (1.0 - std::sqrt(0.5))) * 2.0 /
-               std::sqrt(2.0 - std::sqrt(2.0)));
-}
-
-double ber_qam16(double ebn0_db) {
-  const double g = db_to_linear(ebn0_db);
-  // Per-bit BER for Gray 16-QAM: (3/8)·erfc(sqrt(2g/5)) approximation.
-  return 0.375 * std::erfc(std::sqrt(0.4 * g));
-}
-
 double ber_fsk_noncoherent(double ebn0_db) {
   return 0.5 * std::exp(-db_to_linear(ebn0_db) / 2.0);
 }

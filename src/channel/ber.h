@@ -17,12 +17,6 @@ double ber_bpsk(double ebn0_db);
 /// Differential BPSK: 0.5 exp(−Eb/N0).
 double ber_dbpsk(double ebn0_db);
 
-/// Differential QPSK (approximation, per bit).
-double ber_dqpsk(double ebn0_db);
-
-/// Gray-coded 16-QAM per-bit error rate.
-double ber_qam16(double ebn0_db);
-
 /// Non-coherent binary FSK: 0.5 exp(−Eb/N0 / 2); GFSK with h = 0.5 and a
 /// discriminator detector behaves close to this.
 double ber_fsk_noncoherent(double ebn0_db);

@@ -29,10 +29,6 @@ double BackscatterLink::snr_db(double tag_rx_distance_m, Protocol p) const {
   return rx_power_dbm(tag_rx_distance_m) - noise;
 }
 
-double ebn0_from_snr_db(double snr_db, double bandwidth_hz, double bitrate) {
-  return snr_db + linear_to_db(bandwidth_hz / bitrate);
-}
-
 double rx_sensitivity_dbm(Protocol p) {
   switch (p) {
     case Protocol::WifiB:

@@ -39,9 +39,6 @@ struct BackscatterLink {
   double snr_db(double tag_rx_distance_m, Protocol p) const;
 };
 
-/// SNR → per-bit Eb/N0 conversion: Eb/N0 = SNR + 10log10(BW / bitrate).
-double ebn0_from_snr_db(double snr_db, double bandwidth_hz, double bitrate);
-
 /// Receive sensitivity of the commodity radio used for each protocol
 /// (typical datasheet values: 1 Mbps DSSS NICs are the most sensitive,
 /// 1 Mbps BLE the least).  Below this RSSI the radio detects nothing —

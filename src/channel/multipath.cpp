@@ -5,7 +5,6 @@
 #include <complex>
 #include <cstring>
 
-#include "channel/timevarying.h"
 #include "common/error.h"
 #include "common/units.h"
 
@@ -61,46 +60,6 @@ MultipathChannel sample_multipath(const MultipathConfig& cfg,
         1, static_cast<std::size_t>(delay_s * sample_rate_hz)));
   }
   return ch;
-}
-
-MultipathFader::MultipathFader(const MultipathFadingConfig& cfg,
-                               double sample_rate_hz, Rng& rng)
-    : cfg_(cfg),
-      ch_(sample_multipath(cfg.profile, sample_rate_hz, rng)),
-      rho_(clarke_rho(cfg.doppler_hz, cfg.step_time_s)) {
-  const std::vector<double> powers = scatter_tap_powers(cfg_.profile);
-  scatter_sigma_.reserve(powers.size());
-  for (double p : powers) scatter_sigma_.push_back(std::sqrt(p / 2.0));
-
-  const double k = db_to_linear(cfg_.profile.k_factor_db);
-  los_amp_ = std::sqrt(k / (1.0 + k));
-  los_phase_ = std::atan2(ch_.taps[0].imag(), ch_.taps[0].real());
-  // LoS Doppler depends on the arrival angle relative to motion.
-  const double angle = rng.uniform(0.0, 2.0 * M_PI);
-  los_rate_rad_ =
-      2.0 * M_PI * cfg_.doppler_hz * std::cos(angle) * cfg_.step_time_s;
-}
-
-void MultipathFader::step(Rng& rng) {
-  if (cfg_.doppler_hz == 0.0) return;  // frozen channel
-  los_phase_ = std::fmod(los_phase_ + los_rate_rad_, 2.0 * M_PI);
-  ch_.taps[0] = Cf(static_cast<float>(los_amp_ * std::cos(los_phase_)),
-                   static_cast<float>(los_amp_ * std::sin(los_phase_)));
-  const double mix = std::sqrt(1.0 - rho_ * rho_);
-  for (std::size_t t = 0; t < scatter_sigma_.size(); ++t) {
-    const double sigma = mix * scatter_sigma_[t];
-    Cf& tap = ch_.taps[t + 1];
-    // Imaginary innovation first, as in sample_multipath.
-    const float im = static_cast<float>(rho_ * tap.imag() + rng.normal(0.0, sigma));
-    const float re = static_cast<float>(rho_ * tap.real() + rng.normal(0.0, sigma));
-    tap = Cf(re, im);
-  }
-}
-
-double MultipathFader::tap_energy() const {
-  double e = 0.0;
-  for (const Cf& t : ch_.taps) e += std::norm(t);
-  return e;
 }
 
 namespace {

@@ -32,41 +32,4 @@ struct MultipathChannel {
 MultipathChannel sample_multipath(const MultipathConfig& cfg,
                                   double sample_rate_hz, Rng& rng);
 
-/// Time-varying extension of the tapped-delay line: the scattered taps
-/// evolve as independent AR(1) complex Gauss–Markov processes whose
-/// step-to-step correlation follows Clarke's model (ρ = J₀(2π·f_D·T)),
-/// and the LoS tap keeps its amplitude while its phase rotates at the
-/// LoS Doppler.  Expected total tap energy stays 1 along the whole
-/// trajectory; every draw comes from the caller's Rng, so a trajectory
-/// is a pure function of (seed, step index).
-struct MultipathFadingConfig {
-  MultipathConfig profile;
-  double doppler_hz = 5.0;    ///< max Doppler (0 = frozen channel)
-  double step_time_s = 1e-3;  ///< time per step() call
-};
-
-class MultipathFader {
- public:
-  MultipathFader(const MultipathFadingConfig& cfg, double sample_rate_hz,
-                 Rng& rng);
-
-  /// Evolve the channel by one step.
-  void step(Rng& rng);
-
-  /// The current realization (delays fixed, gains time-varying).
-  const MultipathChannel& channel() const { return ch_; }
-
-  /// Instantaneous total tap energy Σ|h_t|² (expectation 1).
-  double tap_energy() const;
-
- private:
-  MultipathFadingConfig cfg_;
-  MultipathChannel ch_;
-  std::vector<double> scatter_sigma_;  ///< per-tap per-component σ
-  double rho_;
-  double los_amp_;
-  double los_phase_;
-  double los_rate_rad_;
-};
-
 }  // namespace ms

@@ -143,8 +143,6 @@ Bytes Rng::bytes(std::size_t n) {
   return out;
 }
 
-Rng Rng::fork() { return Rng((*this)()); }
-
 Rng Rng::fork(std::uint64_t point, std::uint64_t trial) const {
   // Hash (seed, point, trial) through three chained splitmix64 rounds.
   // Each round absorbs one input into the accumulator, so distinct grid

@@ -58,11 +58,6 @@ class Rng {
   /// n independent uniform bytes.
   Bytes bytes(std::size_t n);
 
-  /// Derive an independent child generator (for per-trial streams).
-  /// Advances this generator's state; successive calls yield different
-  /// children.
-  Rng fork();
-
   /// Counter-based stream derivation for parallel sweeps: the child seed
   /// is a hash of (construction seed, point, trial), so the stream for a
   /// given grid cell depends only on those three numbers — never on how

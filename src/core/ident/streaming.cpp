@@ -27,17 +27,6 @@ std::size_t StreamingIdentifier::window_len() const {
   return 2 * margin + cfg_.templates.preprocess_len + lt;
 }
 
-void StreamingIdentifier::reset() {
-  state_ = State::Idle;
-  window_.clear();
-  position_ = 0;
-  trigger_pos_ = 0;
-  holdoff_remaining_ = 0;
-  min_holdoff_remaining_ = 0;
-  active_samples_ = 0;
-  noise_floor_ = 0.0;
-}
-
 std::optional<IdentEvent> StreamingIdentifier::push(float sample) {
   ++position_;
   switch (state_) {

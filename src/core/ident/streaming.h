@@ -56,8 +56,6 @@ class StreamingIdentifier {
   /// EN line achieves between packets).
   double active_fraction() const;
 
-  void reset();
-
  private:
   enum class State { Idle, Capturing, Holdoff };
 

@@ -182,10 +182,4 @@ TemplateSet build_templates(const TemplateParams& params) {
   return set;
 }
 
-std::size_t TemplateSet::storage_bits() const {
-  std::size_t bits = 0;
-  for (const auto& t : one_bit) bits += t.size();
-  return bits;
-}
-
 }  // namespace ms

@@ -46,9 +46,6 @@ struct TemplateSet {
   /// The ±1 templates packed 64 positions per word — what the XOR+popcount
   /// scoring kernel correlates against (bit-exact vs `one_bit`).
   std::array<bitpack::PackedVec, 4> one_bit_packed;
-
-  /// FPGA storage cost of the 1-bit templates (§2.3.2 note 2).
-  std::size_t storage_bits() const;
 };
 
 /// Build the four templates by pushing each protocol's clean preamble

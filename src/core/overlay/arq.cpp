@@ -95,12 +95,6 @@ void ArqSender::drop_head_reading() {
   holdoff_ = 0;
 }
 
-ArqReceiver::Result ArqReceiver::push_bits(std::span<const uint8_t> bits) {
-  const std::optional<TagFrame> f = TagFrame::from_bits(bits);
-  if (!f) return {};
-  return push(*f);
-}
-
 ArqReceiver::Result ArqReceiver::push(const TagFrame& frame) {
   PerTag& t = tags_[frame.tag_id];
   Result r;

@@ -113,9 +113,6 @@ class ArqReceiver {
     std::optional<Bytes> reading;  ///< completed reading, if any
   };
 
-  /// Feed the demodulated bit stream of one slot.
-  Result push_bits(std::span<const uint8_t> bits);
-
   /// Feed an already-parsed frame (e.g. straight from a codec decode).
   Result push(const TagFrame& frame);
 

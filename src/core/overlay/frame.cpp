@@ -108,6 +108,4 @@ std::optional<Bytes> FrameAssembler::push(const TagFrame& frame) {
   return out;
 }
 
-void FrameAssembler::reset(uint8_t tag_id) { partial_.erase(tag_id); }
-
 }  // namespace ms

@@ -50,9 +50,6 @@ class FrameAssembler {
   /// frame finishes one.
   std::optional<Bytes> push(const TagFrame& frame);
 
-  /// Drop any partial state for a tag (e.g. after a gap).
-  void reset(uint8_t tag_id);
-
  private:
   struct Partial {
     Bytes data;

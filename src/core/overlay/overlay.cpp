@@ -49,11 +49,6 @@ OverlayCodec::OverlayCodec(OverlayParams params) : params_(params) {
   MS_CHECK(params_.gamma >= 1);
 }
 
-std::size_t OverlayCodec::sequences_for_productive(std::size_t n_bits) const {
-  const std::size_t per = productive_bits_per_sequence();
-  return (n_bits + per - 1) / per;
-}
-
 std::unique_ptr<OverlayCodec> make_overlay_codec(Protocol p,
                                                  OverlayParams params) {
   switch (p) {

@@ -61,9 +61,6 @@ class OverlayCodec {
   /// Payload bits the reference symbol of one sequence carries.
   virtual std::size_t productive_bits_per_sequence() const = 0;
 
-  /// Number of sequences needed to carry n productive bits.
-  std::size_t sequences_for_productive(std::size_t n_bits) const;
-
   /// Tag bits carried alongside n_sequences.
   std::size_t tag_capacity(std::size_t n_sequences) const {
     return n_sequences * params_.tag_bits_per_sequence();

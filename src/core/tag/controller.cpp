@@ -1,25 +1,6 @@
 #include "core/tag/controller.h"
 
-#include <algorithm>
-
-#include "common/error.h"
-
 namespace ms {
-
-std::optional<std::size_t> pick_best_carrier(
-    std::span<const ExcitationSpec> available, const OverlayParams& params,
-    const BackscatterLink& link, double distance_m) {
-  std::optional<std::size_t> best;
-  double best_goodput = 0.0;
-  for (std::size_t i = 0; i < available.size(); ++i) {
-    const double g = tag_goodput_bps(available[i], params, link, distance_m);
-    if (g > best_goodput) {
-      best_goodput = g;
-      best = i;
-    }
-  }
-  return best;
-}
 
 TagController::TagController(TagControllerConfig cfg, BackscatterLink link)
     : cfg_(cfg), link_(link) {}

@@ -13,13 +13,6 @@
 
 namespace ms {
 
-/// Carrier-selection policy (Fig 18b): evaluate the expected tag goodput
-/// of each available excitation and pick the best.  Returns nullopt when
-/// none is usable.
-std::optional<std::size_t> pick_best_carrier(
-    std::span<const ExcitationSpec> available, const OverlayParams& params,
-    const BackscatterLink& link, double distance_m);
-
 struct TagControllerConfig {
   bool multiprotocol = true;  ///< false = single-protocol baseline tag
   Protocol only_protocol = Protocol::WifiB;  ///< used when !multiprotocol
@@ -39,7 +32,10 @@ struct TagControllerConfig {
 };
 
 /// Slot-based tag simulation.  Each step sees the set of excitations on
-/// the air during the slot and returns the tag throughput achieved.
+/// the air during the slot and returns the tag throughput achieved.  A
+/// multiprotocol tag picks the carrier with the best expected tag
+/// goodput (Fig 18b's carrier-selection policy), the first on a tie, and
+/// idles when none has any.
 class TagController {
  public:
   explicit TagController(TagControllerConfig cfg, BackscatterLink link);

@@ -33,13 +33,12 @@ void pack_threshold(std::span<const float> x, double thr,
   if (x.size() % 64 != 0) out[w++] = word;
 }
 
-namespace {
-
-/// Shared scan over every valid alignment: calls fn(offset, score).
-template <typename Fn>
-void for_each_offset(const PackedVec& stream, const PackedVec& tmpl, Fn&& fn) {
+std::vector<double> sliding_sign_correlation(const PackedVec& stream,
+                                             const PackedVec& tmpl) {
   const std::size_t len = tmpl.bits;
-  if (len == 0 || stream.bits < len) return;
+  if (len == 0 || stream.bits < len) return {};
+  std::vector<double> out;
+  out.reserve(stream.bits - len + 1);
   const std::vector<std::uint64_t>& sw = stream.words;
   const std::size_t n_words = words_for(len);
   const std::uint64_t mask = tail_mask(len);
@@ -61,35 +60,11 @@ void for_each_offset(const PackedVec& stream, const PackedVec& tmpl, Fn&& fn) {
           static_cast<std::size_t>(std::popcount(window[w] ^ tmpl.words[w]));
     disagreements += static_cast<std::size_t>(
         std::popcount((window[n_words - 1] ^ tmpl.words[n_words - 1]) & mask));
-    const double score =
+    out.push_back(
         (static_cast<double>(len) - 2.0 * static_cast<double>(disagreements)) /
-        static_cast<double>(len);
-    fn(off, score);
+        static_cast<double>(len));
   }
-}
-
-}  // namespace
-
-std::vector<double> sliding_sign_correlation(const PackedVec& stream,
-                                             const PackedVec& tmpl) {
-  std::vector<double> out;
-  if (tmpl.bits != 0 && stream.bits >= tmpl.bits)
-    out.reserve(stream.bits - tmpl.bits + 1);
-  for_each_offset(stream, tmpl,
-                  [&](std::size_t, double score) { out.push_back(score); });
   return out;
-}
-
-Peak peak_sliding_sign_correlation(const PackedVec& stream,
-                                   const PackedVec& tmpl) {
-  Peak best;
-  for_each_offset(stream, tmpl, [&](std::size_t off, double score) {
-    if (score > best.score) {
-      best.score = score;
-      best.offset = off;
-    }
-  });
-  return best;
 }
 
 }  // namespace ms::bitpack

@@ -86,14 +86,4 @@ inline double packed_sign_correlation(std::span<const std::uint64_t> a,
 std::vector<double> sliding_sign_correlation(const PackedVec& stream,
                                              const PackedVec& tmpl);
 
-struct Peak {
-  double score = -1.0;    ///< -1 when no offset fits
-  std::size_t offset = 0;
-};
-
-/// Argmax of sliding_sign_correlation without materializing the score
-/// vector; the earliest offset wins ties (matching a strict `>` scan).
-Peak peak_sliding_sign_correlation(const PackedVec& stream,
-                                   const PackedVec& tmpl);
-
 }  // namespace ms::bitpack

@@ -1,6 +1,5 @@
 #include "dsp/correlate.h"
 
-#include <algorithm>
 #include <cmath>
 
 #include "common/error.h"
@@ -43,18 +42,6 @@ double sign_correlation(std::span<const int8_t> a, std::span<const int8_t> b) {
   for (std::size_t i = 0; i < a.size(); ++i)
     acc += static_cast<int>(a[i]) * static_cast<int>(b[i]);
   return static_cast<double>(acc) / static_cast<double>(a.size());
-}
-
-std::size_t argmax(std::span<const float> x) {
-  if (x.empty()) return 0;
-  return static_cast<std::size_t>(
-      std::distance(x.begin(), std::max_element(x.begin(), x.end())));
-}
-
-double peak_correlation(std::span<const float> x, std::span<const float> tmpl) {
-  const Samples c = sliding_correlation(x, tmpl);
-  if (c.empty()) return 0.0;
-  return *std::max_element(c.begin(), c.end());
 }
 
 }  // namespace ms

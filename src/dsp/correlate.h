@@ -30,11 +30,4 @@ Samples sliding_correlation(std::span<const float> x,
 /// a popcount/adder circuit, no multipliers.
 double sign_correlation(std::span<const int8_t> a, std::span<const int8_t> b);
 
-/// Index of the maximum element (0 for empty input).
-std::size_t argmax(std::span<const float> x);
-
-/// Maximum value of the sliding Pearson correlation (the match score used
-/// by the identifier).  0 when x is shorter than the template.
-double peak_correlation(std::span<const float> x, std::span<const float> tmpl);
-
 }  // namespace ms

@@ -48,12 +48,6 @@ void transform(Iq& x, bool inverse) {
 void fft_inplace(Iq& x) { transform(x, /*inverse=*/false); }
 void ifft_inplace(Iq& x) { transform(x, /*inverse=*/true); }
 
-Iq fft(std::span<const Cf> x) {
-  Iq out(x.begin(), x.end());
-  fft_inplace(out);
-  return out;
-}
-
 Iq ifft(std::span<const Cf> x) {
   Iq out(x.begin(), x.end());
   ifft_inplace(out);

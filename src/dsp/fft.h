@@ -2,8 +2,8 @@
 //
 // 802.11n OFDM needs only 64-point transforms, but the implementation is a
 // general power-of-two FFT so spectral analysis utilities can reuse it.
-// Conventions: fft() is unnormalized, ifft() scales by 1/N, so
-// ifft(fft(x)) == x.
+// Conventions: fft_inplace() is unnormalized, ifft_inplace() and ifft()
+// scale by 1/N, so the inverse undoes the forward transform.
 #pragma once
 
 #include <span>
@@ -17,9 +17,6 @@ void fft_inplace(Iq& x);
 
 /// In-place inverse FFT (includes the 1/N normalization).
 void ifft_inplace(Iq& x);
-
-/// Out-of-place forward FFT.
-Iq fft(std::span<const Cf> x);
 
 /// Out-of-place inverse FFT.
 Iq ifft(std::span<const Cf> x);

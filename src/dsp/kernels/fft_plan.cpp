@@ -87,18 +87,6 @@ void FftPlan::run(std::span<Cf> x, bool inverse) const {
 void FftPlan::forward(std::span<Cf> x) const { run(x, /*inverse=*/false); }
 void FftPlan::inverse(std::span<Cf> x) const { run(x, /*inverse=*/true); }
 
-void FftPlan::forward_batch(std::span<Cf> data) const {
-  MS_CHECK(data.size() % n_ == 0);
-  for (std::size_t off = 0; off < data.size(); off += n_)
-    run(data.subspan(off, n_), /*inverse=*/false);
-}
-
-void FftPlan::inverse_batch(std::span<Cf> data) const {
-  MS_CHECK(data.size() % n_ == 0);
-  for (std::size_t off = 0; off < data.size(); off += n_)
-    run(data.subspan(off, n_), /*inverse=*/true);
-}
-
 const FftPlan& fft_plan(std::size_t n) {
   static std::mutex mu;
   static std::map<std::size_t, std::unique_ptr<FftPlan>> cache;

@@ -11,8 +11,8 @@
 //
 // FftPlan hoists all of it: twiddle tables and the bit-reversal swap
 // list are built once per size, transforms run over caller spans with
-// open-coded finite-value complex arithmetic, and batch() streams any
-// number of symbols through one plan.
+// open-coded finite-value complex arithmetic, and one plan serves every
+// symbol of a packet.
 //
 // Why it is bit-exact:
 //   - The reference restarts w at (1,0) for every block of a stage, so
@@ -46,11 +46,6 @@ class FftPlan {
   /// In-place transforms over exactly size() samples.
   void forward(std::span<Cf> x) const;
   void inverse(std::span<Cf> x) const;  ///< includes the 1/N scaling
-
-  /// Transform consecutive size()-sample symbols in place.  data.size()
-  /// must be a multiple of size().
-  void forward_batch(std::span<Cf> data) const;
-  void inverse_batch(std::span<Cf> data) const;
 
  private:
   void run(std::span<Cf> x, bool inv) const;

@@ -22,14 +22,6 @@ Iq frequency_shift(std::span<const Cf> x, double freq_offset_hz,
   return out;
 }
 
-Iq phase_rotate(std::span<const Cf> x, double phase_rad) {
-  const Cf rot(static_cast<float>(std::cos(phase_rad)),
-               static_cast<float>(std::sin(phase_rad)));
-  Iq out(x.size());
-  for (std::size_t i = 0; i < x.size(); ++i) out[i] = x[i] * rot;
-  return out;
-}
-
 Samples discriminate(std::span<const Cf> x, double sample_rate_hz) {
   MS_CHECK(sample_rate_hz > 0.0);
   if (x.size() < 2) return {};

@@ -1,4 +1,4 @@
-// Frequency shifting and phase rotation of complex baseband waveforms.
+// Frequency shifting and FM discrimination of complex baseband waveforms.
 //
 // Backscatter tags shift carriers to an adjacent channel by toggling the RF
 // switch at the offset frequency; at complex baseband that is exactly a
@@ -15,9 +15,6 @@ namespace ms {
 /// freq_offset_hz.  `phase0` is the starting phase in radians.
 Iq frequency_shift(std::span<const Cf> x, double freq_offset_hz,
                    double sample_rate_hz, double phase0 = 0.0);
-
-/// Multiply every sample by exp(j·phase).
-Iq phase_rotate(std::span<const Cf> x, double phase_rad);
 
 /// Instantaneous frequency (Hz) via phase differentiation — the FM
 /// discriminator used by the GFSK demodulator.  Output has size()-1

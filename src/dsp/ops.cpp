@@ -4,7 +4,6 @@
 #include <cfloat>
 #include <cmath>
 
-#include "common/error.h"
 #include "common/lanes.h"
 
 namespace ms {
@@ -14,21 +13,6 @@ double mean_power(std::span<const Cf> x) {
   double acc = 0.0;
   for (const Cf& v : x) acc += static_cast<double>(std::norm(v));
   return acc / static_cast<double>(x.size());
-}
-
-double mean_power(std::span<const float> x) {
-  if (x.empty()) return 0.0;
-  double acc = 0.0;
-  for (float v : x) acc += static_cast<double>(v) * v;
-  return acc / static_cast<double>(x.size());
-}
-
-void set_mean_power(Iq& x, double target) {
-  MS_CHECK(target > 0.0);
-  const double p = mean_power(std::span<const Cf>(x));
-  if (p <= 0.0) return;
-  const float scale = static_cast<float>(std::sqrt(target / p));
-  for (Cf& v : x) v *= scale;
 }
 
 Samples envelope(std::span<const Cf> x) {
@@ -72,13 +56,6 @@ double stddev(std::span<const float> x) {
   return std::sqrt(acc / static_cast<double>(x.size()));
 }
 
-Samples remove_dc(std::span<const float> x) {
-  const float m = static_cast<float>(mean(x));
-  Samples out(x.size());
-  for (std::size_t i = 0; i < x.size(); ++i) out[i] = x[i] - m;
-  return out;
-}
-
 Samples normalize(std::span<const float> x) {
   const double m = mean(x);
   const double s = stddev(x);
@@ -86,50 +63,6 @@ Samples normalize(std::span<const float> x) {
   if (s <= 0.0) return out;
   for (std::size_t i = 0; i < x.size(); ++i)
     out[i] = static_cast<float>((x[i] - m) / s);
-  return out;
-}
-
-Samples moving_average(std::span<const float> x, std::size_t window) {
-  MS_CHECK(window >= 1);
-  Samples out(x.size());
-  const std::size_t half = window / 2;
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    const std::size_t lo = i >= half ? i - half : 0;
-    const std::size_t hi = std::min(x.size(), i + half + 1);
-    double acc = 0.0;
-    for (std::size_t j = lo; j < hi; ++j) acc += x[j];
-    out[i] = static_cast<float>(acc / static_cast<double>(hi - lo));
-  }
-  return out;
-}
-
-Samples quantize(std::span<const float> x, unsigned bits, float full_scale) {
-  MS_CHECK(bits >= 1 && bits <= 16);
-  MS_CHECK(full_scale > 0.0f);
-  const float levels = static_cast<float>((1u << bits) - 1);
-  Samples out(x.size());
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    float v = std::clamp(x[i], -full_scale, full_scale);
-    // map [-fs, fs] -> [0, levels], round, map back
-    const float code = std::round((v + full_scale) / (2 * full_scale) * levels);
-    out[i] = code / levels * 2 * full_scale - full_scale;
-  }
-  return out;
-}
-
-std::vector<int8_t> sign_quantize(std::span<const float> x) {
-  std::vector<int8_t> out(x.size());
-  for (std::size_t i = 0; i < x.size(); ++i) out[i] = x[i] >= 0.0f ? 1 : -1;
-  return out;
-}
-
-Samples decimate(std::span<const float> x, std::size_t factor,
-                 std::size_t phase) {
-  MS_CHECK(factor >= 1);
-  MS_CHECK(phase < factor);
-  Samples out;
-  out.reserve((x.size() + factor - 1) / factor);
-  for (std::size_t i = phase; i < x.size(); i += factor) out.push_back(x[i]);
   return out;
 }
 

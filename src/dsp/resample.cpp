@@ -9,15 +9,6 @@ namespace ms {
 namespace {
 
 template <typename T>
-std::vector<T> hold(std::span<const T> x, std::size_t factor) {
-  MS_CHECK(factor >= 1);
-  std::vector<T> out;
-  out.reserve(x.size() * factor);
-  for (const T& v : x) out.insert(out.end(), factor, v);
-  return out;
-}
-
-template <typename T>
 std::vector<T> lerp_resample(std::span<const T> x, double ratio) {
   MS_CHECK(ratio > 0.0);
   if (x.empty()) return {};
@@ -39,26 +30,6 @@ std::vector<T> lerp_resample(std::span<const T> x, double ratio) {
 }
 
 }  // namespace
-
-Iq upsample_hold(std::span<const Cf> x, std::size_t factor) {
-  return hold<Cf>(x, factor);
-}
-
-Samples upsample_hold(std::span<const float> x, std::size_t factor) {
-  return hold<float>(x, factor);
-}
-
-Samples downsample_avg(std::span<const float> x, std::size_t factor) {
-  MS_CHECK(factor >= 1);
-  Samples out;
-  out.reserve(x.size() / factor);
-  for (std::size_t i = 0; i + factor <= x.size(); i += factor) {
-    double acc = 0.0;
-    for (std::size_t j = 0; j < factor; ++j) acc += x[i + j];
-    out.push_back(static_cast<float>(acc / static_cast<double>(factor)));
-  }
-  return out;
-}
 
 Samples resample_linear(std::span<const float> x, double ratio) {
   return lerp_resample<float>(x, ratio);

@@ -11,13 +11,6 @@
 
 namespace ms {
 
-/// Repeat each sample `factor` times (zero-order hold upsampling).
-Iq upsample_hold(std::span<const Cf> x, std::size_t factor);
-Samples upsample_hold(std::span<const float> x, std::size_t factor);
-
-/// Average consecutive groups of `factor` samples (anti-alias + decimate).
-Samples downsample_avg(std::span<const float> x, std::size_t factor);
-
 /// Arbitrary-ratio resampling by linear interpolation.  `ratio` is
 /// out_rate / in_rate; e.g. 0.125 resamples 20 Msps to 2.5 Msps.
 Samples resample_linear(std::span<const float> x, double ratio);

@@ -58,20 +58,12 @@ MetricId counter(const char* name) {
   return register_metric(name, MetricKind::Counter, {});
 }
 
-MetricId gauge(const char* name) {
-  return register_metric(name, MetricKind::Gauge, {});
-}
-
 MetricId histogram(const char* name, std::span<const double> upper_bounds) {
   return register_metric(name, MetricKind::Histogram, upper_bounds);
 }
 
 void add(MetricId id, std::uint64_t n) {
   if (TelemetryShard* s = detail::current_shard()) s->add(id, n);
-}
-
-void set(MetricId id, double value) {
-  if (TelemetryShard* s = detail::current_shard()) s->set(id, value);
 }
 
 void observe(MetricId id, double value) {

@@ -23,16 +23,12 @@ namespace ms::obs {
 
 using MetricId = std::uint32_t;
 
-enum class MetricKind : std::uint8_t { Counter, Gauge, Histogram };
+enum class MetricKind : std::uint8_t { Counter, Histogram };
 
 /// Register (or look up) a monotonic counter.  Registering an existing
 /// name returns the existing id; re-registering under a different kind
 /// throws ms::Error.
 MetricId counter(const char* name);
-
-/// Register (or look up) a gauge: a last-written-value metric.  Merges
-/// take the most recently written value in merge order.
-MetricId gauge(const char* name);
 
 /// Register (or look up) a histogram with fixed bucket upper bounds
 /// (ascending; an implicit +inf overflow bucket is appended).  The
@@ -40,11 +36,10 @@ MetricId gauge(const char* name);
 /// different bounds throws.
 MetricId histogram(const char* name, std::span<const double> upper_bounds);
 
-/// Hot-path recording.  All three are no-ops when no telemetry shard is
+/// Hot-path recording.  Both are no-ops when no telemetry shard is
 /// installed on this thread (i.e. outside an instrumented run or after
 /// obs::set_enabled(false)).
 void add(MetricId id, std::uint64_t n = 1);
-void set(MetricId id, double value);
 void observe(MetricId id, double value);
 
 /// Registry introspection (used by the JSON writer and tests).

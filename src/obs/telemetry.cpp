@@ -109,12 +109,6 @@ void TelemetryShard::add(MetricId id, std::uint64_t n) {
   slot(id).count += n;
 }
 
-void TelemetryShard::set(MetricId id, double value) {
-  Slot& s = slot(id);
-  s.value = value;
-  s.written = true;
-}
-
 void TelemetryShard::observe(MetricId id, double value) {
   Slot& s = slot(id);
   const std::vector<double>& bounds = histogram_bounds(id);
@@ -151,9 +145,6 @@ void TelemetryShard::merge_from(const TelemetryShard& src) {
       for (std::size_t b = 0; b < from.buckets.size(); ++b)
         to.buckets[b] += from.buckets[b];
       to.value += from.value;  // histogram sum
-    } else if (from.written) {
-      to.value = from.value;  // gauge: last write in merge order wins
-      to.written = true;
     }
   }
   events_.insert(events_.end(), src.events_.begin(), src.events_.end());
@@ -169,16 +160,6 @@ void TelemetryShard::clear() {
 std::uint64_t TelemetryShard::counter_value(MetricId id) const {
   const Slot* s = find(id);
   return s ? s->count : 0;
-}
-
-bool TelemetryShard::gauge_written(MetricId id) const {
-  const Slot* s = find(id);
-  return s && s->written;
-}
-
-double TelemetryShard::gauge_value(MetricId id) const {
-  const Slot* s = find(id);
-  return s && s->written ? s->value : 0.0;
 }
 
 TelemetryShard::HistogramValue TelemetryShard::histogram_value(
@@ -242,12 +223,11 @@ void write_metrics_json(std::ostream& out) {
 
   // Sort by name: registration order depends on which instrumentation
   // site ran first, which is scheduling-dependent — names are not.
-  std::map<std::string, MetricId> counters, gauges, histograms;
+  std::map<std::string, MetricId> counters, histograms;
   for (MetricId id = 0; id < metric_count(); ++id) {
     const MetricDef def = metric_def(id);
     switch (def.kind) {
       case MetricKind::Counter: counters[def.name] = id; break;
-      case MetricKind::Gauge: gauges[def.name] = id; break;
       case MetricKind::Histogram: histograms[def.name] = id; break;
     }
   }
@@ -259,15 +239,9 @@ void write_metrics_json(std::ostream& out) {
         << "\": " << a.shard.counter_value(id);
     first = false;
   }
-  out << (first ? "" : "\n  ") << "},\n  \"gauges\": {";
-  first = true;
-  for (const auto& [name, id] : gauges) {
-    if (!a.shard.gauge_written(id)) continue;
-    out << (first ? "\n" : ",\n") << "    \"" << json_escape(name)
-        << "\": " << fmt_double(a.shard.gauge_value(id));
-    first = false;
-  }
-  out << (first ? "" : "\n  ") << "},\n  \"histograms\": {";
+  // ms.metrics.v1 keeps a "gauges" object; no metric writes one.
+  out << (first ? "" : "\n  ")
+      << "},\n  \"gauges\": {},\n  \"histograms\": {";
   first = true;
   for (const auto& [name, id] : histograms) {
     const MetricDef def = metric_def(id);

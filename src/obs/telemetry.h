@@ -30,22 +30,17 @@ class TelemetryShard {
   static constexpr std::size_t kEventCapacity = 1024;
 
   void add(MetricId id, std::uint64_t n);
-  void set(MetricId id, double value);
   void observe(MetricId id, double value);
   void record_event(const TraceEvent& ev);
 
   /// Fold `src` into this shard.  Counters and histogram tallies add;
-  /// gauges take src's value when src wrote one (so the last write in
-  /// merge order wins); events append.  Deterministic for a fixed
-  /// merge order.
+  /// events append.  Deterministic for a fixed merge order.
   void merge_from(const TelemetryShard& src);
 
   void clear();
 
   // --- inspection ---
   std::uint64_t counter_value(MetricId id) const;
-  bool gauge_written(MetricId id) const;
-  double gauge_value(MetricId id) const;
   struct HistogramValue {
     std::vector<std::uint64_t> counts;  ///< bounds.size() + 1 buckets
     double sum = 0.0;
@@ -58,8 +53,7 @@ class TelemetryShard {
  private:
   struct Slot {
     std::uint64_t count = 0;            // counter / histogram n
-    double value = 0.0;                 // gauge value / histogram sum
-    bool written = false;               // gauge was set
+    double value = 0.0;                 // histogram sum
     std::vector<std::uint64_t> buckets; // histogram tallies
   };
   Slot& slot(MetricId id);
@@ -115,7 +109,7 @@ TraceClock trace_clock();
 // --- the process aggregate -------------------------------------------
 
 /// Merge one shard into the process aggregate.  Call from one thread at
-/// a time, in the order that should define gauge/event ordering (the
+/// a time, in the order that should define event ordering (the
 /// trial engine calls it cell by cell, row-major).
 void aggregate_merge(const TelemetryShard& shard);
 

@@ -16,42 +16,6 @@ std::uint16_t crc16_ccitt(std::span<const std::uint8_t> data,
   return crc;
 }
 
-std::uint16_t crc16_154(std::span<const std::uint8_t> data) {
-  // Reflected CRC-16/CCITT with zero init (a.k.a. CRC-16/KERMIT).
-  std::uint16_t crc = 0x0000;
-  for (std::uint8_t byte : data) {
-    crc ^= byte;
-    for (int i = 0; i < 8; ++i)
-      crc = (crc & 1) ? static_cast<std::uint16_t>((crc >> 1) ^ 0x8408)
-                      : static_cast<std::uint16_t>(crc >> 1);
-  }
-  return crc;
-}
-
-std::uint32_t crc24_ble(std::span<const std::uint8_t> data,
-                        std::uint32_t init) {
-  std::uint32_t crc = init & 0xffffff;
-  for (std::uint8_t byte : data) {
-    for (int i = 0; i < 8; ++i) {  // LSB-first over the air
-      const std::uint32_t in_bit = (byte >> i) & 1u;
-      const std::uint32_t msb = (crc >> 23) & 1u;
-      crc = (crc << 1) & 0xffffff;
-      if (in_bit ^ msb) crc ^= 0x00065b;
-    }
-  }
-  return crc;
-}
-
-std::uint32_t crc32_ieee(std::span<const std::uint8_t> data) {
-  std::uint32_t crc = 0xffffffffu;
-  for (std::uint8_t byte : data) {
-    crc ^= byte;
-    for (int i = 0; i < 8; ++i)
-      crc = (crc & 1) ? (crc >> 1) ^ 0xedb88320u : crc >> 1;
-  }
-  return ~crc;
-}
-
 namespace {
 
 // CRC-8 of every one-byte message: an 8-bit register takes a whole input

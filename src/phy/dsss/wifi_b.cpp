@@ -27,16 +27,6 @@ uint8_t rate_signal_byte(WifiBRate r) {
   MS_CHECK_MSG(false, "unknown rate");
 }
 
-bool rate_from_signal_byte(uint8_t b, WifiBRate& r) {
-  switch (b) {
-    case 0x0a: r = WifiBRate::Dbpsk1M; return true;
-    case 0x14: r = WifiBRate::Dqpsk2M; return true;
-    case 0x37: r = WifiBRate::Cck5_5M; return true;
-    case 0x6e: r = WifiBRate::Cck11M; return true;
-    default: return false;
-  }
-}
-
 constexpr std::size_t kPreambleBits = 144;       // 128 sync + 16 SFD
 constexpr std::size_t kShortPreambleBits = 72;   // 56 sync + 16 SFD
 constexpr std::size_t kHeaderBits = 48;
@@ -184,16 +174,6 @@ Iq WifiBPhy::modulate_payload(std::span<const uint8_t> payload_bits) const {
   return modulate_symbols(scrambled, phase_ref);
 }
 
-Cf WifiBPhy::despread_symbol_1m(std::span<const Cf> iq,
-                                std::size_t symbol_index) const {
-  const std::size_t sps = 11 * cfg_.samples_per_chip;
-  MS_CHECK(iq.size() >= (symbol_index + 1) * sps);
-  Iq chips(11);
-  collapse_chips(iq.subspan(symbol_index * sps, sps), cfg_.samples_per_chip,
-                 chips);
-  return barker_despread(chips);
-}
-
 Bits WifiBPhy::demodulate_air_bits(std::span<const Cf> iq, std::size_t n_bits,
                                    Cf init_ref) const {
   const unsigned bps = wifi_b_bits_per_symbol(cfg_.rate);
@@ -247,81 +227,6 @@ Bits WifiBPhy::demodulate_air_bits(std::span<const Cf> iq, std::size_t n_bits,
   return out;
 }
 
-Bits WifiBPhy::demodulate_payload(std::span<const Cf> iq,
-                                  std::size_t n_bits) const {
-  return descramble_11b(demodulate_air_bits(iq, n_bits), cfg_.scrambler_seed);
-}
-
-WifiBPhy::RxFrame WifiBPhy::demodulate_frame(std::span<const Cf> iq) const {
-  RxFrame rx;
-  const std::size_t preamble_bits =
-      cfg_.short_preamble ? kShortPreambleBits : kPreambleBits;
-  const uint8_t seed = cfg_.short_preamble ? kShortSeed : cfg_.scrambler_seed;
-
-  // Preamble is always 1 Mbps DBPSK; the header is 2 Mbps DQPSK behind a
-  // short preamble, 1 Mbps behind a long one.
-  WifiBConfig pre_cfg = cfg_;
-  pre_cfg.rate = WifiBRate::Dbpsk1M;
-  const WifiBPhy pre_phy(pre_cfg);
-  WifiBConfig hdr_cfg = cfg_;
-  hdr_cfg.rate = cfg_.short_preamble ? WifiBRate::Dqpsk2M : WifiBRate::Dbpsk1M;
-  const WifiBPhy hdr_phy(hdr_cfg);
-
-  const std::size_t pre_samples = preamble_bits * pre_phy.samples_per_symbol();
-  const std::size_t hdr_symbols =
-      kHeaderBits / wifi_b_bits_per_symbol(hdr_cfg.rate);
-  const std::size_t hdr_samples = hdr_symbols * hdr_phy.samples_per_symbol();
-  if (iq.size() < pre_samples + hdr_samples) return rx;
-
-  const Bits pre_air =
-      pre_phy.demodulate_air_bits(iq.first(pre_samples), preamble_bits);
-  const Cf pre_ref =
-      pre_phy.despread_symbol_1m(iq.first(pre_samples), preamble_bits - 1);
-  const Bits hdr_air = hdr_phy.demodulate_air_bits(
-      iq.subspan(pre_samples, hdr_samples), kHeaderBits, pre_ref);
-
-  Bits air = pre_air;
-  air.insert(air.end(), hdr_air.begin(), hdr_air.end());
-  const Bits hdr_clear = descramble_11b(air, seed);
-  const Bytes hdr_bytes = bits_to_bytes_lsb(
-      std::span<const uint8_t>(hdr_clear).subspan(preamble_bits, kHeaderBits));
-  const uint16_t crc = crc16_ccitt(std::span<const uint8_t>(hdr_bytes).first(4), 0xffff);
-  const uint16_t rx_crc =
-      static_cast<uint16_t>(hdr_bytes[4] | (hdr_bytes[5] << 8));
-  WifiBRate rate;
-  if (crc != rx_crc || !rate_from_signal_byte(hdr_bytes[0], rate)) return rx;
-  rx.header_ok = true;
-  rx.rate = rate;
-  const std::size_t payload_bytes = hdr_bytes[2] | (hdr_bytes[3] << 8);
-  rx.length_us = static_cast<uint16_t>(payload_bytes);
-
-  WifiBConfig body_cfg = cfg_;
-  body_cfg.rate = rate;
-  const WifiBPhy body_phy(body_cfg);
-  const std::size_t n_bits = payload_bytes * 8;
-  const std::size_t need = n_bits / wifi_b_bits_per_symbol(rate) *
-                           body_phy.samples_per_symbol();
-  const std::size_t frame_hdr_samples = pre_samples + hdr_samples;
-  if (iq.size() < frame_hdr_samples + need || n_bits == 0) return rx;
-  // Chain the differential reference: the body's first symbol is encoded
-  // relative to the last header symbol's phase (header symbols are
-  // Barker-spread at both rates, so the 1 Mbps despreader applies).
-  const Cf last_hdr_ref = hdr_phy.despread_symbol_1m(
-      iq.subspan(pre_samples, hdr_samples), hdr_symbols - 1);
-  const Bits body_air = body_phy.demodulate_air_bits(
-      iq.subspan(frame_hdr_samples, need), n_bits, last_hdr_ref);
-
-  // The self-synchronizing descrambler for the body must be seeded with
-  // the last 7 air bits of the header segment.
-  uint8_t body_seed = 0;
-  for (std::size_t i = 0; i < 7; ++i)
-    body_seed = static_cast<uint8_t>((body_seed << 1) |
-                                     hdr_air[hdr_air.size() - 7 + i]);
-  const Bits body_clear = descramble_11b(body_air, body_seed);
-  rx.payload = bits_to_bytes_lsb(body_clear);
-  return rx;
-}
-
 Iq WifiBPhy::preamble_waveform(uint16_t payload_bytes) const {
   const std::size_t preamble_bits =
       cfg_.short_preamble ? kShortPreambleBits : kPreambleBits;
@@ -342,14 +247,6 @@ Iq WifiBPhy::preamble_waveform(uint16_t payload_bytes) const {
       s.subspan(preamble_bits, kHeaderBits), phase_ref);
   out.insert(out.end(), hdr_wave.begin(), hdr_wave.end());
   return out;
-}
-
-std::size_t WifiBPhy::preamble_header_samples() const {
-  if (cfg_.short_preamble) {
-    // 72 preamble symbols at 1 Mbps + 24 header symbols at 2 Mbps.
-    return (kShortPreambleBits + kHeaderBits / 2) * 11 * cfg_.samples_per_chip;
-  }
-  return (kPreambleBits + kHeaderBits) * 11 * cfg_.samples_per_chip;
 }
 
 }  // namespace ms

@@ -1,11 +1,12 @@
-// 802.11b PHY: long-preamble PLCP framing, DSSS-DBPSK (1 Mbps),
-// DSSS-DQPSK (2 Mbps), and CCK (5.5 / 11 Mbps) modulation, with a
-// frame-aligned demodulator.
+// 802.11b PHY: long- and short-preamble PLCP framing, DSSS-DBPSK
+// (1 Mbps), DSSS-DQPSK (2 Mbps), and CCK (5.5 / 11 Mbps) modulation, with
+// a frame-aligned symbol demodulator.
 //
 // The demodulator assumes the simulator delivers the waveform aligned to
 // the frame start (the experiment engine controls timing); it performs
-// despreading, differential detection, descrambling, and PLCP header
-// parsing, but not clock recovery.
+// despreading and differential detection, but not clock recovery,
+// descrambling or PLCP header parsing: the paper's receivers hand over
+// raw PHY bits.
 #pragma once
 
 #include <span>
@@ -54,9 +55,6 @@ class WifiBPhy {
   /// multiple of bits-per-symbol.
   Iq modulate_payload(std::span<const uint8_t> payload_bits) const;
 
-  /// Inverse of modulate_payload for a frame-aligned waveform.
-  Bits demodulate_payload(std::span<const Cf> iq, std::size_t n_bits) const;
-
   /// Raw (unscrambled) payload symbol demodulation: maps each symbol's
   /// chips back to air bits without descrambling.  Used by the overlay
   /// decoder, which compares scrambled symbols directly.  `init_ref` is
@@ -66,27 +64,9 @@ class WifiBPhy {
   Bits demodulate_air_bits(std::span<const Cf> iq, std::size_t n_bits,
                            Cf init_ref = Cf(1.0f, 0.0f)) const;
 
-  /// Despread complex value of the symbol at `symbol_index` in a 1 Mbps
-  /// (Barker) waveform — used to chain differential references across
-  /// frame segments.
-  Cf despread_symbol_1m(std::span<const Cf> iq, std::size_t symbol_index) const;
-
-  struct RxFrame {
-    bool header_ok = false;
-    WifiBRate rate = WifiBRate::Dbpsk1M;
-    uint16_t length_us = 0;
-    Bytes payload;
-  };
-
-  /// Demodulate a frame produced by modulate_frame (aligned at sample 0).
-  RxFrame demodulate_frame(std::span<const Cf> iq) const;
-
   /// Preamble + header waveform only (used to build identification
   /// templates and to measure envelopes).
   Iq preamble_waveform(uint16_t payload_bytes = 0) const;
-
-  /// Number of samples occupied by preamble + PLCP header.
-  std::size_t preamble_header_samples() const;
 
  private:
   Iq modulate_bits_1m(std::span<const uint8_t> scrambled, Cf& phase_ref) const;

@@ -15,10 +15,6 @@
 
 namespace ms {
 
-unsigned wifi_n_data_bits_per_symbol(Modulation m) {
-  return wifi_n_coded_bits_per_symbol(m) / 2;  // rate-1/2 BCC
-}
-
 unsigned wifi_n_coded_bits_per_symbol(Modulation m) {
   return static_cast<unsigned>(kOfdmDataCarriers) * bits_per_point(m);
 }

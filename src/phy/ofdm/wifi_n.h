@@ -31,9 +31,6 @@ struct WifiNConfig {
   unsigned data_bits_per_symbol() const;
 };
 
-/// Data bits per OFDM symbol after the rate-1/2 code.
-unsigned wifi_n_data_bits_per_symbol(Modulation m);
-
 /// Coded bits per OFDM symbol (N_CBPS).
 unsigned wifi_n_coded_bits_per_symbol(Modulation m);
 

@@ -44,10 +44,6 @@ class ZigbeePhy {
   /// half a chip).
   Iq modulate_symbols(std::span<const uint8_t> symbols) const;
 
-  /// Full frame: 8-symbol preamble (zeros), SFD 0xA7, PHR (length byte),
-  /// payload, CRC-16.
-  Iq modulate_frame(std::span<const uint8_t> payload) const;
-
   /// Per-symbol coherent detection: for each symbol the best-matching PN
   /// index and the complex correlation (whose phase the overlay decoder
   /// compares against the reference symbol).
@@ -58,24 +54,9 @@ class ZigbeePhy {
   std::vector<SymbolDetect> detect_symbols(std::span<const Cf> iq,
                                            std::size_t n_symbols) const;
 
-  /// Hard symbol decisions only.
-  std::vector<uint8_t> demodulate_symbols(std::span<const Cf> iq,
-                                          std::size_t n_symbols) const;
-
-  struct RxFrame {
-    bool crc_ok = false;
-    Bytes payload;
-  };
-  RxFrame demodulate_frame(std::span<const Cf> iq,
-                           std::size_t payload_bytes) const;
-
   /// Preamble waveform (8 zero symbols, 128 µs) for identification
   /// templates.
   Iq preamble_waveform() const;
-
-  /// Convert bytes to 4-bit symbols, low nibble first (per the standard).
-  static std::vector<uint8_t> bytes_to_symbols(std::span<const uint8_t> bytes);
-  static Bytes symbols_to_bytes(std::span<const uint8_t> symbols);
 
  private:
   /// Planar conj(ref) bank over the 16 clean isolated-symbol waveforms,

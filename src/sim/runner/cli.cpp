@@ -16,6 +16,10 @@ namespace ms {
 
 namespace {
 
+/// The most --threads accepts: the pool starts one OS thread per worker,
+/// and no host this runs on has anywhere near this many cores.
+constexpr std::uint64_t kMaxThreads = 256;
+
 /// Parse a non-negative integer; returns false on garbage or overflow.
 bool parse_u64(const std::string& s, std::uint64_t& out) {
   if (s.empty()) return false;
@@ -81,9 +85,10 @@ std::optional<std::string> parse_cli(int argc, const char* const* argv,
       std::uint64_t n = 0;
       // 0 threads cannot run anything; "use all cores" is the default
       // you get by not passing the flag at all.
-      if (!v || !parse_u64(*v, n) || n == 0)
+      if (!v || !parse_u64(*v, n) || n == 0 || n > kMaxThreads)
         return bad_value("--threads", v,
-                         "a positive integer (omit the flag for all cores)");
+                         "a positive integer up to 256 (omit the flag for "
+                         "all cores)");
       opts.threads = static_cast<std::size_t>(n);
     } else if (arg == "--trials") {
       if (!accepts.trials)
@@ -116,6 +121,9 @@ std::optional<std::string> parse_cli(int argc, const char* const* argv,
       if (!v) return bad_value("--trace-out", v, "a file path");
       opts.trace_out = *v;
     } else if (arg == "--waveform-cache") {
+      if (!accepts.waveform_cache)
+        return std::string(argv[0]) +
+               " does not take --waveform-cache: it caches no waveforms";
       const auto v = value("--waveform-cache");
       if (!v || (*v != "on" && *v != "off"))
         return bad_value("--waveform-cache", v, "'on' or 'off'");
@@ -139,14 +147,14 @@ std::string cli_usage(const char* prog, CliAccepts accepts) {
   if (accepts.threads) u += " [--threads N]";
   if (accepts.trials) u += " [--trials N]";
   if (accepts.seed) u += " [--seed S]";
-  u +=
-      " [--out DIR]\n"
-      "       [--metrics-out FILE] [--trace-out FILE] [--waveform-cache on|off]\n"
-      "       [--manifest-out FILE]\n";
+  u += " [--out DIR]\n       [--metrics-out FILE] [--trace-out FILE]";
+  if (accepts.waveform_cache) u += " [--waveform-cache on|off]";
+  u += "\n       [--manifest-out FILE]\n";
   if (accepts.threads)
     u +=
-        "  --threads N        trial-engine worker threads (default: all cores;\n"
-        "                     experiments with fixed thread counts reject it)\n";
+        "  --threads N        trial-engine worker threads, 1 to 256 (default:\n"
+        "                     all cores; experiments with fixed thread counts\n"
+        "                     reject it)\n";
   if (accepts.trials)
     u +=
         "  --trials N         override the default trial count (experiments\n"
@@ -159,11 +167,15 @@ std::string cli_usage(const char* prog, CliAccepts accepts) {
       "  --out DIR          dump CSVs into DIR (created if missing)\n"
       "  --metrics-out FILE write the aggregated metrics registry as JSON\n"
       "  --trace-out FILE   write structured trace events as JSONL; all\n"
-      "                     subsystems trace unless MS_TRACE narrows them\n"
-      "  --waveform-cache on|off\n"
-      "                     reuse synthesized waveforms across trials\n"
-      "                     (default on; results are bit-identical either\n"
-      "                     way, off only trades speed for nothing)\n"
+      "                     subsystems trace unless MS_TRACE narrows them\n";
+  if (accepts.waveform_cache)
+    u +=
+        "  --waveform-cache on|off\n"
+        "                     reuse synthesized waveforms across trials\n"
+        "                     (default on; results are bit-identical either\n"
+        "                     way, off only trades speed for nothing;\n"
+        "                     experiments that cache no waveforms reject it)\n";
+  u +=
       "  --manifest-out FILE\n"
       "                     write a ms.run.v1 run manifest: deterministic\n"
       "                     section (config hash, metrics digest, bench\n"

@@ -1,7 +1,8 @@
 // Flag parsing for the msbench experiment driver (bench/msbench.cpp).
 //
 // Every experiment accepts the same small vocabulary:
-//   --threads N       worker threads for the trial engine (0 = all cores)
+//   --threads N       worker threads for the trial engine, 1 to 256
+//                     (omitted = all cores)
 //   --trials N        override the experiment's default trial count
 //   --out DIR         dump CSVs into DIR (created if missing)
 //   --seed S          override the experiment's master seed
@@ -9,20 +10,21 @@
 //   --trace-out F     write structured trace events to F (JSONL); enables
 //                     all trace subsystems unless MS_TRACE narrows them
 //   --waveform-cache on|off
-//                     reuse synthesized waveforms across trials (default
-//                     on; off re-synthesizes every trial — the bitwise
-//                     oracle for the cached path)
+//                     reuse synthesized identification waveforms across
+//                     trials (default on; off re-synthesizes every trial —
+//                     the bitwise oracle for the cached path)
 //   --manifest-out F  write a ms.run.v1 run manifest to F (config hash,
 //                     metrics digest + bench results in a deterministic
 //                     section; git SHA, wall timings, profile totals in
 //                     a nondeterministic one) — see tools/obs_report
 //   --help            print usage and exit 0
 // An experiment with fixed thread counts (no trial engine, or its own
-// sweep of them), fixed trial counts or a fixed seed declines --threads,
-// --trials or --seed (CliAccepts).  Anything else — an unknown or
-// declined flag, a bad value, any positional argument — is an error:
-// parse_cli reports it and parse_cli_or_exit prints the usage message
-// and exits 2 instead of silently ignoring it.
+// sweep of them), fixed trial counts, a fixed seed or no cached waveform
+// declines --threads, --trials, --seed or --waveform-cache (CliAccepts).
+// Anything else — an unknown or declined flag, a bad value, any
+// positional argument — is an error: parse_cli reports it and
+// parse_cli_or_exit prints the usage message and exits 2 instead of
+// silently ignoring it.
 #pragma once
 
 #include <cstddef>
@@ -44,13 +46,14 @@ struct CliOptions {
   bool help = false;
 };
 
-/// Which of the three per-experiment flags the command takes.  A
+/// Which of the four per-experiment flags the command takes.  A
 /// declined flag is an error that names the command, never a value it
 /// ignores.
 struct CliAccepts {
   bool threads = true;
   bool trials = true;
   bool seed = true;
+  bool waveform_cache = true;  ///< the command reads the WaveformCache
 };
 
 /// Parse argv[1 …] into opts; argv[0] names the command in errors.

@@ -25,12 +25,11 @@ struct RawHeader {
 };
 static_assert(sizeof(RawHeader) == 32);
 
-void write_header(std::ofstream& f, bool complex_iq, double rate,
-                  std::size_t n) {
+void write_header(std::ofstream& f, double rate, std::size_t n) {
   RawHeader h{};
   std::memcpy(h.magic, kMagic, 4);
   h.version = kVersion;
-  h.complex_iq = complex_iq ? 1 : 0;
+  h.complex_iq = 1;
   h.sample_rate_hz = rate;
   h.n_samples = n;
   f.write(reinterpret_cast<const char*>(&h), sizeof h);
@@ -106,28 +105,10 @@ void save_trace(const std::string& path, std::span<const Cf> iq,
                 double sample_rate_hz) {
   std::ofstream f(path, std::ios::binary);
   MS_CHECK_MSG(f.is_open(), "cannot open for write: " + path);
-  write_header(f, true, sample_rate_hz, iq.size());
+  write_header(f, sample_rate_hz, iq.size());
   f.write(reinterpret_cast<const char*>(iq.data()),
           static_cast<std::streamsize>(iq.size() * sizeof(Cf)));
   MS_CHECK_MSG(f.good(), "write failed: " + path);
-}
-
-void save_trace(const std::string& path, std::span<const float> samples,
-                double sample_rate_hz) {
-  std::ofstream f(path, std::ios::binary);
-  MS_CHECK_MSG(f.is_open(), "cannot open for write: " + path);
-  write_header(f, false, sample_rate_hz, samples.size());
-  f.write(reinterpret_cast<const char*>(samples.data()),
-          static_cast<std::streamsize>(samples.size() * sizeof(float)));
-  MS_CHECK_MSG(f.good(), "write failed: " + path);
-}
-
-TraceHeader read_trace_header(const std::string& path) {
-  std::ifstream f(path, std::ios::binary);
-  MS_CHECK_MSG(f.is_open(), "cannot open: " + path);
-  const RawHeader h = read_header(f, path);
-  return {h.sample_rate_hz, h.complex_iq != 0,
-          static_cast<std::size_t>(h.n_samples)};
 }
 
 Iq load_iq_trace(const std::string& path, double* sample_rate_hz) {
@@ -142,23 +123,6 @@ Iq load_iq_trace(const std::string& path, double* sample_rate_hz) {
                "truncated trace: read failed at sample " +
                    std::to_string(static_cast<std::uint64_t>(f.gcount()) /
                                   sizeof(Cf)) +
-                   " of " + std::to_string(h.n_samples) + ": " + path);
-  if (sample_rate_hz) *sample_rate_hz = h.sample_rate_hz;
-  return out;
-}
-
-Samples load_real_trace(const std::string& path, double* sample_rate_hz) {
-  std::ifstream f(path, std::ios::binary);
-  MS_CHECK_MSG(f.is_open(), "cannot open: " + path);
-  const RawHeader h = read_header(f, path);
-  MS_CHECK_MSG(h.complex_iq == 0, "trace is complex IQ: " + path);
-  Samples out(static_cast<std::size_t>(h.n_samples));
-  f.read(reinterpret_cast<char*>(out.data()),
-         static_cast<std::streamsize>(out.size() * sizeof(float)));
-  MS_CHECK_MSG(f.good(),
-               "truncated trace: read failed at sample " +
-                   std::to_string(static_cast<std::uint64_t>(f.gcount()) /
-                                  sizeof(float)) +
                    " of " + std::to_string(h.n_samples) + ": " + path);
   if (sample_rate_hz) *sample_rate_hz = h.sample_rate_hz;
   return out;

@@ -1,10 +1,11 @@
-// Trace persistence: save/load IQ waveforms and real-valued ADC traces.
+// Trace persistence: save/load IQ waveforms.
 //
 // Format: a small self-describing binary header ("MSTR", version,
 // element type, sample rate, count) followed by raw little-endian
 // float32 samples — enough to hand captures between the simulator,
-// offline analysis, and GNURadio-style tooling.  CSV writers are
-// provided for the bench outputs.
+// offline analysis, and GNURadio-style tooling.  The element type can
+// also mark a real-valued trace, which load_iq_trace rejects by name.
+// A CSV writer is provided for the bench outputs.
 #pragma once
 
 #include <span>
@@ -15,29 +16,12 @@
 
 namespace ms {
 
-struct TraceHeader {
-  double sample_rate_hz = 0.0;
-  bool complex_iq = false;
-  std::size_t n_samples = 0;
-};
-
 /// Write a complex waveform.  Throws ms::Error on I/O failure.
 void save_trace(const std::string& path, std::span<const Cf> iq,
                 double sample_rate_hz);
 
-/// Write a real trace.
-void save_trace(const std::string& path, std::span<const float> samples,
-                double sample_rate_hz);
-
-/// Inspect a trace file's header without loading the payload.
-TraceHeader read_trace_header(const std::string& path);
-
 /// Load a complex waveform; throws if the file holds a real trace.
 Iq load_iq_trace(const std::string& path, double* sample_rate_hz = nullptr);
-
-/// Load a real trace; throws if the file holds complex IQ.
-Samples load_real_trace(const std::string& path,
-                        double* sample_rate_hz = nullptr);
 
 /// Write one or more named columns of doubles as CSV.
 struct CsvColumn {

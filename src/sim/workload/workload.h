@@ -100,18 +100,4 @@ std::vector<SlotConditions> build_workload(const WorkloadConfig& cfg,
 float capacity_scale_for(const ExcitationSpec& spec,
                          const ExcitationSpec& nominal);
 
-/// Aggregate shape of a built trace — scorecard context and sanity
-/// checks (a scenario that never excites or never interferes is a
-/// configuration bug, not an adversary).
-struct WorkloadSummary {
-  std::size_t slots = 0;
-  std::size_t excited_slots = 0;
-  std::size_t interfered_slots = 0;
-  double mean_capacity_scale = 0.0;  ///< over excited slots
-  double min_snr_offset_db = 0.0;
-  double max_snr_offset_db = 0.0;
-};
-
-WorkloadSummary summarize_workload(const std::vector<SlotConditions>& trace);
-
 }  // namespace ms

@@ -4,6 +4,8 @@
 
 #include <cmath>
 
+#include "analog/power.h"
+
 namespace ms {
 namespace {
 
@@ -53,15 +55,13 @@ TEST(Adc, DisabledReturnsNothingAndDrawsNothing) {
   cfg.enabled = false;
   const Adc adc(cfg);
   EXPECT_TRUE(adc.capture(Samples(100, 0.3f), 20e6).empty());
-  EXPECT_EQ(adc.power_mw(), 0.0);
 }
 
 TEST(Adc, PowerScalesLinearlyWithRate) {
-  AdcConfig cfg;
-  cfg.sample_rate_hz = 20e6;
-  EXPECT_NEAR(Adc(cfg).power_mw(), 260.0, 1e-9);  // Table 3
-  cfg.sample_rate_hz = 2.5e6;
-  EXPECT_NEAR(Adc(cfg).power_mw(), 32.5, 1e-9);
+  // The power model's ADC term (Table 3): 260 mW at 20 Msps.
+  const TagPowerModel power;
+  EXPECT_NEAR(power.adc_mw(20e6), 260.0, 1e-9);
+  EXPECT_NEAR(power.adc_mw(2.5e6), 32.5, 1e-9);
 }
 
 TEST(Adc, QuantizationErrorWithinHalfLsb) {

@@ -49,17 +49,6 @@ TEST(Awgn, NoiseSplitsEvenlyAcrossIq) {
   EXPECT_NEAR(pi / pq, 1.0, 0.05);
 }
 
-TEST(Awgn, RealVariant) {
-  Rng rng(5);
-  const Samples x(20000, 1.0f);
-  const Samples y = add_awgn(x, 10.0, rng);
-  double noise = 0.0;
-  for (std::size_t i = 0; i < x.size(); ++i)
-    noise += (y[i] - x[i]) * (y[i] - x[i]);
-  noise /= static_cast<double>(x.size());
-  EXPECT_NEAR(linear_to_db(1.0 / noise), 10.0, 0.4);
-}
-
 TEST(Awgn, DeterministicGivenSeed) {
   Rng a(7), b(7);
   const Iq x(100, Cf(1.0f, 1.0f));

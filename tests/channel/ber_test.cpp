@@ -27,19 +27,17 @@ TEST(Ber, AllCurvesMonotoneDecreasing) {
   for (double snr = -10.0; snr < 20.0; snr += 1.0) {
     EXPECT_GE(ber_bpsk(snr), ber_bpsk(snr + 1.0));
     EXPECT_GE(ber_dbpsk(snr), ber_dbpsk(snr + 1.0));
-    EXPECT_GE(ber_dqpsk(snr), ber_dqpsk(snr + 1.0));
-    EXPECT_GE(ber_qam16(snr), ber_qam16(snr + 1.0));
     EXPECT_GE(ber_fsk_noncoherent(snr), ber_fsk_noncoherent(snr + 1.0));
     EXPECT_GE(ber_zigbee(snr), ber_zigbee(snr + 1.0));
   }
 }
 
 TEST(Ber, ModulationOrderingAtFixedEbN0) {
-  // Denser constellations / weaker detection need more energy.
+  // Weaker detection needs more energy: coherent beats differential,
+  // which beats non-coherent FSK.
   for (double snr : {4.0, 8.0, 12.0}) {
     EXPECT_LT(ber_bpsk(snr), ber_dbpsk(snr));
     EXPECT_LT(ber_dbpsk(snr), ber_fsk_noncoherent(snr));
-    EXPECT_LT(ber_bpsk(snr), ber_qam16(snr));
   }
 }
 

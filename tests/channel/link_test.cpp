@@ -37,11 +37,6 @@ TEST(Link, SnrUsesProtocolBandwidth) {
   EXPECT_GT(link.snr_db(10.0, Protocol::Ble), link.snr_db(10.0, Protocol::WifiN));
 }
 
-TEST(Link, Ebn0Conversion) {
-  EXPECT_NEAR(ebn0_from_snr_db(10.0, 2e6, 250e3), 10.0 + 9.03, 0.01);
-  EXPECT_NEAR(ebn0_from_snr_db(5.0, 1e6, 1e6), 5.0, 1e-9);
-}
-
 TEST(Link, TagBerImprovesWithGamma) {
   for (Protocol p : kAllProtocols) {
     const double snr = 3.0;

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "common/error.h"
+#include "hamming.h"
 
 namespace ms {
 namespace {
@@ -14,19 +15,8 @@ TEST(Bits, BytesToBitsLsbRoundTrip) {
   EXPECT_EQ(bits_to_bytes_lsb(bits), bytes);
 }
 
-TEST(Bits, BytesToBitsMsbRoundTrip) {
-  const Bytes bytes = {0x80, 0x01, 0x5a};
-  EXPECT_EQ(bits_to_bytes_msb(bytes_to_bits_msb(bytes)), bytes);
-}
-
 TEST(Bits, LsbOrderIsLsbFirst) {
   const Bits bits = bytes_to_bits_lsb(std::array<uint8_t, 1>{0x01});
-  EXPECT_EQ(bits[0], 1);
-  for (std::size_t i = 1; i < 8; ++i) EXPECT_EQ(bits[i], 0);
-}
-
-TEST(Bits, MsbOrderIsMsbFirst) {
-  const Bits bits = bytes_to_bits_msb(std::array<uint8_t, 1>{0x80});
   EXPECT_EQ(bits[0], 1);
   for (std::size_t i = 1; i < 8; ++i) EXPECT_EQ(bits[i], 0);
 }
@@ -58,10 +48,6 @@ TEST(Bits, BitErrorRateEmptySentIsZero) {
   EXPECT_DOUBLE_EQ(bit_error_rate(Bits{}, Bits{1, 0}), 0.0);
 }
 
-TEST(Bits, XorBits) {
-  EXPECT_EQ(xor_bits(Bits{1, 0, 1, 0}, Bits{1, 1, 0, 0}), (Bits{0, 1, 1, 0}));
-}
-
 TEST(Bits, RepeatBits) {
   EXPECT_EQ(repeat_bits(Bits{1, 0}, 3), (Bits{1, 1, 1, 0, 0, 0}));
 }
@@ -86,19 +72,8 @@ TEST(Bits, MajorityVoteTieDecodesAsOne) {
 }
 
 TEST(Bits, StringRoundTrip) {
-  const std::string s = "1011001";
-  EXPECT_EQ(bits_to_string(bits_from_string(s)), s);
+  EXPECT_EQ(bits_from_string("1011001"), (Bits{1, 0, 1, 1, 0, 0, 1}));
   EXPECT_THROW(bits_from_string("10x"), Error);
-}
-
-TEST(Bits, BytesToHex) {
-  EXPECT_EQ(bytes_to_hex(Bytes{0xde, 0xad, 0x01}), "dead01");
-}
-
-TEST(Bits, ReverseBits) {
-  EXPECT_EQ(reverse_bits(0b001, 3), 0b100u);
-  EXPECT_EQ(reverse_bits(0x01, 8), 0x80u);
-  EXPECT_EQ(reverse_bits(0xdeadbeef, 32), 0xf77db57bu);
 }
 
 }  // namespace

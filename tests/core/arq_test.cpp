@@ -124,12 +124,10 @@ TEST(ArqReceiver, LostAckTriggersDuplicateNotDoubleDelivery) {
 }
 
 TEST(ArqReceiver, GarbageBitsFailCrc) {
-  ArqReceiver rx;
+  // The receiver is fed only frames that parse with a good CRC, and
+  // garbage bits never do.
   Rng rng(7);
-  const Bits garbage = rng.bits(120);
-  const auto res = rx.push_bits(garbage);
-  EXPECT_FALSE(res.crc_ok);
-  EXPECT_FALSE(res.reading.has_value());
+  EXPECT_FALSE(TagFrame::from_bits(rng.bits(120)).has_value());
 }
 
 TEST(ArqReceiver, RoundTripThroughBits) {
@@ -138,7 +136,9 @@ TEST(ArqReceiver, RoundTripThroughBits) {
   const Bytes reading = make_reading(20, 11);
   sender.load_reading(5, reading, 31);
   const auto frame = sender.poll();
-  const auto res = rx.push_bits(frame->to_bits());
+  const std::optional<TagFrame> parsed = TagFrame::from_bits(frame->to_bits());
+  ASSERT_TRUE(parsed.has_value());
+  const auto res = rx.push(*parsed);
   EXPECT_TRUE(res.crc_ok);
   ASSERT_TRUE(res.reading.has_value());
   EXPECT_EQ(*res.reading, reading);

@@ -12,21 +12,30 @@ BackscatterLink near_link() {
   return link;
 }
 
+TagController perfect_multiprotocol_tag() {
+  TagControllerConfig cfg;
+  cfg.multiprotocol = true;
+  cfg.ident_accuracy = 1.0;
+  return TagController(cfg, near_link());
+}
+
 TEST(Controller, PicksCarrierWithBestTagGoodput) {
-  const BackscatterLink link = near_link();
   ExcitationSpec heavy = fig12_excitation(Protocol::Ble);   // near-saturated
   ExcitationSpec light = fig12_excitation(Protocol::Zigbee);
   const std::array<ExcitationSpec, 2> avail = {light, heavy};
-  const OverlayParams params = mode_params(Protocol::Ble, OverlayMode::Mode1);
-  const auto pick = pick_best_carrier(avail, params, link, 4.0);
-  ASSERT_TRUE(pick.has_value());
-  EXPECT_EQ(avail[*pick].protocol, Protocol::Ble);
+  TagController tag = perfect_multiprotocol_tag();
+  Rng rng(1);
+  const auto r = tag.step(avail, 4.0, rng);
+  ASSERT_TRUE(r.carrier.has_value());
+  EXPECT_EQ(*r.carrier, Protocol::Ble);
 }
 
 TEST(Controller, NoCarriersNoPick) {
-  const BackscatterLink link = near_link();
-  const OverlayParams params = mode_params(Protocol::Ble, OverlayMode::Mode1);
-  EXPECT_FALSE(pick_best_carrier({}, params, link, 4.0).has_value());
+  TagController tag = perfect_multiprotocol_tag();
+  Rng rng(1);
+  const auto r = tag.step({}, 4.0, rng);
+  EXPECT_FALSE(r.carrier.has_value());
+  EXPECT_FALSE(r.transmitted);
 }
 
 TEST(Controller, MultiprotocolTagUsesAnyCarrier) {

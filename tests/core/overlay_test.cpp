@@ -71,12 +71,6 @@ INSTANTIATE_TEST_SUITE_P(AllProtocols, OverlayCleanRoundTrip,
                          ::testing::Values(Protocol::WifiB, Protocol::WifiN,
                                            Protocol::Ble, Protocol::Zigbee));
 
-TEST(Overlay, SequencesForProductive) {
-  auto codec = make_overlay_codec(Protocol::Zigbee, OverlayParams{4, 2});
-  EXPECT_EQ(codec->sequences_for_productive(8), 2u);   // 4 bits/sequence
-  EXPECT_EQ(codec->sequences_for_productive(9), 3u);
-}
-
 TEST(Overlay, CarrierSpreadsByKappa) {
   // κ identical symbol copies: the carrier is κ× the length of an
   // unspread payload.

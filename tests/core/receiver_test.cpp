@@ -40,7 +40,7 @@ PacketFixture make_capture(const OverlayReceiver& rx_chain, std::size_t n_seq,
   const Iq tail_noise = complex_noise(tail, noise_power, rng);
   f.capture.insert(f.capture.end(), tail_noise.begin(), tail_noise.end());
   // Noise over the packet region too.
-  Rng noise_rng = rng.fork();
+  Rng noise_rng(rng());
   for (std::size_t i = f.packet_at; i < f.packet_at + packet.size(); ++i)
     f.capture[i] += Cf(
         static_cast<float>(noise_rng.normal(0.0, std::sqrt(noise_power / 2))),

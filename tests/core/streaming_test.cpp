@@ -80,52 +80,6 @@ TEST(Streaming, ActiveFractionTracksPacketDensity) {
   EXPECT_GT(sid.active_fraction(), 0.0);
 }
 
-TEST(Streaming, ResetClearsState) {
-  Rng rng(5);
-  StreamingIdentifier sid(streaming_config());
-  const IdentTrialConfig tcfg = strong_trial();
-  sid.push(make_ident_trace(Protocol::Ble, tcfg, rng));
-  sid.reset();
-  EXPECT_EQ(sid.position(), 0u);
-  EXPECT_EQ(sid.active_fraction(), 0.0);
-  // Works again after reset.
-  const auto events = sid.push(make_ident_trace(Protocol::Zigbee, tcfg, rng));
-  ASSERT_EQ(events.size(), 1u);
-  EXPECT_EQ(events[0].protocol, Protocol::Zigbee);
-}
-
-void expect_same_events(const std::vector<IdentEvent>& a,
-                        const std::vector<IdentEvent>& b) {
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].trigger_sample, b[i].trigger_sample);
-    EXPECT_EQ(a[i].protocol, b[i].protocol);
-    EXPECT_EQ(a[i].scores, b[i].scores);
-    EXPECT_EQ(a[i].confidence, b[i].confidence);
-    EXPECT_EQ(a[i].abstained, b[i].abstained);
-  }
-}
-
-TEST(Streaming, ResetThenReplayMatchesFreshInstance) {
-  Rng rng(7);
-  const Samples trace =
-      two_packet_trace(Protocol::Zigbee, Protocol::WifiB, 3000, rng);
-
-  StreamingIdentifier sid(streaming_config());
-  const auto first_run = sid.push(trace);
-  ASSERT_FALSE(first_run.empty());
-
-  // reset() must restore ALL trigger state (noise-floor tracker,
-  // holdoff counters, window, position): a replay after reset must be
-  // indistinguishable from a brand-new instance.
-  sid.reset();
-  const auto replay = sid.push(trace);
-  StreamingIdentifier fresh(streaming_config());
-  const auto fresh_run = fresh.push(trace);
-  expect_same_events(replay, fresh_run);
-  expect_same_events(first_run, replay);
-}
-
 TEST(Streaming, AbstainRearmsFasterThanFullHoldoff) {
   Rng rng(8);
   // A cut-short burst, then a real packet arriving while the 40 µs

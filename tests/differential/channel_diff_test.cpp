@@ -21,7 +21,6 @@
 #include "channel/awgn.h"
 #include "channel/multipath.h"
 #include "common/error.h"
-#include "common/units.h"
 #include "diff_harness.h"
 #include "dsp/ops.h"
 
@@ -51,15 +50,6 @@ Iq add_noise_power(std::span<const Cf> x, double noise_power, Rng& rng) {
     const float re = static_cast<float>(rng.normal(0.0, sigma));
     v += Cf(re, im);
   }
-  return out;
-}
-
-Samples add_awgn(std::span<const float> x, double snr_db, Rng& rng) {
-  const double p = mean_power(x);
-  Samples out(x.begin(), x.end());
-  if (p <= 0.0) return out;
-  const double sigma = std::sqrt(p / db_to_linear(snr_db));
-  for (float& v : out) v += static_cast<float>(rng.normal(0.0, sigma));
   return out;
 }
 
@@ -170,31 +160,6 @@ TEST(ChannelDiff, NoiseDrawsMatchOracleAcrossLengthsAndPowers) {
                                       oracle::add_noise_power(x, power, ref),
                                       "add_noise_power", ctx);
         expect_same_generator(fast, ref, "add_noise_power " + ctx);
-      }
-}
-
-TEST(ChannelDiff, RealAwgnMatchesOracle) {
-  // The real add_awgn at SNRs giving sigma from about 1e30 down to 0,
-  // with and without a spare pending, on samples with a −0.
-  Rng rng(difftest::kSeed ^ 3);
-  for (std::size_t n : noise_lengths(rng))
-    for (double snr_db : {-600.0, 10.0, 600.0, HUGE_VAL})
-      for (bool spare : {false, true}) {
-        const std::string ctx = difftest::ctx("n=%zu snr=%g spare=%d", n,
-                                              snr_db, int{spare});
-        const std::uint64_t seed = rng();
-        Rng fast(seed), ref(seed);
-        if (spare) {
-          fast.normal();
-          ref.normal();
-        }
-        Samples x(n);
-        for (float& v : x) v = static_cast<float>(rng.normal());
-        if (n >= 2) x[1] = -0.0f;
-        difftest::expect_same_floats(add_awgn(x, snr_db, fast),
-                                     oracle::add_awgn(x, snr_db, ref),
-                                     "real add_awgn", ctx);
-        expect_same_generator(fast, ref, "real add_awgn " + ctx);
       }
 }
 

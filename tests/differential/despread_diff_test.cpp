@@ -96,21 +96,5 @@ TEST(DespreadDiff, DetectionMatchesOnTruncatedTail) {
   }
 }
 
-TEST(DespreadDiff, FrameRoundTripMatchesOracle) {
-  Rng rng(difftest::kSeed ^ 3);
-  const ZigbeePhy fast(config(4));
-  const oracle::Zigbee ref(config(4));
-  for (int iter = 0; iter < 4; ++iter) {
-    const Bytes payload = difftest::random_payload(rng, 32);
-    const Iq iq =
-        difftest::noisy(fast.modulate_frame(payload), rng, 4.0, 25.0);
-    const auto rf = fast.demodulate_frame(iq, payload.size());
-    const auto rr = ref.demodulate_frame(iq, payload.size());
-    EXPECT_EQ(rf.crc_ok, rr.crc_ok) << "iter=" << iter;
-    difftest::expect_same_bits(rf.payload, rr.payload, "zigbee frame payload",
-                               difftest::ctx("iter=%d", iter));
-  }
-}
-
 }  // namespace
 }  // namespace ms

@@ -63,20 +63,5 @@ TEST(GfskDiff, ExactLengthTraceMatchesOracle) {
   }
 }
 
-TEST(GfskDiff, FrameRoundTripMatchesOracle) {
-  Rng rng(difftest::kSeed ^ 3);
-  const BlePhy fast(config(8));
-  const oracle::Ble ref(config(8));
-  for (int iter = 0; iter < 4; ++iter) {
-    const Bytes payload = difftest::random_payload(rng, 37);
-    const Iq iq = difftest::noisy(fast.modulate_frame(payload), rng, 5.0, 25.0);
-    const auto rf = fast.demodulate_frame(iq, payload.size());
-    const auto rr = ref.demodulate_frame(iq, payload.size());
-    EXPECT_EQ(rf.crc_ok, rr.crc_ok) << "iter=" << iter;
-    difftest::expect_same_bits(rf.payload, rr.payload, "ble frame payload",
-                               difftest::ctx("iter=%d", iter));
-  }
-}
-
 }  // namespace
 }  // namespace ms

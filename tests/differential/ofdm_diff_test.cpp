@@ -45,23 +45,6 @@ TEST(OfdmDiff, PlannedFftMatchesReferenceAcrossSizes) {
   }
 }
 
-TEST(OfdmDiff, BatchedFftMatchesPerSymbolReference) {
-  Rng rng(difftest::kSeed ^ 1);
-  const std::size_t n = 64, n_sym = 7;
-  const kernels::FftPlan& plan = kernels::fft_plan(n);
-  const Iq x = random_iq(rng, n * n_sym);
-
-  Iq fast = x;
-  plan.forward_batch(fast);
-  Iq ref = x;
-  for (std::size_t s = 0; s < n_sym; ++s) {
-    Iq sym(ref.begin() + s * n, ref.begin() + (s + 1) * n);
-    fft_inplace(sym);
-    std::copy(sym.begin(), sym.end(), ref.begin() + s * n);
-  }
-  difftest::expect_same_samples(fast, ref, "fft_plan forward_batch", "64x7");
-}
-
 TEST(OfdmDiff, InterleaverMatchesOracleAndRoundTrips) {
   Rng rng(difftest::kSeed ^ 2);
   const std::pair<unsigned, unsigned> shapes[] = {{48, 1}, {96, 2}, {192, 4}};

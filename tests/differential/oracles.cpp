@@ -12,12 +12,10 @@
 #include "dsp/mixer.h"
 #include "phy/constellation.h"
 #include "phy/convolutional.h"
-#include "phy/crc.h"
 #include "phy/dsss/barker.h"
 #include "phy/dsss/cck.h"
 #include "phy/ofdm/subcarriers.h"
 #include "phy/scrambler.h"
-#include "phy/whitening.h"
 
 namespace ms::oracle {
 
@@ -90,25 +88,6 @@ std::vector<ZigbeePhy::SymbolDetect> Zigbee::detect_symbols(
     }
   }
   return out;
-}
-
-ZigbeePhy::RxFrame Zigbee::demodulate_frame(std::span<const Cf> iq,
-                                            std::size_t payload_bytes) const {
-  ZigbeePhy::RxFrame rx;
-  const std::size_t n_symbols = (6 + payload_bytes + 2) * 2;
-  if (iq.size() < n_symbols * kZigbeeChipsPerSymbol * cfg_.samples_per_chip)
-    return rx;
-  std::vector<uint8_t> symbols;
-  for (const auto& d : detect_symbols(iq, n_symbols))
-    symbols.push_back(d.symbol);
-  const Bytes bytes = ZigbeePhy::symbols_to_bytes(symbols);
-  // bytes: [0..3] preamble, [4] SFD, [5] PHR, then payload + FCS.
-  rx.payload.assign(bytes.begin() + 6, bytes.begin() + 6 + payload_bytes);
-  const uint16_t fcs = crc16_154(rx.payload);
-  const uint16_t rx_fcs = static_cast<uint16_t>(
-      bytes[6 + payload_bytes] | (bytes[7 + payload_bytes] << 8));
-  rx.crc_ok = (fcs == rx_fcs);
-  return rx;
 }
 
 Bits cck_demap(std::span<const Cf> chips, bool rate11, Cf& rot) {
@@ -227,27 +206,6 @@ Bits Ble::demodulate_bits(std::span<const Cf> iq, std::size_t n_bits) const {
   Bits out(n_bits);
   for (std::size_t i = 0; i < n_bits; ++i) out[i] = f[i] > 0.0f ? 1 : 0;
   return out;
-}
-
-BlePhy::RxFrame Ble::demodulate_frame(std::span<const Cf> iq,
-                                      std::size_t payload_bytes) const {
-  BlePhy::RxFrame rx;
-  const std::size_t pdu_bytes = 2 + payload_bytes + 3;  // header+payload+CRC
-  const std::size_t n_bits = 40 + pdu_bytes * 8;
-  if (iq.size() < n_bits * cfg_.samples_per_symbol) return rx;
-  const Bits air = demodulate_bits(iq, n_bits);
-  const Bits pdu_white(air.begin() + 40, air.end());
-  const Bits pdu_bits = ble_whiten(pdu_white, cfg_.channel_index);
-  const Bytes pdu = bits_to_bytes_lsb(pdu_bits);
-  const std::uint32_t crc =
-      crc24_ble(std::span<const uint8_t>(pdu).first(2 + payload_bytes));
-  const std::uint32_t rx_crc =
-      (static_cast<std::uint32_t>(pdu[2 + payload_bytes]) << 16) |
-      (static_cast<std::uint32_t>(pdu[3 + payload_bytes]) << 8) |
-      pdu[4 + payload_bytes];
-  rx.crc_ok = (crc == rx_crc);
-  rx.payload.assign(pdu.begin() + 2, pdu.begin() + 2 + payload_bytes);
-  return rx;
 }
 
 namespace {

@@ -20,9 +20,9 @@
 //   one_bit_scores                      packed_one_bit_peak(s)
 //
 // The classes mirror the production PHY calls those comparisons make.
-// What has no kernel twin (framing, CRCs, whitening, Barker despreading,
-// Viterbi, channel estimation) is the production code, called through
-// its public API.
+// What has no kernel twin (framing, CRCs, Barker despreading, Viterbi,
+// channel estimation) is the production code, called through its public
+// API.
 #pragma once
 
 #include <array>
@@ -50,8 +50,6 @@ class Zigbee {
   Iq modulate_symbols(std::span<const uint8_t> symbols) const;
   std::vector<ZigbeePhy::SymbolDetect> detect_symbols(
       std::span<const Cf> iq, std::size_t n_symbols) const;
-  ZigbeePhy::RxFrame demodulate_frame(std::span<const Cf> iq,
-                                      std::size_t payload_bytes) const;
 
  private:
   ZigbeeConfig cfg_;
@@ -88,8 +86,6 @@ class Ble {
   Samples symbol_frequencies(std::span<const Cf> iq,
                              std::size_t n_symbols) const;
   Bits demodulate_bits(std::span<const Cf> iq, std::size_t n_bits) const;
-  BlePhy::RxFrame demodulate_frame(std::span<const Cf> iq,
-                                   std::size_t payload_bytes) const;
 
  private:
   BleConfig cfg_;

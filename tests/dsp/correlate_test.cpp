@@ -2,12 +2,19 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/rng.h"
 
 namespace ms {
 namespace {
+
+/// Index of the first maximum of `c`.
+std::size_t argmax_of(const Samples& c) {
+  return static_cast<std::size_t>(std::max_element(c.begin(), c.end()) -
+                                  c.begin());
+}
 
 TEST(Correlate, PerfectCorrelationIsOne) {
   const Samples x = {1, 2, 3, 4, 5};
@@ -50,7 +57,7 @@ TEST(Correlate, SlidingFindsEmbeddedTemplate) {
   const std::size_t pos = 77;
   for (std::size_t i = 0; i < tmpl.size(); ++i) x[pos + i] += tmpl[i];
   const Samples c = sliding_correlation(x, tmpl);
-  EXPECT_EQ(argmax(c), pos);
+  EXPECT_EQ(argmax_of(c), pos);
   EXPECT_GT(c[pos], 0.9f);
 }
 
@@ -102,7 +109,6 @@ TEST(Correlate, ExactLengthInputYieldsSingleWindow) {
   const Samples c = sliding_correlation(x, tmpl);
   ASSERT_EQ(c.size(), 1u);
   EXPECT_FLOAT_EQ(c[0], static_cast<float>(pearson(x, tmpl)));
-  EXPECT_NEAR(peak_correlation(x, tmpl), c[0], 1e-9);
 }
 
 TEST(Correlate, FinalWindowConsumesExactTail) {
@@ -133,18 +139,9 @@ TEST(Correlate, TemplateEmbeddedAtTailIsFound) {
     const std::size_t pos = len - tmpl.size();
     for (std::size_t i = 0; i < tmpl.size(); ++i) x[pos + i] += tmpl[i];
     const Samples c = sliding_correlation(x, tmpl);
-    EXPECT_EQ(argmax(c), pos) << "len=" << len;
+    EXPECT_EQ(argmax_of(c), pos) << "len=" << len;
     EXPECT_GT(c[pos], 0.9f) << "len=" << len;
   }
-}
-
-TEST(Correlate, PeakCorrelationMatchesSlidingMax) {
-  Rng rng(3);
-  Samples tmpl(16), x(100);
-  for (float& v : tmpl) v = static_cast<float>(rng.normal());
-  for (float& v : x) v = static_cast<float>(rng.normal());
-  const Samples c = sliding_correlation(x, tmpl);
-  EXPECT_NEAR(peak_correlation(x, tmpl), c[argmax(c)], 1e-9);
 }
 
 }  // namespace

@@ -9,6 +9,12 @@
 namespace ms {
 namespace {
 
+/// Forward FFT of a copy of `x`.
+Iq fft_of(Iq x) {
+  fft_inplace(x);
+  return x;
+}
+
 Iq tone(std::size_t n, double freq_hz, double fs) {
   Iq x(n);
   for (std::size_t i = 0; i < n; ++i) {
@@ -22,7 +28,7 @@ TEST(Mixer, FrequencyShiftMovesSpectralPeak) {
   const double fs = 64.0;
   const Iq x = tone(64, 4.0, fs);          // bin 4
   const Iq y = frequency_shift(x, 8.0, fs);  // shift to bin 12
-  const Iq Y = fft(y);
+  const Iq Y = fft_of(y);
   std::size_t peak = 0;
   for (std::size_t i = 0; i < Y.size(); ++i)
     if (std::abs(Y[i]) > std::abs(Y[peak])) peak = i;
@@ -41,13 +47,6 @@ TEST(Mixer, NegativeShiftUndoesPositive) {
   const Iq y = frequency_shift(frequency_shift(x, 20.0, 100.0), -20.0, 100.0);
   for (std::size_t i = 0; i < x.size(); ++i)
     EXPECT_NEAR(std::abs(y[i] - x[i]), 0.0f, 1e-3);
-}
-
-TEST(Mixer, PhaseRotateByPiNegates) {
-  const Iq x = tone(16, 1.0, 16.0);
-  const Iq y = phase_rotate(x, M_PI);
-  for (std::size_t i = 0; i < x.size(); ++i)
-    EXPECT_NEAR(std::abs(y[i] + x[i]), 0.0f, 1e-5);
 }
 
 TEST(Mixer, DiscriminatorReadsToneFrequency) {

@@ -4,8 +4,6 @@
 
 #include <cmath>
 
-#include "common/error.h"
-
 namespace ms {
 namespace {
 
@@ -13,18 +11,6 @@ TEST(Ops, MeanPowerComplex) {
   const Iq x = {Cf(1, 0), Cf(0, 1), Cf(1, 1)};
   EXPECT_NEAR(mean_power(std::span<const Cf>(x)), (1.0 + 1.0 + 2.0) / 3.0, 1e-6);
   EXPECT_DOUBLE_EQ(mean_power(std::span<const Cf>()), 0.0);
-}
-
-TEST(Ops, SetMeanPower) {
-  Iq x = {Cf(2, 0), Cf(0, 2)};
-  set_mean_power(x, 1.0);
-  EXPECT_NEAR(mean_power(std::span<const Cf>(x)), 1.0, 1e-6);
-}
-
-TEST(Ops, SetMeanPowerOnSilenceIsNoop) {
-  Iq x(4, Cf(0, 0));
-  set_mean_power(x, 1.0);
-  for (const Cf& v : x) EXPECT_EQ(v, Cf(0, 0));
 }
 
 TEST(Ops, Envelope) {
@@ -41,12 +27,6 @@ TEST(Ops, MeanAndStddev) {
   EXPECT_DOUBLE_EQ(stddev(Samples{5.0f}), 0.0);
 }
 
-TEST(Ops, RemoveDcZeroesMean) {
-  const Samples x = {10, 12, 14, 16};
-  const Samples y = remove_dc(x);
-  EXPECT_NEAR(mean(y), 0.0, 1e-5);
-}
-
 TEST(Ops, NormalizeGivesUnitVariance) {
   const Samples x = {1, 5, 9, 13, 2, 8};
   const Samples y = normalize(x);
@@ -57,46 +37,6 @@ TEST(Ops, NormalizeGivesUnitVariance) {
 TEST(Ops, NormalizeConstantInputIsZeros) {
   const Samples y = normalize(Samples(8, 3.0f));
   for (float v : y) EXPECT_EQ(v, 0.0f);
-}
-
-TEST(Ops, MovingAverageSmoothsImpulse) {
-  Samples x(9, 0.0f);
-  x[4] = 9.0f;
-  const Samples y = moving_average(x, 3);
-  EXPECT_NEAR(y[3], 3.0f, 1e-5);
-  EXPECT_NEAR(y[4], 3.0f, 1e-5);
-  EXPECT_NEAR(y[5], 3.0f, 1e-5);
-  EXPECT_NEAR(y[0], 0.0f, 1e-5);
-}
-
-TEST(Ops, QuantizeOneBitLevels) {
-  const Samples x = {-2.0f, -0.1f, 0.1f, 2.0f};
-  const Samples y = quantize(x, 1, 1.0f);
-  EXPECT_EQ(y[0], -1.0f);
-  EXPECT_EQ(y[3], 1.0f);
-}
-
-TEST(Ops, QuantizeErrorBoundedByStep) {
-  const Samples x = {0.3f, -0.7f, 0.05f};
-  const unsigned bits = 4;
-  const Samples y = quantize(x, bits, 1.0f);
-  const float step = 2.0f / ((1u << bits) - 1);
-  for (std::size_t i = 0; i < x.size(); ++i)
-    EXPECT_LE(std::abs(y[i] - x[i]), step / 2 + 1e-6);
-}
-
-TEST(Ops, SignQuantize) {
-  const auto s = sign_quantize(Samples{-1.0f, 0.0f, 0.5f});
-  EXPECT_EQ(s[0], -1);
-  EXPECT_EQ(s[1], 1);  // >= 0 maps to +1
-  EXPECT_EQ(s[2], 1);
-}
-
-TEST(Ops, Decimate) {
-  const Samples x = {0, 1, 2, 3, 4, 5, 6};
-  EXPECT_EQ(decimate(x, 2), (Samples{0, 2, 4, 6}));
-  EXPECT_EQ(decimate(x, 3, 1), (Samples{1, 4}));
-  EXPECT_THROW(decimate(x, 2, 2), Error);
 }
 
 TEST(Ops, PeakAbs) {

@@ -7,29 +7,6 @@
 namespace ms {
 namespace {
 
-TEST(Resample, UpsampleHoldRepeats) {
-  const Samples x = {1, 2};
-  EXPECT_EQ(upsample_hold(x, 3), (Samples{1, 1, 1, 2, 2, 2}));
-}
-
-TEST(Resample, UpsampleHoldComplex) {
-  const Iq x = {Cf(1, 2)};
-  const Iq y = upsample_hold(x, 2);
-  ASSERT_EQ(y.size(), 2u);
-  EXPECT_EQ(y[0], Cf(1, 2));
-  EXPECT_EQ(y[1], Cf(1, 2));
-}
-
-TEST(Resample, DownsampleAvgAverages) {
-  const Samples x = {1, 3, 5, 7};
-  EXPECT_EQ(downsample_avg(x, 2), (Samples{2, 6}));
-}
-
-TEST(Resample, DownUndoesUpWithHold) {
-  const Samples x = {1, -2, 3, 0};
-  EXPECT_EQ(downsample_avg(upsample_hold(x, 4), 4), x);
-}
-
 TEST(Resample, LinearIdentityRatio) {
   const Samples x = {0, 1, 2, 3, 4};
   const Samples y = resample_linear(x, 1.0);
@@ -70,7 +47,7 @@ TEST(Resample, SineSurvivesRateConversion) {
 
 TEST(Resample, EmptyInput) {
   EXPECT_TRUE(resample_linear(Samples{}, 2.0).empty());
-  EXPECT_TRUE(downsample_avg(Samples{1.0f}, 2).empty());
+  EXPECT_TRUE(resample_average(Samples{}, 0.5).empty());
 }
 
 }  // namespace

@@ -16,7 +16,6 @@
 #include "phy/dsss/barker.h"
 #include "phy/dsss/cck.h"
 #include "phy/interleaver.h"
-#include "phy/whitening.h"
 #include "phy/zigbee/zigbee.h"
 #include "superposition.h"
 
@@ -73,18 +72,6 @@ Vector cck_vector() {
     cck_data_phases(g, true, phi2, phi3, phi4);
     append_iq(v.lines, cck_codeword(0.0, phi2, phi3, phi4));
   }
-  return v;
-}
-
-// BLE whitening: a fixed payload whitened on the advertising channel 37
-// and on data channel 8.  One line per channel.
-Vector ble_vector() {
-  Vector v{"ble_whitened_payload.txt", {}};
-  const Bytes payload = {'m', 'u', 'l', 't', 'i', 's', 'c', 'a',
-                         't', 't', 'e', 'r', 0x00, 0x55, 0xaa, 0xff};
-  const Bits bits = bytes_to_bits_lsb(payload);
-  v.lines.push_back(bits_line(ble_whiten(bits, 37)));
-  v.lines.push_back(bits_line(ble_whiten(bits, 8)));
   return v;
 }
 
@@ -283,7 +270,7 @@ Vector channel_noise_vector() {
 
 std::vector<Vector> build_all() {
   return {barker_vector(),   cck_vector(),
-          ble_vector(),      zigbee_vector(),
+          zigbee_vector(),
           overlay_vector(),  packed_template_vector(),
           gfsk_softbits_vector(), ofdm_deinterleave_vector(),
           fleet_superposed_vector("fleet_superposed_2tag.txt", 2),

@@ -1,7 +1,7 @@
 // Metrics registry + shard semantics: registration is idempotent by
 // name, kind/bounds conflicts throw, and shard merges follow the
-// documented rules (counters add, gauges last-write-wins, histograms
-// add) that the determinism contract rests on.
+// documented rules (counters add, histograms add) that the determinism
+// contract rests on.
 #include <string>
 #include <thread>
 #include <vector>
@@ -26,7 +26,6 @@ TEST(MetricsRegistry, RegistrationDedupesByName) {
 
 TEST(MetricsRegistry, KindConflictThrows) {
   counter("test.metrics.kind_conflict");
-  EXPECT_THROW(gauge("test.metrics.kind_conflict"), Error);
   EXPECT_THROW(histogram("test.metrics.kind_conflict",
                          std::vector<double>{1.0}),
                Error);
@@ -51,7 +50,7 @@ TEST(MetricsRegistry, HistogramBoundsMustAscendAndBeNonEmpty) {
 TEST(MetricsRegistry, ConflictErrorsNameTheOffendingMetric) {
   counter("test.metrics.named_conflict");
   try {
-    gauge("test.metrics.named_conflict");
+    histogram("test.metrics.named_conflict", std::vector<double>{1.0});
     FAIL() << "kind conflict did not throw";
   } catch (const Error& e) {
     EXPECT_NE(std::string(e.what()).find("test.metrics.named_conflict"),
@@ -111,7 +110,6 @@ TEST(Shard, HistogramOverflowBucketCatchesAboveLastBound) {
 
 TEST(Shard, RecordsThroughInstalledScope) {
   const MetricId c = counter("test.shard.counter");
-  const MetricId g = gauge("test.shard.gauge");
   const MetricId h =
       histogram("test.shard.hist", std::vector<double>{1.0, 2.0});
   TelemetryShard s;
@@ -119,14 +117,11 @@ TEST(Shard, RecordsThroughInstalledScope) {
     ShardScope scope(&s);
     add(c, 3);
     add(c);
-    set(g, 7.5);
     observe(h, 0.5);   // bucket 0 (<= 1)
     observe(h, 2.0);   // bucket 1 (<= 2, inclusive upper bound)
     observe(h, 99.0);  // overflow bucket
   }
   EXPECT_EQ(s.counter_value(c), 4u);
-  EXPECT_TRUE(s.gauge_written(g));
-  EXPECT_DOUBLE_EQ(s.gauge_value(g), 7.5);
   const auto hv = s.histogram_value(h);
   ASSERT_EQ(hv.counts.size(), 3u);
   EXPECT_EQ(hv.counts[0], 1u);
@@ -145,7 +140,6 @@ TEST(Shard, WritesAreNoOpsWithoutScope) {
 
 TEST(Shard, MergeSemantics) {
   const MetricId c = counter("test.merge.counter");
-  const MetricId g = gauge("test.merge.gauge");
   const MetricId h =
       histogram("test.merge.hist", std::vector<double>{10.0});
 
@@ -153,39 +147,22 @@ TEST(Shard, MergeSemantics) {
   {
     ShardScope scope(&a);
     add(c, 2);
-    set(g, 1.0);
     observe(h, 5.0);
   }
   {
     ShardScope scope(&b);
     add(c, 3);
-    set(g, 2.0);
     observe(h, 50.0);
   }
   merged.merge_from(a);
   merged.merge_from(b);
 
   EXPECT_EQ(merged.counter_value(c), 5u);
-  // Gauge: last write in merge order wins.
-  EXPECT_DOUBLE_EQ(merged.gauge_value(g), 2.0);
   const auto hv = merged.histogram_value(h);
   ASSERT_EQ(hv.counts.size(), 2u);
   EXPECT_EQ(hv.counts[0], 1u);
   EXPECT_EQ(hv.counts[1], 1u);
   EXPECT_DOUBLE_EQ(hv.sum, 55.0);
-}
-
-TEST(Shard, MergeSkipsUnwrittenGauge) {
-  const MetricId g = gauge("test.merge.gauge_unwritten");
-  TelemetryShard wrote, empty, merged;
-  {
-    ShardScope scope(&wrote);
-    set(g, 4.0);
-  }
-  merged.merge_from(wrote);
-  merged.merge_from(empty);  // no write: must not clobber the value
-  EXPECT_TRUE(merged.gauge_written(g));
-  EXPECT_DOUBLE_EQ(merged.gauge_value(g), 4.0);
 }
 
 TEST(Shard, DisabledTelemetryInstallsNothing) {
@@ -267,6 +244,8 @@ TEST(MetricsJson, SortedSchemaAndRoundTrip) {
   aggregate_merge(s);
   const std::string json = metrics_json_string();
   EXPECT_NE(json.find("\"schema\": \"ms.metrics.v1\""), std::string::npos);
+  // No metric is a gauge, but ms.metrics.v1 keeps the object.
+  EXPECT_NE(json.find("\"gauges\": {},"), std::string::npos);
   // Name-sorted output: alpha before zeta regardless of registration
   // or write order.
   EXPECT_LT(json.find("test.json.alpha"), json.find("test.json.zeta"));

@@ -64,47 +64,5 @@ TEST(Ble, PreambleDurationIs8usPlusAA) {
   EXPECT_DOUBLE_EQ(static_cast<double>(w.size()) / phy.sample_rate_hz(), 40e-6);
 }
 
-TEST(Ble, AdvertisingFrameRoundTrip) {
-  const BlePhy phy;
-  Rng rng(4);
-  const Bytes payload = rng.bytes(31);
-  const Iq frame = phy.modulate_frame(payload);
-  const auto rx = phy.demodulate_frame(frame, payload.size());
-  EXPECT_TRUE(rx.crc_ok);
-  EXPECT_EQ(rx.payload, payload);
-}
-
-TEST(Ble, FrameCrcCatchesCorruption) {
-  const BlePhy phy;
-  Rng rng(5);
-  const Bytes payload = rng.bytes(20);
-  Iq frame = phy.modulate_frame(payload);
-  // Destroy a mid-payload region (after preamble + AA = 40 symbols).
-  const std::size_t sps = phy.config().samples_per_symbol;
-  for (std::size_t i = 60 * sps; i < 80 * sps; ++i)
-    frame[i] = std::conj(frame[i]) * Cf(0.0f, 1.0f);
-  const auto rx = phy.demodulate_frame(frame, payload.size());
-  EXPECT_FALSE(rx.crc_ok);
-}
-
-TEST(Ble, DifferentChannelsWhitenDifferently) {
-  BleConfig a, b;
-  a.channel_index = 37;
-  b.channel_index = 38;
-  const BlePhy pa(a), pb(b);
-  Rng rng(6);
-  const Bytes payload = rng.bytes(10);
-  // A frame whitened for channel 37 must not CRC-check on channel 38.
-  const Iq frame = pa.modulate_frame(payload);
-  EXPECT_FALSE(pb.demodulate_frame(frame, payload.size()).crc_ok);
-}
-
-TEST(Ble, MaxAdvertisingPayloadAccepted) {
-  const BlePhy phy;
-  Rng rng(7);
-  const Bytes payload = rng.bytes(37);
-  EXPECT_TRUE(phy.demodulate_frame(phy.modulate_frame(payload), 37).crc_ok);
-}
-
 }  // namespace
 }  // namespace ms

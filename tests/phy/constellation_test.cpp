@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "common/rng.h"
+#include "hamming.h"
 #include "dsp/ops.h"
 
 namespace ms {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "hamming.h"
 
 namespace ms {
 namespace {

@@ -14,49 +14,22 @@ TEST(Crc, Crc16CcittCheckValue) {
   EXPECT_EQ(crc16_ccitt(kCheck), 0x29b1);
 }
 
-TEST(Crc, Crc16_154CheckValue) {
-  // CRC-16/KERMIT check value for "123456789".
-  EXPECT_EQ(crc16_154(kCheck), 0x2189);
-}
-
-TEST(Crc, Crc32CheckValue) {
-  EXPECT_EQ(crc32_ieee(kCheck), 0xcbf43926u);
-}
-
 TEST(Crc, Crc8CheckValue) {
   EXPECT_EQ(crc8(kCheck), 0xf4);
 }
 
-TEST(Crc, Crc24BleSpecExample) {
-  // CRC changes with any single-bit flip (sanity of the LFSR wiring).
-  Bytes pdu = {0x02, 0x04, 0xde, 0xad, 0xbe, 0xef};
-  const std::uint32_t base = crc24_ble(pdu);
-  EXPECT_LE(base, 0xffffffu);
-  for (std::size_t byte = 0; byte < pdu.size(); ++byte) {
-    Bytes mod = pdu;
-    mod[byte] ^= 0x01;
-    EXPECT_NE(crc24_ble(mod), base) << byte;
-  }
-}
-
-TEST(Crc, Crc24DependsOnInit) {
-  const Bytes pdu = {0x11, 0x22};
-  EXPECT_NE(crc24_ble(pdu, 0x555555), crc24_ble(pdu, 0xaaaaaa));
-}
-
 TEST(Crc, EmptyInputs) {
   EXPECT_EQ(crc16_ccitt(Bytes{}), 0xffff);
-  EXPECT_EQ(crc16_154(Bytes{}), 0x0000);
-  EXPECT_EQ(crc32_ieee(Bytes{}), 0x00000000u);
+  EXPECT_EQ(crc8(Bytes{}), 0x00);
 }
 
 TEST(Crc, DetectsSingleBitError) {
   Bytes data = {0x01, 0x02, 0x03, 0x04};
   const auto c16 = crc16_ccitt(data);
-  const auto c32 = crc32_ieee(data);
+  const auto c8 = crc8(data);
   data[2] ^= 0x10;
   EXPECT_NE(crc16_ccitt(data), c16);
-  EXPECT_NE(crc32_ieee(data), c32);
+  EXPECT_NE(crc8(data), c8);
 }
 
 }  // namespace

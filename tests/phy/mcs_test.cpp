@@ -5,6 +5,7 @@
 #include "channel/awgn.h"
 #include "common/error.h"
 #include "common/rng.h"
+#include "hamming.h"
 #include "phy/convolutional.h"
 #include "phy/ofdm/wifi_n.h"
 

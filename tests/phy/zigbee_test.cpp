@@ -41,12 +41,20 @@ TEST(ZigbeePn, QuasiOrthogonality) {
     }
 }
 
+/// The best-matching PN index of each of the first n symbols.
+std::vector<uint8_t> hard_symbols(const ZigbeePhy& phy, const Iq& iq,
+                                  std::size_t n) {
+  std::vector<uint8_t> out;
+  for (const auto& d : phy.detect_symbols(iq, n)) out.push_back(d.symbol);
+  return out;
+}
+
 TEST(Zigbee, SymbolsRoundTripClean) {
   const ZigbeePhy phy;
   std::vector<uint8_t> symbols;
   for (uint8_t s = 0; s < 16; ++s) symbols.push_back(s);
   const Iq wave = phy.modulate_symbols(symbols);
-  EXPECT_EQ(phy.demodulate_symbols(wave, symbols.size()), symbols);
+  EXPECT_EQ(hard_symbols(phy, wave, symbols.size()), symbols);
 }
 
 TEST(Zigbee, SymbolsSurviveNoise) {
@@ -56,41 +64,7 @@ TEST(Zigbee, SymbolsSurviveNoise) {
   for (auto& s : symbols) s = static_cast<uint8_t>(rng.uniform_int(16));
   const Iq noisy = add_awgn(phy.modulate_symbols(symbols), 2.0, rng);
   // 32-chip spreading gives ~15 dB of processing gain.
-  EXPECT_EQ(phy.demodulate_symbols(noisy, symbols.size()), symbols);
-}
-
-TEST(Zigbee, BytesSymbolsRoundTrip) {
-  const Bytes bytes = {0x12, 0xaf, 0x00, 0xff};
-  const auto symbols = ZigbeePhy::bytes_to_symbols(bytes);
-  ASSERT_EQ(symbols.size(), 8u);
-  EXPECT_EQ(symbols[0], 0x2);  // low nibble first
-  EXPECT_EQ(symbols[1], 0x1);
-  EXPECT_EQ(ZigbeePhy::symbols_to_bytes(symbols), bytes);
-}
-
-TEST(Zigbee, FrameRoundTrip) {
-  const ZigbeePhy phy;
-  Rng rng(2);
-  const Bytes payload = rng.bytes(60);
-  const auto rx = phy.demodulate_frame(phy.modulate_frame(payload),
-                                       payload.size());
-  EXPECT_TRUE(rx.crc_ok);
-  EXPECT_EQ(rx.payload, payload);
-}
-
-TEST(Zigbee, FrameCrcCatchesCorruption) {
-  const ZigbeePhy phy;
-  Rng rng(3);
-  const Bytes payload = rng.bytes(30);
-  Iq frame = phy.modulate_frame(payload);
-  const std::size_t sps = phy.samples_per_symbol();
-  // Replace four payload symbols (preamble+SFD+PHR = 12 symbols) with
-  // heavy noise so the chip correlator picks essentially random PN words.
-  Rng noise_rng(99);
-  for (std::size_t i = 14 * sps; i < 18 * sps; ++i)
-    frame[i] = Cf(static_cast<float>(noise_rng.normal(0.0, 3.0)),
-                  static_cast<float>(noise_rng.normal(0.0, 3.0)));
-  EXPECT_FALSE(phy.demodulate_frame(frame, payload.size()).crc_ok);
+  EXPECT_EQ(hard_symbols(phy, noisy, symbols.size()), symbols);
 }
 
 TEST(Zigbee, PreambleIs128us) {

@@ -82,21 +82,11 @@ TEST(BitpackProperty, SlidingMatchesPerOffsetReference) {
     const auto scores =
         bitpack::sliding_sign_correlation(packed_stream, packed_tmpl);
     ASSERT_EQ(scores.size(), stream_len - lt + 1);
-    double best = -1.0;
-    std::size_t best_off = 0;
     for (std::size_t off = 0; off + lt <= stream_len; ++off) {
       const double ref = sign_correlation(
           std::span<const int8_t>(stream).subspan(off, lt), tmpl);
       EXPECT_EQ(scores[off], ref) << "lt=" << lt << " off=" << off;
-      if (ref > best) {
-        best = ref;
-        best_off = off;
-      }
     }
-    const bitpack::Peak peak =
-        bitpack::peak_sliding_sign_correlation(packed_stream, packed_tmpl);
-    EXPECT_EQ(peak.score, best) << "lt=" << lt;
-    EXPECT_EQ(peak.offset, best_off) << "lt=" << lt;
   }
 }
 
@@ -161,7 +151,7 @@ TEST(BitpackProperty, IdentifierPackedEqualsReferenceEverywhere) {
     Rng rng(0x715 + pt.lp * 1000 + pt.lt);
     for (Protocol p : kAllProtocols) {
       for (int trial = 0; trial < 3; ++trial) {
-        Rng trial_rng = rng.fork();
+        Rng trial_rng(rng());
         const Samples trace = make_ident_trace(p, cfg, trial_rng);
         const auto sp = packed.scores(trace);
         const auto sr = oracle::one_bit_scores(packed, trace);

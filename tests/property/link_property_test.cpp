@@ -118,7 +118,10 @@ TEST(LinkProperty, ArqSessionNeverDeliversCorruptBytesUnderBursts) {
         const std::size_t len = coded.size() / 4;
         flip_burst(coded, rng.uniform_int(coded.size()), len);
       }
-      const auto res = rx.push_bits(fec.decode(coded, raw.size()));
+      const std::optional<TagFrame> parsed =
+          TagFrame::from_bits(fec.decode(coded, raw.size()));
+      const ArqReceiver::Result res =
+          parsed ? rx.push(*parsed) : ArqReceiver::Result{};
       if (res.reading) {
         ++delivered;
         EXPECT_EQ(*res.reading, reading) << "seed " << seed;

@@ -87,12 +87,21 @@ TEST(Cli, BadValueNamesFlagAndValue) {
 
 TEST(Cli, RejectsZeroThreads) {
   // 0 worker threads cannot run anything; "all cores" is the default
-  // you get by omitting the flag, not a magic sentinel on the CLI.
+  // you get by omitting the flag, not a magic sentinel on the CLI.  Past
+  // 256 the pool would start that many OS threads (or throw on the
+  // reservation), so those are bad values too.  parse_cli starts none.
+  for (const char* n : {"0", "257", "100000", "18446744073709551615"}) {
+    CliOptions o;
+    const auto err = parse({"--threads", n}, o);
+    ASSERT_TRUE(err.has_value()) << n;
+    EXPECT_NE(err->find("--threads"), std::string::npos) << *err;
+    EXPECT_NE(err->find(std::string("'") + n + "'"), std::string::npos)
+        << *err;
+    EXPECT_EQ(o.threads, 0u) << n;
+  }
   CliOptions o;
-  const auto err = parse({"--threads", "0"}, o);
-  ASSERT_TRUE(err.has_value());
-  EXPECT_NE(err->find("--threads"), std::string::npos) << *err;
-  EXPECT_NE(err->find("'0'"), std::string::npos) << *err;
+  EXPECT_FALSE(parse({"--threads", "256"}, o).has_value());
+  EXPECT_EQ(o.threads, 256u);
 }
 
 TEST(Cli, MissingValueNamesFlag) {
@@ -198,6 +207,25 @@ TEST(Cli, WaveformCacheFlag) {
   EXPECT_FALSE(o.waveform_cache);
   EXPECT_FALSE(parse({"--waveform-cache", "on"}, o).has_value());
   EXPECT_TRUE(o.waveform_cache);
+}
+
+TEST(Cli, DeclinedWaveformCacheNamesTheCommand) {
+  // A row that synthesizes no identification waveform never reads the
+  // cache, so it rejects --waveform-cache and its usage leaves it out.
+  const char* cache[] = {"msbench fig13_los", "--waveform-cache", "off"};
+  CliOptions o;
+  const auto err = parse_cli(3, cache, o, {.waveform_cache = false});
+  ASSERT_TRUE(err.has_value());
+  EXPECT_EQ(*err, "msbench fig13_los does not take --waveform-cache: it "
+                  "caches no waveforms");
+  EXPECT_TRUE(o.waveform_cache);
+  EXPECT_FALSE(parse_cli(3, cache, o, {}).has_value());
+  EXPECT_FALSE(o.waveform_cache);
+  const std::string usage =
+      cli_usage("msbench fig13_los", {.waveform_cache = false});
+  EXPECT_EQ(usage.find("--waveform-cache"), std::string::npos);
+  EXPECT_NE(usage.find("       [--metrics-out FILE] [--trace-out FILE]\n"),
+            std::string::npos);
 }
 
 TEST(Cli, RejectsBadWaveformCacheValue) {

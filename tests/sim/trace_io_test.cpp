@@ -31,54 +31,6 @@ TEST_F(TraceIoTest, IqRoundTrip) {
   EXPECT_DOUBLE_EQ(rate, 8e6);
 }
 
-TEST_F(TraceIoTest, RealRoundTrip) {
-  Rng rng(2);
-  Samples x(300);
-  for (float& v : x) v = static_cast<float>(rng.normal());
-  const std::string path = temp_path("real.mstr");
-  save_trace(path, x, 2.5e6);
-  double rate = 0.0;
-  EXPECT_EQ(load_real_trace(path, &rate), x);
-  EXPECT_DOUBLE_EQ(rate, 2.5e6);
-}
-
-TEST_F(TraceIoTest, HeaderInspection) {
-  const std::string path = temp_path("hdr.mstr");
-  save_trace(path, Samples(42, 1.0f), 1e6);
-  const TraceHeader h = read_trace_header(path);
-  EXPECT_FALSE(h.complex_iq);
-  EXPECT_EQ(h.n_samples, 42u);
-  EXPECT_DOUBLE_EQ(h.sample_rate_hz, 1e6);
-}
-
-TEST_F(TraceIoTest, TypeMismatchThrows) {
-  const std::string path = temp_path("mismatch.mstr");
-  save_trace(path, Samples(10, 0.5f), 1e6);
-  EXPECT_THROW(load_iq_trace(path), Error);
-  save_trace(path, Iq(10, Cf(1, 0)), 1e6);
-  EXPECT_THROW(load_real_trace(path), Error);
-}
-
-TEST_F(TraceIoTest, CorruptMagicRejected) {
-  const std::string path = temp_path("corrupt.mstr");
-  std::ofstream(path) << "this is not a trace file at all, not even close";
-  EXPECT_THROW(read_trace_header(path), Error);
-}
-
-TEST_F(TraceIoTest, TruncatedPayloadRejected) {
-  const std::string path = temp_path("trunc.mstr");
-  save_trace(path, Samples(100, 1.0f), 1e6);
-  // Chop the file short.
-  std::ifstream in(path, std::ios::binary);
-  std::vector<char> bytes((std::istreambuf_iterator<char>(in)),
-                          std::istreambuf_iterator<char>());
-  in.close();
-  bytes.resize(bytes.size() - 40);
-  std::ofstream(path, std::ios::binary)
-      .write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  EXPECT_THROW(load_real_trace(path), Error);
-}
-
 // Corrupt one byte at `offset` in the file.
 void patch_byte(const std::string& path, std::size_t offset, char value) {
   std::fstream f(path, std::ios::in | std::ios::out | std::ios::binary);
@@ -87,46 +39,81 @@ void patch_byte(const std::string& path, std::size_t offset, char value) {
   f.put(value);
 }
 
+TEST_F(TraceIoTest, TypeMismatchThrows) {
+  // A well-formed real-valued trace: 10 float samples, marked real
+  // (complex_iq, u32 at offset 8) over the 40 payload bytes of 5 IQ
+  // samples, with n_samples (u64 at offset 24) raised to match.
+  const std::string path = temp_path("mismatch.mstr");
+  save_trace(path, Iq(5, Cf(1, 0)), 1e6);
+  patch_byte(path, 8, 0);
+  patch_byte(path, 24, 10);
+  try {
+    load_iq_trace(path);
+    FAIL() << "expected ms::Error";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("real-valued"), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST_F(TraceIoTest, CorruptMagicRejected) {
+  const std::string path = temp_path("corrupt.mstr");
+  std::ofstream(path) << "this is not a trace file at all, not even close";
+  EXPECT_THROW(load_iq_trace(path), Error);
+}
+
+TEST_F(TraceIoTest, TruncatedPayloadRejected) {
+  const std::string path = temp_path("trunc.mstr");
+  save_trace(path, Iq(100, Cf(1, 0)), 1e6);
+  // Chop the file short.
+  std::ifstream in(path, std::ios::binary);
+  std::vector<char> bytes((std::istreambuf_iterator<char>(in)),
+                          std::istreambuf_iterator<char>());
+  in.close();
+  bytes.resize(bytes.size() - 40);
+  std::ofstream(path, std::ios::binary)
+      .write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  EXPECT_THROW(load_iq_trace(path), Error);
+}
+
 TEST_F(TraceIoTest, BadVersionRejected) {
   const std::string path = temp_path("badver.mstr");
-  save_trace(path, Samples(10, 1.0f), 1e6);
+  save_trace(path, Iq(10, Cf(1, 0)), 1e6);
   patch_byte(path, 4, 9);  // version field (little-endian u32 at offset 4)
-  EXPECT_THROW(read_trace_header(path), Error);
-  EXPECT_THROW(load_real_trace(path), Error);
+  EXPECT_THROW(load_iq_trace(path), Error);
 }
 
 TEST_F(TraceIoTest, BadElementTypeRejected) {
   const std::string path = temp_path("badelem.mstr");
-  save_trace(path, Samples(10, 1.0f), 1e6);
+  save_trace(path, Iq(10, Cf(1, 0)), 1e6);
   patch_byte(path, 8, 7);  // complex_iq field: neither 0 nor 1
-  EXPECT_THROW(read_trace_header(path), Error);
+  EXPECT_THROW(load_iq_trace(path), Error);
 }
 
 TEST_F(TraceIoTest, HeaderSampleCountMismatchRejected) {
   const std::string path = temp_path("badcount.mstr");
-  save_trace(path, Samples(100, 1.0f), 1e6);
+  save_trace(path, Iq(100, Cf(1, 0)), 1e6);
   // Inflate the header's n_samples (u64 at offset 24) beyond the file.
   patch_byte(path, 24, 127);
-  EXPECT_THROW(read_trace_header(path), Error);
-  EXPECT_THROW(load_real_trace(path), Error);
+  EXPECT_THROW(load_iq_trace(path), Error);
 }
 
 TEST_F(TraceIoTest, TrailingGarbageRejected) {
   const std::string path = temp_path("trailing.mstr");
-  save_trace(path, Samples(50, 1.0f), 1e6);
+  save_trace(path, Iq(50, Cf(1, 0)), 1e6);
   std::ofstream(path, std::ios::binary | std::ios::app) << "extra bytes";
-  EXPECT_THROW(load_real_trace(path), Error);
+  EXPECT_THROW(load_iq_trace(path), Error);
 }
 
 TEST_F(TraceIoTest, TruncatedHeaderRejected) {
   const std::string path = temp_path("shorthdr.mstr");
   std::ofstream(path, std::ios::binary) << "MSTR";  // magic only
-  EXPECT_THROW(read_trace_header(path), Error);
+  EXPECT_THROW(load_iq_trace(path), Error);
 }
 
 TEST_F(TraceIoTest, TruncatedPayloadErrorIsDescriptive) {
   const std::string path = temp_path("desc.mstr");
-  save_trace(path, Samples(100, 1.0f), 1e6);
+  save_trace(path, Iq(100, Cf(1, 0)), 1e6);
   std::ifstream in(path, std::ios::binary);
   std::vector<char> bytes((std::istreambuf_iterator<char>(in)),
                           std::istreambuf_iterator<char>());
@@ -135,7 +122,7 @@ TEST_F(TraceIoTest, TruncatedPayloadErrorIsDescriptive) {
   std::ofstream(path, std::ios::binary)
       .write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
   try {
-    load_real_trace(path);
+    load_iq_trace(path);
     FAIL() << "expected ms::Error";
   } catch (const Error& e) {
     const std::string what = e.what();
@@ -151,7 +138,7 @@ TEST_F(TraceIoTest, HeaderErrorsNameFieldAndOffset) {
       [](const std::string& path, const std::string& field,
          const std::string& offset) {
         try {
-          read_trace_header(path);
+          load_iq_trace(path);
           FAIL() << "expected ms::Error for " << field;
         } catch (const Error& e) {
           const std::string what = e.what();
@@ -162,17 +149,17 @@ TEST_F(TraceIoTest, HeaderErrorsNameFieldAndOffset) {
       };
 
   const std::string bad_version = temp_path("field_version.mstr");
-  save_trace(bad_version, Samples(10, 1.0f), 1e6);
+  save_trace(bad_version, Iq(10, Cf(1, 0)), 1e6);
   patch_byte(bad_version, 4, 9);
   expect_error_mentions(bad_version, "version", "4");
 
   const std::string bad_elem = temp_path("field_elem.mstr");
-  save_trace(bad_elem, Samples(10, 1.0f), 1e6);
+  save_trace(bad_elem, Iq(10, Cf(1, 0)), 1e6);
   patch_byte(bad_elem, 8, 7);
   expect_error_mentions(bad_elem, "complex_iq", "8");
 
   const std::string bad_count = temp_path("field_count.mstr");
-  save_trace(bad_count, Samples(100, 1.0f), 1e6);
+  save_trace(bad_count, Iq(100, Cf(1, 0)), 1e6);
   patch_byte(bad_count, 24, 127);
   expect_error_mentions(bad_count, "n_samples", "24");
 }
@@ -181,7 +168,7 @@ TEST_F(TraceIoTest, ShortHeaderErrorReportsByteCounts) {
   const std::string path = temp_path("short_counts.mstr");
   std::ofstream(path, std::ios::binary) << "MSTR";  // 4 of 32 bytes
   try {
-    read_trace_header(path);
+    load_iq_trace(path);
     FAIL() << "expected ms::Error";
   } catch (const Error& e) {
     const std::string what = e.what();
@@ -192,16 +179,16 @@ TEST_F(TraceIoTest, ShortHeaderErrorReportsByteCounts) {
 
 TEST_F(TraceIoTest, TruncatedTraceErrorNamesLastWholeSample) {
   const std::string path = temp_path("trunc_sample.mstr");
-  save_trace(path, Samples(100, 1.0f), 1e6);
+  save_trace(path, Iq(100, Cf(1, 0)), 1e6);
   std::ifstream in(path, std::ios::binary);
   std::vector<char> bytes((std::istreambuf_iterator<char>(in)),
                           std::istreambuf_iterator<char>());
   in.close();
-  bytes.resize(bytes.size() - 10);  // 97 whole floats + 2 stray bytes
+  bytes.resize(bytes.size() - 22);  // 97 whole samples + 2 stray bytes
   std::ofstream(path, std::ios::binary)
       .write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
   try {
-    load_real_trace(path);
+    load_iq_trace(path);
     FAIL() << "expected ms::Error";
   } catch (const Error& e) {
     const std::string what = e.what();

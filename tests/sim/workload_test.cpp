@@ -12,6 +12,7 @@
 #include "sim/excitation.h"
 #include "sim/workload/scenarios.h"
 #include "sim/workload/workload.h"
+#include "workload_summary.h"
 
 namespace ms {
 namespace {
