@@ -18,13 +18,6 @@ inline void record_result(const char* key, double value) {
   obs::ledger::record_result(key, value);
 }
 
-/// Record one wall-clock-derived figure (throughput, speedup) — it
-/// lands in the manifest's nondeterministic "timings" section, where
-/// obs_report diff gates it with a percentage tolerance.
-inline void record_timing(const char* key, double value) {
-  obs::ledger::record_timing(key, value);
-}
-
 inline void title(const char* id, const char* what) {
   std::printf("\n================================================================\n");
   std::printf("%s — %s\n", id, what);

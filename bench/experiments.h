@@ -41,8 +41,5 @@ int robustness_faults(const CliOptions&);
 int robustness_multipath(const CliOptions&);
 int robustness_preambles(const CliOptions&);
 int robustness_workloads(const CliOptions&);
-int ident_throughput(const CliOptions&);
-int phy_throughput(const CliOptions&);
-int runner_scaling(const CliOptions&);
 
 }  // namespace ms::bench

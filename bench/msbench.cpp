@@ -1,6 +1,6 @@
 // msbench: the one driver for every experiment that reproduces the
 // paper's evaluation (Tables 1–6, Figs 4–18), its ablations and the
-// robustness and throughput studies.
+// robustness studies.
 //
 //   msbench <experiment> [flags]     run one experiment
 //   msbench --help                   list the flags and the experiments
@@ -12,7 +12,7 @@
 // --manifest-out, so every experiment takes the same CLI.  It runs one
 // experiment per process, so experiments share no global state.  The
 // manifest names the run bench_<id>, as the per-experiment binaries
-// this driver replaced did, so config hashes and baselines carry over.
+// this driver replaced did.
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -26,8 +26,8 @@ namespace {
 
 struct Experiment {
   const char* id;
-  /// false = the experiment runs no trial engine, or sweeps its own
-  /// thread counts, and --threads is an error.
+  /// false = the experiment runs no trial engine, and --threads is an
+  /// error.
   bool threaded;
   /// Trials per point when --trials is absent; 0 = the experiment's
   /// trial counts are fixed, and --trials is an error.
@@ -79,9 +79,6 @@ constexpr Experiment kExperiments[] = {
     {"robustness_multipath", true, 0, false, true, robustness_multipath},
     {"robustness_preambles", true, 0, false, true, robustness_preambles},
     {"robustness_workloads", true, 5, true, false, robustness_workloads},
-    {"ident_throughput", true, 32, true, true, ident_throughput},
-    {"phy_throughput", true, 24, true, false, phy_throughput},
-    {"runner_scaling", false, 60, true, true, runner_scaling},
 };
 
 std::string usage() {

@@ -9,13 +9,15 @@
 # experiment, the driver's usage errors, and the determinism gate: the
 # waveform cache, the workload scorecard, the fig7 CSVs, and
 # robustness_faults' CSVs, metrics JSON and stdout byte-identical at
-# threads 1 and 8), the function-reach gate (two -O0 --gc-sections
+# threads 1 and 8, and fig7's default-flag manifest against
+# BENCH_seed.json), the function-reach gate (two -O0 --gc-sections
 # trees, build-reach and build-reach-perfbench: every out-of-line src/
-# function must be linked into a production program), a bench-perf
-# smoke of the identification- and PHY-throughput experiments plus
-# bench_micro's calibration-search, identifier-score, channel (noise,
-# multipath, envelope), front-end (FIR, rf_envelope), overlay-sync and
-# tag-frame-codec benchmarks and its telemetry-overhead gate, then the
+# function must be linked into a production program), bench_micro's
+# calibration-search, identifier-score, channel (noise, multipath,
+# envelope), front-end (FIR, rf_envelope), overlay-sync and
+# tag-frame-codec benchmarks and its telemetry-overhead gate, a
+# warn-only wall-time diff of a fresh fig7_ordered manifest against the
+# committed BENCH_seed.json, then the
 # same four suites under ASan+UBSan (-DMS_SANITIZE=ON,
 # which also bounds-checks the standard containers with
 # _GLIBCXX_ASSERTIONS; the integration label runs the threaded engine's
@@ -51,34 +53,9 @@ echo "==> src function reach (build-reach, build-reach-perfbench)"
 # tests/scripts/src_functions_reached.sh lists (a list that can only
 # shrink).  It builds its own -O0 trees, so it stays out of tier-1; it
 # runs here, before the sanitizer builds, so dead code fails early.
-# Known gap: msbench still links the test-only ms_test_oracles for its
-# ident_throughput and phy_throughput rows, so a src/ function that
-# only those oracles call counts as reached until the rows leave
-# msbench.
 bash "${repo_root}/tests/scripts/src_functions_reached.sh" "${repo_root}"
 
 echo "==> bench-perf smoke (Release only)"
-# Short passes through the identification- and PHY-throughput
-# experiments: each runs its live fast-vs-reference bitwise equivalence
-# gate and exercises the metrics plumbing.  Timing numbers on CI
-# hardware are informational; the >=3x acceptance figures are measured
-# on a quiet machine.  Each run also writes a ms.run.v1 manifest;
-# obs_report diff compares ident_throughput's (program
-# bench_ident_throughput) against the committed BENCH_seed.json
-# baseline — warn-only, because CI hardware timing noise is not a
-# regression, but a determinism break (exit 8 on the deterministic
-# section) or an incomparable manifest (exit 2) still deserves a loud
-# line in the log.
-perf_dir="${repo_root}/build/bench-perf"
-mkdir -p "${perf_dir}"
-"${repo_root}/build/bench/msbench" ident_throughput --trials 1 \
-    --out "${perf_dir}" --metrics-out "${perf_dir}/metrics.json" \
-    --manifest-out "${perf_dir}/ident_manifest.json"
-"${repo_root}/build/tools/validate_metrics" "${perf_dir}/metrics.json"
-"${repo_root}/build/bench/msbench" phy_throughput --trials 2 \
-    --out "${perf_dir}" --metrics-out "${perf_dir}/phy_metrics.json" \
-    --manifest-out "${perf_dir}/phy_manifest.json"
-"${repo_root}/build/tools/validate_metrics" "${perf_dir}/phy_metrics.json"
 # bench_micro, cut to the calibration-search, identifier-scoring,
 # identification channel and front-end, overlay-sync and tag-frame-codec
 # benchmarks; after them it exits 1 if disabled telemetry adds >= 3 % to
@@ -87,19 +64,23 @@ mkdir -p "${perf_dir}"
     --benchmark_filter='BM_CalibrationSearch|BM_IdentifierScore|BM_AddNoisePower|BM_MultipathApply|BM_Envelope|BM_FirFilterComplex|BM_RfEnvelope|BM_OverlaySync|BM_TagFrameCodec'
 
 echo "==> cross-run regression report (warn-only)"
-if [ -f "${repo_root}/BENCH_seed.json" ]; then
-  diff_rc=0
-  "${repo_root}/build/tools/obs_report" diff \
-      "${repo_root}/BENCH_seed.json" "${perf_dir}/ident_manifest.json" \
-      --tolerance 50 || diff_rc=$?
-  case "${diff_rc}" in
-    0|4) echo "obs_report: ident manifest consistent with BENCH_seed.json" ;;
-    *)   echo "WARNING: obs_report diff vs BENCH_seed.json exited ${diff_rc}" \
-             "(warn-only; refresh the baseline if the change is intentional)" ;;
-  esac
-else
-  echo "WARNING: BENCH_seed.json baseline missing; skipping obs_report diff"
-fi
+# A fresh default-flag fig7_ordered manifest against the committed
+# BENCH_seed.json.  The manifest_determinism ctest already fails on a
+# deterministic difference, so this step only reports the wall time:
+# warn-only, because CI hardware timing noise is not a regression.
+perf_dir="${repo_root}/build/bench-perf"
+mkdir -p "${perf_dir}"
+"${repo_root}/build/bench/msbench" fig7_ordered \
+    --manifest-out "${perf_dir}/fig7_manifest.json" >/dev/null
+diff_rc=0
+"${repo_root}/build/tools/obs_report" diff \
+    "${repo_root}/BENCH_seed.json" "${perf_dir}/fig7_manifest.json" \
+    --tolerance 50 || diff_rc=$?
+case "${diff_rc}" in
+  0|4) echo "obs_report: fig7 manifest consistent with BENCH_seed.json" ;;
+  *)   echo "WARNING: obs_report diff vs BENCH_seed.json exited ${diff_rc}" \
+           "(warn-only; refresh the baseline if the change is intentional)" ;;
+esac
 
 echo "=== ASan+UBSan build ==="
 cmake -B "${repo_root}/build-asan" -S "${repo_root}" -DMS_SANITIZE=ON \

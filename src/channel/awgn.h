@@ -1,7 +1,7 @@
 // Additive white Gaussian noise.  Every variant draws its Gaussian
 // values through Rng::normals in stack blocks: the same values in the
 // same order as one rng.normal(0.0, sigma) per part, imaginary part
-// first (docs/PERF.md §9).
+// first (docs/PERF.md §8).
 #pragma once
 
 #include <span>

@@ -47,7 +47,7 @@ class Rng {
   /// would return, and leaves the generator and its spare as they would.
   /// It accepts polar candidates in blocks without a branch and takes
   /// their scale in two-lane passes; the channel noise draws every
-  /// identification trace through it (docs/PERF.md §9).
+  /// identification trace through it (docs/PERF.md §8).
   void normals(std::span<double> out);
   /// Normal draw with the given mean and standard deviation.
   double normal(double mean, double stddev);

@@ -31,10 +31,10 @@ Samples rf_envelope(std::span<const Cf> iq, double sample_rate_hz,
   // and both gains compute, with the same operations in the same order.
   // A phase step that provably saturates skips std::arg: one beyond
   // 1.001·θ, where θ is the step of a ±fm_ref tone, lands on ±f_sat
-  // whatever rounding atan2f adds (docs/PERF.md §6).  Never with a NaN
+  // whatever rounding atan2f adds (docs/PERF.md §5).  Never with a NaN
   // angle, at re = ±0, or when 1.001·θ reaches π/2.  |x| stays in its
   // own pass, where envelope() takes it two samples at a time in double
-  // lanes with no libm call (docs/PERF.md §9).
+  // lanes with no libm call (docs/PERF.md §8).
   const double scale = sample_rate_hz / (2.0 * M_PI);
   const float f_sat = static_cast<float>(cfg.fm_ref_hz);
   const double theta_sat = 1.001 * 2.0 * M_PI * cfg.fm_ref_hz / sample_rate_hz;

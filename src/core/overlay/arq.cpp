@@ -98,7 +98,6 @@ void ArqSender::drop_head_reading() {
 ArqReceiver::Result ArqReceiver::push(const TagFrame& frame) {
   PerTag& t = tags_[frame.tag_id];
   Result r;
-  r.crc_ok = true;
   const int seq = frame.sequence;
   // Replay of the last accepted frame: its ACK was lost.  Re-ACK without
   // appending the payload twice.

@@ -102,13 +102,13 @@ class ArqSender {
   Stats stats_;
 };
 
-/// CRC-check, de-duplicate, and reassemble at the receiver.  A reading
-/// with a missing frame (sender gave up) is discarded whole rather than
+/// De-duplicate and reassemble at the receiver.  Only frames that parsed
+/// with a good CRC reach push(), and each is ACKed.  A reading with a
+/// missing frame (sender gave up) is discarded whole rather than
 /// delivered with a hole.
 class ArqReceiver {
  public:
   struct Result {
-    bool crc_ok = false;     ///< frame parsed and CRC passed → send ACK
     bool duplicate = false;  ///< replay of the last accepted frame
     std::optional<Bytes> reading;  ///< completed reading, if any
   };

@@ -142,7 +142,7 @@ std::optional<SyncResult> OverlayReceiver::synchronize(
   for (std::size_t i = 0; i < len; ++i) win_energy += std::norm(rx[i]);
   // A non-finite sample, or one whose float std::norm overflows, makes
   // win_energy non-finite from the offset whose window first holds it,
-  // and that capture is an error naming the sample (docs/PERF.md §7).
+  // and that capture is an error naming the sample (docs/PERF.md §6).
   // The test runs once per offset on the running energy, so finite
   // captures take the same arithmetic as without it.  Every offset
   // that is scored then has only finite samples, so no product in

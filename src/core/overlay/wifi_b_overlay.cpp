@@ -11,10 +11,6 @@ namespace ms {
 
 namespace {
 
-Cf expj(double phi) {
-  return Cf(static_cast<float>(std::cos(phi)), static_cast<float>(std::sin(phi)));
-}
-
 bool is_cck(WifiBRate r) {
   return r == WifiBRate::Cck5_5M || r == WifiBRate::Cck11M;
 }
@@ -25,43 +21,14 @@ WifiBOverlay::WifiBOverlay(OverlayParams params, WifiBConfig phy_cfg)
     : OverlayCodec(params), phy_(phy_cfg) {}
 
 Iq WifiBOverlay::make_carrier(std::span<const uint8_t> productive_bits) const {
-  const unsigned bps = wifi_b_bits_per_symbol(phy_.config().rate);
-  MS_CHECK(productive_bits.size() % bps == 0);
-  const Bits scrambled =
-      scramble_11b(productive_bits, phy_.config().scrambler_seed);
-
+  // One reference symbol per sequence, then κ−1 sample-for-sample copies.
+  const Iq symbols = phy_.modulate_payload(productive_bits);
+  const std::size_t sps = phy_.samples_per_symbol();
   Iq out;
-  const std::size_t spc = phy_.config().samples_per_chip;
-  Cf phase_ref(1.0f, 0.0f);
-  std::size_t seq_idx = 0;
-  for (std::size_t i = 0; i < scrambled.size(); i += bps, ++seq_idx) {
-    Iq chips;
-    switch (phy_.config().rate) {
-      case WifiBRate::Dbpsk1M:
-        phase_ref *= expj(scrambled[i] ? M_PI : 0.0);
-        chips = barker_spread(phase_ref);
-        break;
-      case WifiBRate::Dqpsk2M:
-        phase_ref *= expj(dqpsk_increment(scrambled[i], scrambled[i + 1], false));
-        chips = barker_spread(phase_ref);
-        break;
-      case WifiBRate::Cck5_5M:
-      case WifiBRate::Cck11M: {
-        phase_ref *= expj(dqpsk_increment(scrambled[i], scrambled[i + 1],
-                                          (seq_idx % 2) == 1));
-        double phi2, phi3, phi4;
-        cck_data_phases(std::span<const uint8_t>(scrambled).subspan(i + 2),
-                        phy_.config().rate == WifiBRate::Cck11M, phi2, phi3,
-                        phi4);
-        chips = cck_codeword(0.0, phi2, phi3, phi4);
-        for (Cf& c : chips) c *= phase_ref;
-        break;
-      }
-    }
-    // Spread: the reference symbol followed by κ−1 identical copies.
+  out.reserve(symbols.size() * params_.kappa);
+  for (auto sym = symbols.begin(); sym != symbols.end(); sym += sps)
     for (unsigned rep = 0; rep < params_.kappa; ++rep)
-      for (const Cf& c : chips) out.insert(out.end(), spc, c);
-  }
+      out.insert(out.end(), sym, sym + sps);
   return out;
 }
 
@@ -101,13 +68,9 @@ OverlayDecoded WifiBOverlay::decode(std::span<const Cf> rx,
   // for CCK, the per-symbol data bits.
   std::vector<Cf> sym_val(n_sym);
   std::vector<Bits> sym_data(cck ? n_sym : 0);
+  Iq chips(cps);
   for (std::size_t s = 0; s < n_sym; ++s) {
-    Iq chips(cps);
-    for (std::size_t c = 0; c < cps; ++c) {
-      Cf acc(0.0f, 0.0f);
-      for (unsigned k = 0; k < spc; ++k) acc += rx[s * sps + c * spc + k];
-      chips[c] = acc / static_cast<float>(spc);
-    }
+    collapse_chips(rx.subspan(s * sps, sps), spc, chips);
     if (cck) {
       Cf rot;
       sym_data[s] = cck_demap(chips, phy_.config().rate == WifiBRate::Cck11M, rot);

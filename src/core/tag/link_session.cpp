@@ -397,11 +397,11 @@ LinkSessionReport LinkSession::run_trace(std::size_t n_readings,
         const ArqReceiver::Result res = arq_rx.push(*rx);
         if (res.duplicate) ++rep.duplicates_seen;
         if (res.reading) mark_delivered(res.reading->size());
-        if (res.crc_ok && rng.chance(cfg_.ack_loss_prob)) {
+        if (rng.chance(cfg_.ack_loss_prob)) {
           ++rep.acks_lost;
           obs::add(lm.acks_lost);
         } else {
-          acked = res.crc_ok;
+          acked = true;
         }
       }
       if (acked) {

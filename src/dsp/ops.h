@@ -13,7 +13,7 @@ namespace ms {
 double mean_power(std::span<const Cf> x);
 
 /// |x| of every sample — the ideal envelope of a complex waveform, bit
-/// for bit what std::abs returns (docs/PERF.md §9).
+/// for bit what std::abs returns (docs/PERF.md §8).
 Samples envelope(std::span<const Cf> x);
 
 /// Arithmetic mean; 0 for an empty input.

@@ -25,7 +25,6 @@ struct Ledger {
   std::mutex m;
   RunInfo info;
   std::map<std::string, double> results;
-  std::map<std::string, double> timings;
   std::chrono::steady_clock::time_point start =
       std::chrono::steady_clock::now();
 };
@@ -68,9 +67,6 @@ void write_deterministic_body(std::ostream& out, const Ledger& l,
   out << in2 << "\"config_hash\": \"" << hex64(l.info.config_hash) << "\",\n";
   out << in2 << "\"seed\": " << l.info.seed << ",\n";
   out << in2 << "\"trials\": " << l.info.trials << ",\n";
-  // ms.run.v1 keeps the key of the removed per-cell deadline, always 0,
-  // so manifests stay byte-identical and comparable with older ones.
-  out << in2 << "\"trial_deadline_ms\": 0,\n";
   out << in2 << "\"metrics_digest\": \"" << hex64(metrics_digest())
       << "\",\n";
   write_kv_block(out, "results", l.results, in2.c_str());
@@ -94,26 +90,13 @@ void record_result(const std::string& key, double value) {
   l.results[key] = value;
 }
 
-void record_timing(const std::string& key, double value) {
-  Ledger& l = ledger();
-  std::lock_guard<std::mutex> lk(l.m);
-  l.timings[key] = value;
-}
-
 const std::map<std::string, double>& results() { return ledger().results; }
-const std::map<std::string, double>& timings() { return ledger().timings; }
 
 std::uint64_t config_hash(const std::string& program, std::uint64_t seed,
                           std::uint64_t trials) {
   std::uint64_t h = fnv1a(program.data(), program.size());
   h = fnv1a(&seed, sizeof(seed), h);
-  h = fnv1a(&trials, sizeof(trials), h);
-  // Eight zero bytes where a per-cell deadline used to be hashed.  Every
-  // committed baseline (BENCH_seed*.json) was recorded with it at 0, so
-  // folding the zero in keeps their config_hash values.
-  const std::uint64_t removed_deadline_ms = 0;
-  h = fnv1a(&removed_deadline_ms, sizeof(removed_deadline_ms), h);
-  return h;
+  return fnv1a(&trials, sizeof(trials), h);
 }
 
 std::uint64_t metrics_digest() {
@@ -139,7 +122,7 @@ void write_manifest_json(std::ostream& out) {
   const double wall_s = std::chrono::duration<double>(
                             std::chrono::steady_clock::now() - l.start)
                             .count();
-  out << "{\n  \"schema\": \"ms.run.v1\",\n";
+  out << "{\n  \"schema\": \"ms.run.v2\",\n";
   out << "  \"deterministic\":\n";
   write_deterministic_body(out, l, "  ");
   out << ",\n  \"nondeterministic\": {\n";
@@ -148,8 +131,7 @@ void write_manifest_json(std::ostream& out) {
   out << "    \"waveform_cache\": "
       << (l.info.waveform_cache ? "true" : "false") << ",\n";
   out << "    \"wall_s\": " << detail::json_number(wall_s) << ",\n";
-  write_kv_block(out, "timings", l.timings, "    ");
-  out << ",\n    \"profile\": {";
+  out << "    \"profile\": {";
   bool first = true;
   for (const ProfileStat& s : profile_snapshot()) {
     if (s.calls == 0) continue;
@@ -174,7 +156,6 @@ void reset() {
   std::lock_guard<std::mutex> lk(l.m);
   l.info = RunInfo{};
   l.results.clear();
-  l.timings.clear();
   l.start = std::chrono::steady_clock::now();
 }
 

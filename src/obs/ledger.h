@@ -1,4 +1,4 @@
-// Run ledger: the per-run manifest every bench can emit (ms.run.v1).
+// Run ledger: the per-run manifest every bench can emit (ms.run.v2).
 //
 // A manifest is the unit of cross-run observability: one JSON file per
 // bench invocation, split into two sections with different contracts.
@@ -12,9 +12,9 @@
 //    `obs_report diff` treats any difference as a regression.
 //  - `nondeterministic` holds everything wall-clock- or
 //    machine-shaped: git SHA, thread count, the cache flag, total
-//    wall seconds, bench-recorded timings (throughputs, speedups), and
-//    the per-stage profile totals.  `obs_report diff` gates these with
-//    a percentage tolerance instead of equality.
+//    wall seconds and the per-stage profile totals.  `obs_report diff`
+//    gates the wall seconds with a percentage tolerance instead of
+//    equality.
 //
 // The split mirrors the repo-wide quarantine rule (docs/OBSERVABILITY.md):
 // nothing nondeterministic is reachable from the deterministic section,
@@ -59,13 +59,8 @@ const RunInfo& run_info();
 /// thread-count-invariant — record figures, never wall time.
 void record_result(const std::string& key, double value);
 
-/// Record one wall-clock-derived figure (throughput, speedup).  Lands
-/// in the nondeterministic section under "timings".
-void record_timing(const std::string& key, double value);
-
-/// All results/timings recorded so far (name-sorted; tests + writer).
+/// All results recorded so far (name-sorted; tests + writer).
 const std::map<std::string, double>& results();
-const std::map<std::string, double>& timings();
 
 /// FNV-1a64 digest of the current aggregated metrics JSON — the single
 /// number two runs compare to claim telemetry equality.
@@ -80,12 +75,12 @@ std::string git_sha();
 /// target for the manifest-determinism gate).
 void write_deterministic_json(std::ostream& out);
 
-/// Render the full ms.run.v1 manifest.  Wall seconds are measured from
+/// Render the full ms.run.v2 manifest.  Wall seconds are measured from
 /// the set_run_info call.
 void write_manifest_json(std::ostream& out);
 void write_manifest_json_file(const std::string& path);
 
-/// Drop recorded results/timings and the run info (test isolation).
+/// Drop recorded results and the run info (test isolation).
 void reset();
 
 }  // namespace ms::obs::ledger

@@ -57,11 +57,4 @@ Samples BlePhy::symbol_frequencies(std::span<const Cf> iq,
   return out;
 }
 
-Bits BlePhy::demodulate_bits(std::span<const Cf> iq, std::size_t n_bits) const {
-  const Samples f = symbol_frequencies(iq, n_bits);
-  Bits out(n_bits);
-  for (std::size_t i = 0; i < n_bits; ++i) out[i] = f[i] > 0.0f ? 1 : 0;
-  return out;
-}
-
 }  // namespace ms

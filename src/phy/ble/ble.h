@@ -1,8 +1,9 @@
 // Bluetooth Low Energy 1 Mbps PHY: GFSK (BT = 0.5, modulation index 0.5,
 // f1 − f0 = 500 kHz) over raw air bits, the advertising preamble (0xAA
-// and access address 0x8E89BED6), and a discriminator-based receiver.
-// The paper's receivers hand over raw PHY bits, so there is no PDU
-// framing, whitening or CRC-24 here.
+// and access address 0x8E89BED6), and the per-symbol discriminator
+// frequencies the overlay decoder reads.  The paper's receivers hand
+// over raw PHY bits, so there is no PDU framing, whitening or CRC-24
+// here.
 #pragma once
 
 #include <cstdint>
@@ -33,9 +34,6 @@ class BlePhy {
 
   /// GFSK-modulate raw air bits.
   Iq modulate_bits(std::span<const uint8_t> air_bits) const;
-
-  /// Discriminator demodulation of raw air bits (frame-aligned input).
-  Bits demodulate_bits(std::span<const Cf> iq, std::size_t n_bits) const;
 
   /// Per-symbol mean instantaneous frequency (Hz) — the soft values the
   /// overlay decoder thresholds to separate Δf-shifted tag symbols.

@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "common/error.h"
-#include "dsp/kernels/arena.h"
 #include "phy/crc.h"
 #include "phy/dsss/barker.h"
 #include "phy/dsss/cck.h"
@@ -138,34 +137,42 @@ Iq WifiBPhy::modulate_symbols(std::span<const uint8_t> scrambled,
   return out;
 }
 
-Iq WifiBPhy::modulate_frame(std::span<const uint8_t> payload_bytes) const {
+Bits WifiBPhy::scrambled_frame_bits(
+    std::size_t payload_bytes, std::span<const uint8_t> payload_bits) const {
   const std::size_t preamble_bits =
       cfg_.short_preamble ? kShortPreambleBits : kPreambleBits;
-  const uint8_t seed = cfg_.short_preamble ? kShortSeed : cfg_.scrambler_seed;
-
   Bits air = bits_from_string(
       std::string(preamble_bits - 16, cfg_.short_preamble ? '0' : '1'));
   const uint16_t sfd = cfg_.short_preamble ? kShortSfd : kLongSfd;
   for (int i = 15; i >= 0; --i) air.push_back((sfd >> i) & 1u);
-  const Bits hdr = header_bits(payload_bytes.size());
+  const Bits hdr = header_bits(payload_bytes);
   air.insert(air.end(), hdr.begin(), hdr.end());
-  const Bits payload = bytes_to_bits_lsb(payload_bytes);
-  air.insert(air.end(), payload.begin(), payload.end());
+  air.insert(air.end(), payload_bits.begin(), payload_bits.end());
+  return scramble_11b(air,
+                      cfg_.short_preamble ? kShortSeed : cfg_.scrambler_seed);
+}
 
-  const Bits scrambled = scramble_11b(air, seed);
-  const std::span<const uint8_t> s(scrambled);
+Iq WifiBPhy::modulate_air(std::span<const uint8_t> scrambled) const {
+  const std::size_t preamble_bits =
+      cfg_.short_preamble ? kShortPreambleBits : kPreambleBits;
   Cf phase_ref(1.0f, 0.0f);
-  Iq out = modulate_bits_1m(s.first(preamble_bits), phase_ref);
+  Iq out = modulate_bits_1m(scrambled.first(preamble_bits), phase_ref);
   // Short preamble sends the PLCP header at 2 Mbps DQPSK.
   WifiBConfig hdr_cfg = cfg_;
   hdr_cfg.rate = cfg_.short_preamble ? WifiBRate::Dqpsk2M : WifiBRate::Dbpsk1M;
   const Iq hdr_wave = WifiBPhy(hdr_cfg).modulate_symbols(
-      s.subspan(preamble_bits, kHeaderBits), phase_ref);
+      scrambled.subspan(preamble_bits, kHeaderBits), phase_ref);
   out.insert(out.end(), hdr_wave.begin(), hdr_wave.end());
   const Iq body =
-      modulate_symbols(s.subspan(preamble_bits + kHeaderBits), phase_ref);
+      modulate_symbols(scrambled.subspan(preamble_bits + kHeaderBits),
+                       phase_ref);
   out.insert(out.end(), body.begin(), body.end());
   return out;
+}
+
+Iq WifiBPhy::modulate_frame(std::span<const uint8_t> payload_bytes) const {
+  return modulate_air(scrambled_frame_bits(payload_bytes.size(),
+                                           bytes_to_bits_lsb(payload_bytes)));
 }
 
 Iq WifiBPhy::modulate_payload(std::span<const uint8_t> payload_bits) const {
@@ -174,79 +181,8 @@ Iq WifiBPhy::modulate_payload(std::span<const uint8_t> payload_bits) const {
   return modulate_symbols(scrambled, phase_ref);
 }
 
-Bits WifiBPhy::demodulate_air_bits(std::span<const Cf> iq, std::size_t n_bits,
-                                   Cf init_ref) const {
-  const unsigned bps = wifi_b_bits_per_symbol(cfg_.rate);
-  const unsigned cps = wifi_b_chips_per_symbol(cfg_.rate);
-  MS_CHECK(n_bits % bps == 0);
-  const std::size_t n_sym = n_bits / bps;
-  const std::size_t sps = samples_per_symbol();
-  MS_CHECK_MSG(iq.size() >= n_sym * sps, "waveform shorter than requested bits");
-
-  Bits out;
-  out.reserve(n_bits);
-  Cf prev = init_ref;
-  // One arena scratch buffer holds every symbol's collapsed chips.
-  kernels::SampleArena& arena = kernels::scratch_arena();
-  kernels::SampleArena::Scope scope(arena);
-  const std::span<Cf> chips = arena.alloc<Cf>(cps);
-  for (std::size_t s = 0; s < n_sym; ++s) {
-    collapse_chips(iq.subspan(s * sps, sps), cfg_.samples_per_chip, chips);
-    switch (cfg_.rate) {
-      case WifiBRate::Dbpsk1M: {
-        const Cf sym = barker_despread(chips);
-        const double d = std::arg(sym * std::conj(prev));
-        out.push_back(std::abs(d) > M_PI / 2 ? 1 : 0);
-        prev = sym;
-        break;
-      }
-      case WifiBRate::Dqpsk2M: {
-        const Cf sym = barker_despread(chips);
-        uint8_t b0, b1;
-        dqpsk_decide(std::arg(sym * std::conj(prev)), false, b0, b1);
-        out.push_back(b0);
-        out.push_back(b1);
-        prev = sym;
-        break;
-      }
-      case WifiBRate::Cck5_5M:
-      case WifiBRate::Cck11M: {
-        Cf rot;
-        const Bits data =
-            cck_demap(chips, cfg_.rate == WifiBRate::Cck11M, rot);
-        uint8_t b0, b1;
-        dqpsk_decide(std::arg(rot * std::conj(prev)), (s % 2) == 1, b0, b1);
-        out.push_back(b0);
-        out.push_back(b1);
-        out.insert(out.end(), data.begin(), data.end());
-        prev = rot;
-        break;
-      }
-    }
-  }
-  return out;
-}
-
 Iq WifiBPhy::preamble_waveform(uint16_t payload_bytes) const {
-  const std::size_t preamble_bits =
-      cfg_.short_preamble ? kShortPreambleBits : kPreambleBits;
-  const uint8_t seed = cfg_.short_preamble ? kShortSeed : cfg_.scrambler_seed;
-  Bits air = bits_from_string(
-      std::string(preamble_bits - 16, cfg_.short_preamble ? '0' : '1'));
-  const uint16_t sfd = cfg_.short_preamble ? kShortSfd : kLongSfd;
-  for (int i = 15; i >= 0; --i) air.push_back((sfd >> i) & 1u);
-  const Bits hdr = header_bits(payload_bytes);
-  air.insert(air.end(), hdr.begin(), hdr.end());
-  const Bits scrambled = scramble_11b(air, seed);
-  const std::span<const uint8_t> s(scrambled);
-  Cf phase_ref(1.0f, 0.0f);
-  Iq out = modulate_bits_1m(s.first(preamble_bits), phase_ref);
-  WifiBConfig hdr_cfg = cfg_;
-  hdr_cfg.rate = cfg_.short_preamble ? WifiBRate::Dqpsk2M : WifiBRate::Dbpsk1M;
-  const Iq hdr_wave = WifiBPhy(hdr_cfg).modulate_symbols(
-      s.subspan(preamble_bits, kHeaderBits), phase_ref);
-  out.insert(out.end(), hdr_wave.begin(), hdr_wave.end());
-  return out;
+  return modulate_air(scrambled_frame_bits(payload_bytes, {}));
 }
 
 }  // namespace ms

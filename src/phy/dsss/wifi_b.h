@@ -1,12 +1,6 @@
 // 802.11b PHY: long- and short-preamble PLCP framing, DSSS-DBPSK
-// (1 Mbps), DSSS-DQPSK (2 Mbps), and CCK (5.5 / 11 Mbps) modulation, with
-// a frame-aligned symbol demodulator.
-//
-// The demodulator assumes the simulator delivers the waveform aligned to
-// the frame start (the experiment engine controls timing); it performs
-// despreading and differential detection, but not clock recovery,
-// descrambling or PLCP header parsing: the paper's receivers hand over
-// raw PHY bits.
+// (1 Mbps), DSSS-DQPSK (2 Mbps), and CCK (5.5 / 11 Mbps) modulation, and
+// the chip collapse that starts the overlay decoder's receive chain.
 #pragma once
 
 #include <span>
@@ -55,15 +49,6 @@ class WifiBPhy {
   /// multiple of bits-per-symbol.
   Iq modulate_payload(std::span<const uint8_t> payload_bits) const;
 
-  /// Raw (unscrambled) payload symbol demodulation: maps each symbol's
-  /// chips back to air bits without descrambling.  Used by the overlay
-  /// decoder, which compares scrambled symbols directly.  `init_ref` is
-  /// the differential phase reference preceding the first symbol (the
-  /// modulator starts at 1+0j; mid-frame demodulation passes the last
-  /// despread symbol of the previous segment).
-  Bits demodulate_air_bits(std::span<const Cf> iq, std::size_t n_bits,
-                           Cf init_ref = Cf(1.0f, 0.0f)) const;
-
   /// Preamble + header waveform only (used to build identification
   /// templates and to measure envelopes).
   Iq preamble_waveform(uint16_t payload_bytes = 0) const;
@@ -72,13 +57,21 @@ class WifiBPhy {
   Iq modulate_bits_1m(std::span<const uint8_t> scrambled, Cf& phase_ref) const;
   Iq modulate_symbols(std::span<const uint8_t> scrambled, Cf& phase_ref) const;
   Bits header_bits(std::size_t payload_bytes) const;
+  /// Sync, SFD and PLCP header for a `payload_bytes` payload, then
+  /// `payload_bits`, scrambled with the preamble's seed.
+  Bits scrambled_frame_bits(std::size_t payload_bytes,
+                            std::span<const uint8_t> payload_bits) const;
+  /// Preamble at 1 Mbps DBPSK, header at 1 Mbps (2 Mbps DQPSK after the
+  /// short preamble), then any payload bits at the configured rate, one
+  /// differential phase reference running through all three.
+  Iq modulate_air(std::span<const uint8_t> scrambled) const;
 
   WifiBConfig cfg_;
 };
 
 /// Average each chip's `spc` samples back into one complex chip value;
 /// `chips` holds the chip count.  The first step of every 802.11b
-/// receive chain above.
+/// receive chain.
 void collapse_chips(std::span<const Cf> iq, unsigned spc, std::span<Cf> chips);
 
 }  // namespace ms

@@ -41,7 +41,7 @@ Iq ZigbeePhy::modulate_symbols(std::span<const uint8_t> symbols) const {
   const std::size_t n_chips = symbols.size() * kZigbeeChipsPerSymbol;
   // Trailing half-chip for the last Q pulse.
   Iq out(n_chips * spc + spc);
-  kernels::oqpsk_synthesize(symbols, kPnTable, spc, out);
+  kernels::oqpsk_synthesize(symbols, zigbee_pn_table(), spc, out);
   return out;
 }
 

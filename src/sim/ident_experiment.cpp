@@ -12,6 +12,7 @@
 #include "phy/dsss/wifi_b.h"
 #include "phy/ofdm/wifi_n.h"
 #include "phy/zigbee/zigbee.h"
+#include "sim/runner/trial_runner.h"
 #include "sim/runner/waveform_cache.h"
 
 namespace ms {
@@ -160,12 +161,6 @@ Samples make_ident_trace(Protocol p, const IdentTrialConfig& cfg, Rng& rng) {
 IdentResult run_ident_experiment(const IdentTrialConfig& cfg,
                                  std::size_t trials_per_protocol) {
   TrialRunner runner({cfg.threads, cfg.seed});
-  return run_ident_experiment(runner, cfg, trials_per_protocol);
-}
-
-IdentResult run_ident_experiment(TrialRunner& runner,
-                                 const IdentTrialConfig& cfg,
-                                 std::size_t trials_per_protocol) {
   const ProtocolIdentifier identifier(cfg.ident);
   // Grid: point = true protocol, trial = Monte-Carlo repetition.  Each
   // cell returns the detected column; the confusion tallies merge in

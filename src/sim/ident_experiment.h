@@ -14,7 +14,6 @@
 #include "common/rng.h"
 #include "core/ident/identifier.h"
 #include "sim/faults/fault_injector.h"
-#include "sim/runner/trial_runner.h"
 
 namespace ms {
 
@@ -60,13 +59,6 @@ Samples make_ident_trace(Protocol p, const IdentTrialConfig& cfg, Rng& rng);
 
 /// Run `trials_per_protocol` trials of every protocol.
 IdentResult run_ident_experiment(const IdentTrialConfig& cfg,
-                                 std::size_t trials_per_protocol);
-
-/// Same sweep on a caller-owned runner (cfg.threads/cfg.seed are ignored
-/// in favor of the runner's own config).  Lets benches inspect the
-/// pool's scheduling stats afterwards (ThreadPool::worker_stats).
-IdentResult run_ident_experiment(TrialRunner& runner,
-                                 const IdentTrialConfig& cfg,
                                  std::size_t trials_per_protocol);
 
 /// Full §2.3.2 search: all 24 matching orders × the threshold grid.

@@ -177,10 +177,10 @@ std::string cli_usage(const char* prog, CliAccepts accepts) {
         "                     experiments that cache no waveforms reject it)\n";
   u +=
       "  --manifest-out FILE\n"
-      "                     write a ms.run.v1 run manifest: deterministic\n"
+      "                     write a ms.run.v2 run manifest: deterministic\n"
       "                     section (config hash, metrics digest, bench\n"
       "                     results) + nondeterministic section (git SHA,\n"
-      "                     wall timings, profile totals); compare runs with\n"
+      "                     wall time, profile totals); compare runs with\n"
       "                     obs_report diff\n"
       "  --help             show this message\n";
   return u;

@@ -13,14 +13,14 @@
 //                     reuse synthesized identification waveforms across
 //                     trials (default on; off re-synthesizes every trial —
 //                     the bitwise oracle for the cached path)
-//   --manifest-out F  write a ms.run.v1 run manifest to F (config hash,
+//   --manifest-out F  write a ms.run.v2 run manifest to F (config hash,
 //                     metrics digest + bench results in a deterministic
-//                     section; git SHA, wall timings, profile totals in
+//                     section; git SHA, wall time, profile totals in
 //                     a nondeterministic one) — see tools/obs_report
 //   --help            print usage and exit 0
-// An experiment with fixed thread counts (no trial engine, or its own
-// sweep of them), fixed trial counts, a fixed seed or no cached waveform
-// declines --threads, --trials, --seed or --waveform-cache (CliAccepts).
+// An experiment with fixed thread counts (no trial engine), fixed trial
+// counts, a fixed seed or no cached waveform declines --threads,
+// --trials, --seed or --waveform-cache (CliAccepts).
 // Anything else — an unknown or declined flag, a bad value, any
 // positional argument — is an error: parse_cli reports it and
 // parse_cli_or_exit prints the usage message and exits 2 instead of

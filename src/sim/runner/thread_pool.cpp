@@ -1,7 +1,6 @@
 #include "sim/runner/thread_pool.h"
 
 #include <algorithm>
-#include <chrono>
 
 #include "common/error.h"
 
@@ -49,22 +48,10 @@ bool ThreadPool::try_pop(std::size_t self, Range& out) {
     if (!v.q.empty()) {
       out = v.q.back();
       v.q.pop_back();
-      ++queues_[self]->stats.steals;  // self's counter: single writer
       return true;
     }
   }
   return false;
-}
-
-std::vector<ThreadPool::WorkerStats> ThreadPool::worker_stats() const {
-  std::vector<WorkerStats> out;
-  out.reserve(queues_.size());
-  for (const auto& w : queues_) out.push_back(w->stats);
-  return out;
-}
-
-void ThreadPool::reset_worker_stats() {
-  for (auto& w : queues_) w->stats = WorkerStats{};
 }
 
 void ThreadPool::worker_loop(std::size_t self) {
@@ -87,22 +74,12 @@ void ThreadPool::worker_loop(std::size_t self) {
         std::lock_guard<std::mutex> lk(job_m_);
         fn = job_fn_;
       }
-      const auto t0 = std::chrono::steady_clock::now();
       try {
         for (std::size_t i = r.begin; i < r.end; ++i) (*fn)(i);
       } catch (...) {
         std::lock_guard<std::mutex> lk(job_m_);
         if (!error_) error_ = std::current_exception();
       }
-      // Stats update before the remaining_ decrement: the caller's
-      // wake-up on remaining_ == 0 is the release/acquire edge that
-      // makes these plain writes visible to worker_stats().
-      WorkerStats& st = queues_[self]->stats;
-      st.tasks += r.end - r.begin;
-      st.busy_ns += static_cast<std::uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(
-              std::chrono::steady_clock::now() - t0)
-              .count());
       std::lock_guard<std::mutex> lk(job_m_);
       remaining_ -= r.end - r.begin;
       if (remaining_ == 0) done_cv_.notify_all();

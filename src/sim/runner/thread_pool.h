@@ -36,25 +36,6 @@ class ThreadPool {
   /// std::thread::hardware_concurrency(), clamped to at least 1.
   static std::size_t hardware_threads();
 
-  /// Scheduling observability: per-worker tallies accumulated across
-  /// run_indexed calls.  `tasks` counts indices a worker executed (their
-  /// sum over all workers equals the total submitted index count),
-  /// `steals` counts ranges taken from a sibling's deque, `busy_ns`
-  /// wall time spent inside task bodies (idle time for a job is its
-  /// wall time × size() minus the busy sum).  These numbers describe
-  /// *scheduling*, which is legitimately nondeterministic — they never
-  /// feed the deterministic metrics registry (docs/OBSERVABILITY.md).
-  struct WorkerStats {
-    std::uint64_t tasks = 0;
-    std::uint64_t steals = 0;
-    std::uint64_t busy_ns = 0;
-  };
-
-  /// Snapshot of every worker's stats.  Only meaningful between jobs
-  /// (run_indexed's return synchronizes the workers' writes).
-  std::vector<WorkerStats> worker_stats() const;
-  void reset_worker_stats();
-
   /// Run fn(index) for every index in [0, n) across the pool and block
   /// until all calls return.  fn is invoked concurrently from pool
   /// threads and must be thread-safe.  Not reentrant: do not call
@@ -70,7 +51,6 @@ class ThreadPool {
   struct Worker {
     std::mutex m;
     std::deque<Range> q;
-    WorkerStats stats;  ///< written by the owning worker thread only
   };
 
   void worker_loop(std::size_t self);

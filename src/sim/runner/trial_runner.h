@@ -51,8 +51,6 @@ class TrialRunner {
 
   std::size_t threads() const { return pool_.size(); }
   const RunnerConfig& config() const { return cfg_; }
-  const ThreadPool& pool() const { return pool_; }
-  ThreadPool& pool() { return pool_; }
 
   /// Run fn(point, trial, rng) for every cell of the grid.  Results come
   /// back in row-major (point-major) order: out[point * trials + trial].

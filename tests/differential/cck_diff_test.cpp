@@ -1,13 +1,14 @@
 // Differential suite for the 802.11b kernels: cck_demap's planar
-// codeword bank vs the per-symbol codeword rebuild, and the full
-// demodulate_air_bits chain (arena chip collapse + CCK correlation)
-// across every rate, its collapsed chips included, against the oracles
-// in oracles.h.
+// codeword bank vs the per-symbol codeword rebuild, and the full air-bit
+// chain (production collapse_chips + cck_demap, driven by the
+// test-support demodulate_air_bits) across every rate, its collapsed
+// chips included, against the oracles in oracles.h.
 #include "diff_harness.h"
 
 #include "oracles.h"
 #include "phy/dsss/cck.h"
 #include "phy/dsss/wifi_b.h"
+#include "raw_receivers.h"
 
 namespace ms {
 namespace {
@@ -91,7 +92,7 @@ TEST(CckDiff, AirBitChainMatchesOracleAcrossRates) {
       const auto c =
           difftest::ctx("rate=%u iter=%d", static_cast<unsigned>(rate), iter);
       difftest::expect_same_bits(
-          fast.demodulate_air_bits(iq, payload.size()),
+          demodulate_air_bits(fast, iq, payload.size()),
           ref.demodulate_air_bits(iq, payload.size()), "wifi_b air bits", c);
       // The chips themselves: a collapse that drops one sample per chip
       // still decides every hard bit right at these SNRs.

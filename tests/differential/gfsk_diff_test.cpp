@@ -5,6 +5,7 @@
 
 #include "oracles.h"
 #include "phy/ble/ble.h"
+#include "raw_receivers.h"
 
 namespace ms {
 namespace {
@@ -38,7 +39,7 @@ TEST(GfskDiff, HardBitsMatchOracle) {
   for (int iter = 0; iter < 6; ++iter) {
     const Bits air = rng.bits(40 + rng.uniform_int(160));
     const Iq iq = difftest::noisy(fast.modulate_bits(air), rng, -2.0, 20.0);
-    difftest::expect_same_bits(fast.demodulate_bits(iq, air.size()),
+    difftest::expect_same_bits(demodulate_bits(fast, iq, air.size()),
                                ref.demodulate_bits(iq, air.size()),
                                "gfsk hard bits",
                                difftest::ctx("iter=%d", iter));

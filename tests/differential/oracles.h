@@ -1,13 +1,13 @@
 // Scalar oracles for the production PHY kernels and the packed 1-bit
 // identification scorer.  Test-only: the ms_test_oracles library links
-// into test_differential, test_property and msbench (for its
-// phy_throughput and ident_throughput experiments), never into src/.
+// into test_differential and test_property, never into src/ or a
+// program.
 //
 // Each kernel in src/dsp/kernels/, and the packed scorer in
 // core/ident/templates.h, replaced a scalar loop that production no
 // longer runs.  That loop lives on here, verbatim, as the reference the
-// differential suites, BitpackProperty and the two benches' equivalence
-// gates compare production against bit for bit:
+// differential suites and BitpackProperty compare production against
+// bit for bit:
 //
 //   oracle                              production twin
 //   Zigbee::modulate_symbols            kernels::oqpsk_synthesize
@@ -16,10 +16,11 @@
 //   interleave_11n, deinterleave_11n    kernels::InterleavePlan
 //   WifiN::modulate_coded_symbols,      kernels::FftPlan over arena
 //     WifiN::demodulate_symbol_bits       scratch
-//   WifiB::demodulate_air_bits          arena chip collapse + CCK bank
+//   WifiB::demodulate_air_bits          collapse_chips + CCK bank, through
+//                                         tests/support's demodulate_air_bits
 //   one_bit_scores                      packed_one_bit_peak(s)
 //
-// The classes mirror the production PHY calls those comparisons make.
+// The classes mirror the PHY calls those comparisons make.
 // What has no kernel twin (framing, CRCs, Barker despreading, Viterbi,
 // channel estimation) is the production code, called through its public
 // API.

@@ -1,7 +1,7 @@
 // Run-ledger semantics: the manifest's deterministic section is a pure
 // function of (run info, recorded results, metrics aggregate) — sorted
-// keys, stable number formatting — while wall time, timings, and
-// profile data stay confined to the nondeterministic section.
+// keys, stable number formatting — while wall time and profile data
+// stay confined to the nondeterministic section.
 #include <cstdlib>
 #include <sstream>
 #include <string>
@@ -42,10 +42,8 @@ TEST(Ledger, DeterministicSectionIsStableAndSorted) {
   // Config hash renders as fixed-width hex.
   EXPECT_NE(a.str().find("\"config_hash\": \"deadbeefcafef00d\""),
             std::string::npos);
-  // ms.run.v1 still carries the deadline key, pinned at 0, so manifests
-  // stay byte-identical to those recorded while it was settable.
-  EXPECT_NE(a.str().find("\"trial_deadline_ms\": 0,"), std::string::npos)
-      << a.str();
+  // The section carries no per-cell deadline key.
+  EXPECT_EQ(a.str().find("trial_deadline_ms"), std::string::npos) << a.str();
   reset();
 }
 
@@ -61,12 +59,10 @@ TEST(Ledger, DeterministicSectionExcludesNondeterministicFields) {
   reset();
   reset_aggregate();
   set_run_info(test_info());
-  record_timing("throughput_msps", 123.0);
   std::ostringstream det;
   write_deterministic_json(det);
-  // Timings, thread counts, git SHA, and wall time must be unreachable
-  // from the deterministic section — the whole point of the split.
-  EXPECT_EQ(det.str().find("throughput_msps"), std::string::npos);
+  // Thread counts, git SHA, and wall time must be unreachable from the
+  // deterministic section — the whole point of the split.
   EXPECT_EQ(det.str().find("threads"), std::string::npos);
   EXPECT_EQ(det.str().find("git_sha"), std::string::npos);
   EXPECT_EQ(det.str().find("wall_s"), std::string::npos);
@@ -78,17 +74,18 @@ TEST(Ledger, ManifestHasBothSectionsAndSchema) {
   reset_aggregate();
   set_run_info(test_info());
   record_result("acc", 0.97);
-  record_timing("msps", 55.0);
   std::ostringstream m;
   write_manifest_json(m);
   const std::string s = m.str();
-  EXPECT_NE(s.find("\"schema\": \"ms.run.v1\""), std::string::npos);
+  EXPECT_NE(s.find("\"schema\": \"ms.run.v2\""), std::string::npos);
   EXPECT_NE(s.find("\"deterministic\""), std::string::npos);
   EXPECT_NE(s.find("\"nondeterministic\""), std::string::npos);
   EXPECT_NE(s.find("\"acc\": 0.96999999999999997"), std::string::npos);
-  EXPECT_NE(s.find("\"msps\": 55"), std::string::npos);
-  // The timing lands after the deterministic section closes.
-  EXPECT_GT(s.find("\"msps\""), s.find("\"nondeterministic\""));
+  // The wall time lands after the deterministic section closes.
+  EXPECT_GT(s.find("\"wall_s\""), s.find("\"nondeterministic\""));
+  // Neither a timings block nor a deadline key is written.
+  EXPECT_EQ(s.find("\"timings\""), std::string::npos) << s;
+  EXPECT_EQ(s.find("trial_deadline_ms"), std::string::npos) << s;
   reset();
 }
 
@@ -123,12 +120,12 @@ TEST(Ledger, ConfigHashSeparatesEveryField) {
 }
 
 TEST(Ledger, ConfigHashMatchesCommittedBaselines) {
-  // The run identity recorded in BENCH_seed.json (msbench names the
-  // ident_throughput run bench_ident_throughput).  obs_report diff
-  // refuses to compare manifests whose config_hash differs, so a change
-  // here breaks the baseline.
-  EXPECT_EQ(config_hash("bench_ident_throughput", 0, 1),
-            0xd74e00f3a8a27052ull);
+  // The run identity recorded in BENCH_seed.json: `msbench fig7_ordered`
+  // at default flags, which msbench names bench_fig7_ordered, with seed
+  // and trials 0 (the experiment's defaults).  obs_report diff refuses
+  // to compare manifests whose config_hash differs, so a change here
+  // breaks the baseline.
+  EXPECT_EQ(config_hash("bench_fig7_ordered", 0, 0), 0x4dc2d10368c02f5full);
 }
 
 }  // namespace

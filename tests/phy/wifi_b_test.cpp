@@ -7,6 +7,7 @@
 #include "phy/dsss/barker.h"
 #include "phy/dsss/cck.h"
 #include "phy/scrambler.h"
+#include "raw_receivers.h"
 
 namespace ms {
 namespace {
@@ -86,7 +87,7 @@ TEST_P(WifiBLoopback, PayloadRoundTripClean) {
   const unsigned bps = wifi_b_bits_per_symbol(cfg.rate);
   const Bits payload = rng.bits(bps * 64);
   const Iq wave = phy.modulate_payload(payload);
-  EXPECT_EQ(descramble_11b(phy.demodulate_air_bits(wave, payload.size()),
+  EXPECT_EQ(descramble_11b(demodulate_air_bits(phy, wave, payload.size()),
                            cfg.scrambler_seed),
             payload);
 }
@@ -101,7 +102,7 @@ TEST_P(WifiBLoopback, PayloadSurvives10dBSnr) {
   const Iq wave = phy.modulate_payload(payload);
   const Iq noisy = add_awgn(wave, 10.0, rng);
   const Bits rx = descramble_11b(
-      phy.demodulate_air_bits(noisy, payload.size()), cfg.scrambler_seed);
+      demodulate_air_bits(phy, noisy, payload.size()), cfg.scrambler_seed);
   EXPECT_LT(bit_error_rate(payload, rx), 0.05);
 }
 

@@ -16,6 +16,7 @@
 #include "phy/dsss/wifi_b.h"
 #include "phy/scrambler.h"
 #include "phy/zigbee/zigbee.h"
+#include "raw_receivers.h"
 
 namespace ms {
 namespace {
@@ -97,7 +98,7 @@ TEST_P(WifiBPayloadSizes, FrameRoundTrip) {
   const Bytes payload = rng.bytes(GetParam());
   const std::size_t n_bits = 144 + 48 + payload.size() * 8;
   const Bits clear = descramble_11b(
-      phy.demodulate_air_bits(phy.modulate_frame(payload), n_bits),
+      demodulate_air_bits(phy, phy.modulate_frame(payload), n_bits),
       phy.config().scrambler_seed);
   EXPECT_EQ(Bits(clear.end() - static_cast<long>(payload.size() * 8),
                  clear.end()),
@@ -139,7 +140,7 @@ TEST_P(BlePayloadSizes, FrameRoundTrip) {
   Bits air = phy.preamble_bits();
   const Bits payload = bytes_to_bits_lsb(rng.bytes(GetParam()));
   air.insert(air.end(), payload.begin(), payload.end());
-  EXPECT_EQ(phy.demodulate_bits(phy.modulate_bits(air), air.size()), air);
+  EXPECT_EQ(demodulate_bits(phy, phy.modulate_bits(air), air.size()), air);
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, BlePayloadSizes,

@@ -8,10 +8,13 @@
 #             off}: the metrics JSON (whose runner.waveform_cache_*
 #             counters pin the hit/miss accounting) and both confusion
 #             CSVs;
-#   manifest  fig7_ordered's ms.run.v1 manifests at 1 and 8 threads:
+#   manifest  fig7_ordered's ms.run.v2 manifests at 1 and 8 threads:
 #             `obs_report det` renders the deterministic sections equal,
 #             the full manifests differ (the thread count is recorded),
-#             and `obs_report diff` exits 0 or 4, never 8;
+#             and `obs_report diff` exits 0 or 4, never 8; and a
+#             default-flag fig7_ordered manifest renders the same
+#             deterministic section as the committed BENCH_seed.json
+#             (Fig 7's six accuracies and the metrics digest);
 #   threads   fig7_ordered at --threads 1 and 8: every CSV;
 #             robustness_faults at --threads 1 and 8: its five CSVs, the
 #             metrics JSON and stdout;
@@ -21,6 +24,7 @@
 # usage: determinism.sh <section> <msbench> <obs_report> <workdir>
 set -euo pipefail
 
+baseline="$(cd "$(dirname "${BASH_SOURCE[0]}")/../.." && pwd)/BENCH_seed.json"
 section="$1"
 msbench="$2"
 report="$3"
@@ -106,6 +110,18 @@ check_manifest() {
       ;;
   esac
   echo "fig7: deterministic manifest section byte-identical at 1 and 8 threads"
+
+  run fig7_default fig7_ordered
+  "$report" det "$workdir/fig7_default/manifest.json" >"$workdir/default.det"
+  "$report" det "$baseline" >"$workdir/baseline.det"
+  if ! cmp -s "$workdir/baseline.det" "$workdir/default.det"; then
+    echo "FAIL: fig7_ordered at default flags differs from $baseline" \
+      "(re-record it with msbench fig7_ordered --manifest-out if the" \
+      "change is intended)" >&2
+    diff "$workdir/baseline.det" "$workdir/default.det" >&2 || true
+    exit 1
+  fi
+  echo "fig7: default-flag deterministic manifest section equals BENCH_seed.json"
 }
 
 check_threads() {

@@ -45,7 +45,6 @@ KNOWN_UNREACHED=(
   "seam ms::obs::reset_profile"
   "seam ms::obs::ledger::reset"
   "seam ms::obs::ledger::results"
-  "seam ms::obs::ledger::timings"
   "seam ms::obs::ledger::run_info"
   "seam ms::obs::ledger::write_deterministic_json"
   "seam ms::WaveformCache::entries"

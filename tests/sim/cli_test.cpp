@@ -146,8 +146,8 @@ TEST(Cli, DeclinedFlagsNameTheCommand) {
 }
 
 TEST(Cli, DeclinedThreadsNamesTheCommand) {
-  // A row that runs no trial engine, or sweeps its own thread counts,
-  // rejects --threads, and its usage does not offer the flag.
+  // A row that runs no trial engine rejects --threads, and its usage
+  // does not offer the flag.
   const char* threads[] = {"msbench fig13_los", "--threads", "8"};
   CliOptions o;
   const auto err = parse_cli(3, threads, o, {.threads = false});

@@ -55,12 +55,17 @@ TEST(ThreadPool, SurvivesBackToBackJobs) {
 
 TEST(ThreadPool, PropagatesTaskExceptions) {
   ThreadPool pool(4);
+  std::atomic<int> calls{0};
   EXPECT_THROW(pool.run_indexed(64,
-                                [](std::size_t i) {
+                                [&](std::size_t i) {
+                                  calls.fetch_add(1);
                                   if (i == 17)
                                     throw std::runtime_error("task 17");
                                 }),
                std::runtime_error);
+  // The job drains before the rethrow: every index ran, the throwing
+  // one included (17 ends its two-index range, so nothing is skipped).
+  EXPECT_EQ(calls.load(), 64);
   // Pool must still be usable after a failed job.
   std::atomic<int> count{0};
   pool.run_indexed(10, [&](std::size_t) { count.fetch_add(1); });

@@ -7,7 +7,7 @@
 // Deliberately NOT a general-purpose JSON library: object keys are
 // stored in a sorted map (duplicate keys: last wins), \uXXXX escapes
 // beyond the control range are unsupported, and numbers parse via stod.
-// That is exactly sufficient for ms.metrics.v1 / ms.run.v1 files and
+// That is exactly sufficient for ms.metrics.v1 / ms.run.v2 files and
 // their JSONL trace cousins.
 #pragma once
 

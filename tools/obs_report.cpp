@@ -1,4 +1,4 @@
-// Cross-run regression reporter over ms.run.v1 manifests.
+// Cross-run regression reporter over ms.run.v2 manifests.
 //
 //   obs_report diff A.json B.json [--tolerance PCT]
 //   obs_report det  A.json
@@ -7,24 +7,20 @@
 // `diff` compares a baseline manifest A against a candidate B and exits
 // with a code CI can branch on:
 //
-//   0  identical — deterministic sections byte-equal AND every compared
-//      nondeterministic number equal (same machine, same wall clock:
-//      effectively only crafted fixtures)
-//   4  within tolerance — deterministic sections equal; timings moved
+//   0  identical — deterministic sections byte-equal AND equal wall_s
+//      (same machine, same wall clock: effectively only crafted
+//      fixtures)
+//   4  within tolerance — deterministic sections equal; wall_s moved
 //      but stayed inside --tolerance (default 10%)
 //   8  regressed — deterministic sections differ (a determinism break:
-//      different metrics digest or bench results) or a timing fell
-//      outside tolerance in the bad direction
-//   2  usage / parse error / incomparable manifests (different program,
-//      seed, trials or trial_deadline_ms; the ledger always writes the
-//      last as 0, so it only separates manifests recorded while a
-//      per-cell deadline was settable)
+//      different metrics digest or bench results) or wall_s rose by
+//      more than the tolerance
+//   2  usage / parse error / a manifest of another schema (an ms.run.v1
+//      file included) / incomparable manifests (different program,
+//      seed or trials)
 //
-// Direction conventions: "timings" entries are figures of merit
-// (throughput Msps, speedup x — higher is better; see
-// ledger::record_timing), so a regression is B below A by more than the
-// tolerance.  "wall_s" is cost — lower is better — and is gated in the
-// opposite direction.  Improvements never regress.
+// "wall_s" is cost: lower is better, so a faster candidate never
+// regresses.
 //
 // `det` re-serializes the deterministic section canonically (sorted
 // keys, ledger number formatting) — the byte-diff target the
@@ -70,8 +66,8 @@ Json load_manifest(const char* path) {
   if (root.kind != Json::Kind::Object) bad("top level must be an object");
   const Json& schema = require(root, "schema", Json::Kind::String,
                                "a string");
-  if (schema.string != "ms.run.v1")
-    bad("unknown schema \"" + schema.string + "\" (want ms.run.v1)");
+  if (schema.string != "ms.run.v2")
+    bad("unknown schema \"" + schema.string + "\" (want ms.run.v2)");
   require(root, "deterministic", Json::Kind::Object, "an object");
   require(root, "nondeterministic", Json::Kind::Object, "an object");
   return root;
@@ -145,8 +141,7 @@ std::string canonical(const Json& v) {
 /// all: differing ones mean the manifests describe different sweeps,
 /// which is an operator error, not a regression.
 void check_comparable(const Json& da, const Json& db) {
-  for (const char* key : {"program", "seed", "trials", "trial_deadline_ms",
-                          "config_hash"}) {
+  for (const char* key : {"program", "seed", "trials", "config_hash"}) {
     auto a = da.object.find(key), b = db.object.find(key);
     if (a == da.object.end() || b == db.object.end())
       bad(std::string("manifests lack identity key \"") + key + "\"");
@@ -199,52 +194,21 @@ int cmd_diff(int argc, char** argv) {
         std::printf("DETERMINISM: \"%s\" only in %s\n", k.c_str(), argv[3]);
   }
 
-  // Perf gate: tolerance-banded, direction-aware.
+  // Perf gate: wall_s, tolerance-banded; lower is better.
   const Json& na = a.object.at("nondeterministic");
   const Json& nb = b.object.at("nondeterministic");
-  auto gate = [&](const std::string& key, double va, double vb,
-                  bool higher_is_better) {
-    if (va == vb) return;
+  auto wa = na.object.find("wall_s"), wb = nb.object.find("wall_s");
+  if (wa != na.object.end() && wb != nb.object.end() &&
+      wa->second.number != wb->second.number) {
     moved = true;
+    const double va = wa->second.number, vb = wb->second.number;
     const double base = std::abs(va);
-    const double delta_pct =
-        base > 0 ? (vb - va) / base * 100.0
-                 : (vb == va ? 0.0 : 100.0);
-    const bool worse = higher_is_better ? delta_pct < -tolerance_pct
-                                        : delta_pct > tolerance_pct;
-    std::printf("%s: \"%s\": %.17g -> %.17g (%+.2f%%)%s\n",
-                worse ? "REGRESSED" : "perf", key.c_str(), va, vb, delta_pct,
+    const double delta_pct = base > 0 ? (vb - va) / base * 100.0 : 100.0;
+    const bool worse = delta_pct > tolerance_pct;
+    std::printf("%s: \"wall_s\": %.17g -> %.17g (%+.2f%%)%s\n",
+                worse ? "REGRESSED" : "perf", va, vb, delta_pct,
                 worse ? "" : " within tolerance");
     if (worse) regressed = true;
-  };
-  auto at_timings = [](const Json& n) -> const Json* {
-    auto it = n.object.find("timings");
-    return it != n.object.end() && it->second.kind == Json::Kind::Object
-               ? &it->second
-               : nullptr;
-  };
-  if (const Json* ta = at_timings(na)) {
-    const Json* tb = at_timings(nb);
-    for (const auto& [k, va] : ta->object) {
-      if (!tb || !tb->object.count(k)) {
-        std::printf("perf: \"%s\" only in %s\n", k.c_str(), argv[2]);
-        moved = true;
-        continue;
-      }
-      gate(k, va.number, tb->object.at(k).number, /*higher_is_better=*/true);
-    }
-    if (tb)
-      for (const auto& [k, vb] : tb->object)
-        if (!ta->object.count(k)) {
-          std::printf("perf: \"%s\" only in %s\n", k.c_str(), argv[3]);
-          moved = true;
-        }
-  }
-  {
-    auto wa = na.object.find("wall_s"), wb = nb.object.find("wall_s");
-    if (wa != na.object.end() && wb != nb.object.end())
-      gate("wall_s", wa->second.number, wb->second.number,
-           /*higher_is_better=*/false);
   }
 
   if (regressed) {
@@ -287,15 +251,12 @@ int cmd_show(const char* path) {
   std::printf("  git_sha:           %s\n", str(n, "git_sha").c_str());
   std::printf("  threads:           %s\n", str(n, "threads").c_str());
   std::printf("  wall_s:            %s\n", str(n, "wall_s").c_str());
-  auto dump_kv = [&](const Json& o, const char* k, const char* label) {
-    auto it = o.object.find(k);
-    if (it == o.object.end() || it->second.object.empty()) return;
-    std::printf("  %s:\n", label);
-    for (const auto& [key, v] : it->second.object)
+  auto results = d.object.find("results");
+  if (results != d.object.end() && !results->second.object.empty()) {
+    std::printf("  results:\n");
+    for (const auto& [key, v] : results->second.object)
       std::printf("    %-32s %s\n", key.c_str(), canonical(v).c_str());
-  };
-  dump_kv(d, "results", "results");
-  dump_kv(n, "timings", "timings");
+  }
   return 0;
 }
 
