@@ -336,10 +336,10 @@ bool check_telemetry_overhead() {
         .count();
   };
 
-  // "Tracing disabled": telemetry live, no subsystem traced, no shard
-  // installed — the state every production sweep starts in.
-  const std::uint32_t saved_mask = obs::trace_mask();
-  obs::set_trace_mask(0);
+  // "Tracing disabled": telemetry live, tracing off, no shard installed
+  // — the state every production sweep starts in.
+  const bool saved_tracing = obs::tracing();
+  obs::set_tracing(false);
   obs::set_enabled(true);
   time_once();  // warm-up
   std::vector<double> ratios(kPairs);
@@ -353,7 +353,7 @@ bool check_telemetry_overhead() {
     ratios[p] = t_on / t_off;
   }
   obs::set_enabled(true);
-  obs::set_trace_mask(saved_mask);
+  obs::set_tracing(saved_tracing);
 
   std::nth_element(ratios.begin(), ratios.begin() + kPairs / 2, ratios.end());
   const double overhead = ratios[kPairs / 2] - 1.0;

@@ -37,7 +37,7 @@ const IdentMetrics& ident_metrics() {
 
 void trace_decision(const IdentDecision& d, const char* mode,
                     std::size_t ordered_depth) {
-  if (!obs::trace_enabled(obs::Subsystem::Ident)) return;
+  if (!obs::tracing()) return;
   obs::Event ev(obs::Subsystem::Ident,
                 d.abstained ? obs::Severity::Warn : obs::Severity::Debug,
                 d.abstained ? "ident.abstain" : "ident.decision");
@@ -114,7 +114,7 @@ std::array<double, 4> ProtocolIdentifier::scores(
   } else {
     for (std::size_t i = 0; i < 4; ++i) out[i] = score_one(adc_trace, onset, i);
   }
-  if (obs::trace_enabled(obs::Subsystem::Ident)) {
+  if (obs::tracing()) {
     obs::set_sim_time(static_cast<double>(onset) /
                       cfg_.templates.adc_rate_hz);
     obs::Event(obs::Subsystem::Ident, obs::Severity::Debug, "ident.scores")

@@ -2,9 +2,6 @@
 
 #include <algorithm>
 
-#include "common/error.h"
-#include "dsp/kernels/arena.h"
-
 namespace ms {
 
 namespace {
@@ -92,55 +89,11 @@ IdentEvent StreamingIdentifier::classify_window() {
   return ev;
 }
 
-void StreamingIdentifier::set_stream_chunk(std::size_t samples) {
-  MS_CHECK_MSG(samples > 0, "StreamingIdentifier stream chunk must be >= 1");
-  stream_chunk_ = samples;
-}
-
 std::vector<IdentEvent> StreamingIdentifier::push(
     std::span<const float> samples) {
   std::vector<IdentEvent> events;
-  const std::size_t full = window_len();
-  const kernels::ChunkedSpan<const float> chunks(samples, stream_chunk_);
-  for (std::span<const float> chunk : chunks) {
-    std::size_t i = 0;
-    while (i < chunk.size()) {
-      switch (state_) {
-        case State::Capturing: {
-          // Bulk-fill the capture window: every sample up to window_len
-          // is appended unconditionally by the reference path, so a run
-          // can be taken in one splice.
-          const std::size_t take =
-              std::min(chunk.size() - i, full - window_.size());
-          window_.insert(window_.end(), chunk.begin() + i,
-                         chunk.begin() + i + take);
-          position_ += take;
-          active_samples_ += take;
-          i += take;
-          if (window_.size() == full) events.push_back(classify_window());
-          break;
-        }
-        case State::Holdoff:
-          if (min_holdoff_remaining_ > 0) {
-            // Bulk-skip the minimum holdoff: the reference path only
-            // decrements the counter here, sample values are ignored.
-            const std::size_t skip =
-                std::min(chunk.size() - i, min_holdoff_remaining_);
-            min_holdoff_remaining_ -= skip;
-            position_ += skip;
-            i += skip;
-            break;
-          }
-          [[fallthrough]];  // quiet-run release depends on each sample
-        case State::Idle:
-          // Per-sample: the Idle noise-floor EMA and the holdoff quiet
-          // run both consume every sample's value.
-          if (auto ev = push(chunk[i])) events.push_back(*ev);
-          ++i;
-          break;
-      }
-    }
-  }
+  for (float s : samples)
+    if (auto ev = push(s)) events.push_back(*ev);
   return events;
 }
 

@@ -30,24 +30,13 @@ class StreamingIdentifier {
   explicit StreamingIdentifier(IdentifierConfig cfg);
 
   /// Push one ADC sample; returns an event when a packet window has just
-  /// been classified.  This is the reference path — the block overload
-  /// below must match it event-for-event (the differential suite
-  /// compares the two directly).
+  /// been classified.
   std::optional<IdentEvent> push(float sample);
 
-  /// Push a block of samples, collecting all events.  Walks the block
-  /// as a kernels::ChunkedSpan and advances in bulk where the state
-  /// machine permits: Capturing windows fill by memcpy-sized runs and
-  /// min-holdoff intervals skip whole subspans, while the Idle
-  /// noise-floor EMA and the holdoff quiet-run stay per-sample (their
-  /// state depends on every sample).  Identical events/positions to
-  /// feeding push(float) sample-by-sample.
+  /// Push a block of samples one by one, collecting all events.  State
+  /// carries across calls, so any split of a trace into blocks yields
+  /// the same events as pushing it whole.
   std::vector<IdentEvent> push(std::span<const float> samples);
-
-  /// Chunk size for the block path (default 4096 samples).  Exposed so
-  /// the differential tests can force ragged chunk boundaries.
-  void set_stream_chunk(std::size_t samples);
-  std::size_t stream_chunk() const { return stream_chunk_; }
 
   /// Samples consumed so far.
   std::size_t position() const { return position_; }
@@ -72,7 +61,6 @@ class StreamingIdentifier {
   std::size_t holdoff_remaining_ = 0;
   std::size_t min_holdoff_remaining_ = 0;
   std::size_t active_samples_ = 0;
-  std::size_t stream_chunk_ = 4096;
   // Noise-floor tracker for the trigger threshold.
   double noise_floor_ = 0.0;
 };

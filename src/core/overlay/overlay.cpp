@@ -81,7 +81,7 @@ OverlayTrialResult run_overlay_trial(const OverlayCodec& codec,
   OverlayTrialResult r;
   r.productive_ber = bit_error_rate(productive, decoded.productive);
   r.tag_ber = bit_error_rate(tag, decoded.tag);
-  if (obs::trace_enabled(obs::Subsystem::Overlay)) {
+  if (obs::tracing()) {
     obs::Event(obs::Subsystem::Overlay, obs::Severity::Debug, "overlay.trial")
         .f("kappa", codec.params().kappa)
         .f("gamma", codec.params().gamma)

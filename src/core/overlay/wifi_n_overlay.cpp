@@ -53,10 +53,10 @@ Iq WifiNOverlay::tag_modulate(std::span<const Cf> carrier,
 namespace {
 
 /// 48 equalization-free data-subcarrier points of one received symbol.
-Iq symbol_points(std::span<const Cf> symbol) {
+Iq symbol_points(const FftPlan& plan, std::span<const Cf> symbol) {
   MS_CHECK(symbol.size() == kOfdmSymbolLen);
   Iq t(symbol.begin() + kOfdmCpLen, symbol.end());
-  fft_inplace(t);
+  plan.forward(t);
   const auto data_idx = ofdm_data_indices();
   Iq points(kOfdmDataCarriers);
   for (std::size_t i = 0; i < kOfdmDataCarriers; ++i)
@@ -71,11 +71,12 @@ OverlayDecoded WifiNOverlay::decode(std::span<const Cf> rx,
   const std::size_t seq_samples = params_.kappa * kOfdmSymbolLen;
   MS_CHECK(rx.size() >= n_sequences * seq_samples);
   const std::size_t groups = params_.tag_bits_per_sequence();
+  const FftPlan& plan = fft_plan(kOfdmFftSize);
 
   OverlayDecoded out;
   for (std::size_t seq = 0; seq < n_sequences; ++seq) {
     const auto seq_span = rx.subspan(seq * seq_samples, seq_samples);
-    const Iq ref = symbol_points(seq_span.first(kOfdmSymbolLen));
+    const Iq ref = symbol_points(plan, seq_span.first(kOfdmSymbolLen));
 
     const Bits ref_bits = constellation_demap(ref, phy_.config().modulation);
     out.productive.insert(out.productive.end(), ref_bits.begin(),
@@ -86,7 +87,7 @@ OverlayDecoded WifiNOverlay::decode(std::span<const Cf> rx,
       for (unsigned k = 0; k < params_.gamma; ++k) {
         const std::size_t sym = 1 + g * params_.gamma + k;
         const Iq pts = symbol_points(
-            seq_span.subspan(sym * kOfdmSymbolLen, kOfdmSymbolLen));
+            plan, seq_span.subspan(sym * kOfdmSymbolLen, kOfdmSymbolLen));
         // Phase-flip metric over the middle half of the data subcarriers
         // (§2.4.2: majority voting on the middle half).
         double metric = 0.0;

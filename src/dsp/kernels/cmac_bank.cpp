@@ -1,14 +1,15 @@
 #include "dsp/kernels/cmac_bank.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 
 #include "common/error.h"
-#include "dsp/kernels/arena.h"
 
 namespace ms::kernels {
 
 void CmacBank::reset(std::size_t n_candidates, std::size_t length) {
+  MS_CHECK(n_candidates <= kMaxCandidates);
   n_candidates_ = n_candidates;
   length_ = length;
   re_.assign(n_candidates * length, 0.0f);
@@ -88,10 +89,9 @@ void CmacBank::correlate(std::span<const Cf> seg, std::span<float> out_re,
 }
 
 CmacBank::Best CmacBank::best_match(std::span<const Cf> seg) const {
-  SampleArena& arena = scratch_arena();
-  SampleArena::Scope scope(arena);
-  auto out_re = arena.alloc<float>(n_candidates_);
-  auto out_im = arena.alloc<float>(n_candidates_);
+  std::array<float, kMaxCandidates> re_buf, im_buf;
+  const std::span<float> out_re(re_buf.data(), n_candidates_);
+  const std::span<float> out_im(im_buf.data(), n_candidates_);
   correlate(seg, out_re, out_im);
   Best best;
   double best_mag = -1.0;

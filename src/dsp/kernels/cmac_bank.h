@@ -45,10 +45,14 @@ namespace ms::kernels {
 
 class CmacBank {
  public:
+  /// Largest bank best_match() supports (its accumulators live on the
+  /// stack): the 64-codeword CCK bank at 11 Mbps.
+  static constexpr std::size_t kMaxCandidates = 64;
+
   CmacBank() = default;
 
-  /// Drop all candidates and size the bank: `n_candidates` references,
-  /// each `length` complex samples.
+  /// Drop all candidates and size the bank: `n_candidates` (at most
+  /// kMaxCandidates) references, each `length` complex samples.
   void reset(std::size_t n_candidates, std::size_t length);
 
   /// Install candidate `c` (stores conj(ref), planar).  `ref` must be

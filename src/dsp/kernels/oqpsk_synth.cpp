@@ -2,9 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <vector>
 
 #include "common/error.h"
-#include "dsp/kernels/arena.h"
 
 namespace ms::kernels {
 
@@ -17,11 +17,8 @@ void oqpsk_synthesize(std::span<const std::uint8_t> symbols,
   const std::size_t n_samples = n_chips * spc + spc;
   MS_CHECK(out.size() == n_samples);
 
-  SampleArena& arena = scratch_arena();
-  SampleArena::Scope scope(arena);
-  auto i_branch = arena.alloc_zero<float>(n_samples);
-  auto q_branch = arena.alloc_zero<float>(n_samples);
-  auto pulse = arena.alloc<float>(2 * spc);
+  std::fill(out.begin(), out.end(), Cf(0.0f, 0.0f));
+  std::vector<float> pulse(2 * spc);
   for (std::size_t k = 0; k < pulse.size(); ++k)
     pulse[k] = static_cast<float>(std::sin(
         M_PI * static_cast<double>(k) / static_cast<double>(pulse.size())));
@@ -34,21 +31,24 @@ void oqpsk_synthesize(std::span<const std::uint8_t> symbols,
       const float v = (pn >> c) & 1u ? 1.0f : -1.0f;
       const bool is_i = (chip_idx % 2) == 0;
       const std::size_t start = (chip_idx / 2) * 2 * spc + (is_i ? 0 : spc);
-      float* branch = (is_i ? i_branch : q_branch).data() + start;
+      Cf* dst = out.data() + start;
       // Same-branch pulses tile exactly, so each covered sample is one
-      // store; only the very last Q pulse runs past the buffer.  The
-      // `0.0f +` reproduces the oracle's add-onto-zero so a −0.0f
-      // product lands as +0.0f.
+      // store into its I (real) or Q (imaginary) part; only the very
+      // last Q pulse runs past the buffer.  The `0.0f +` reproduces the
+      // oracle's add-onto-zero so a −0.0f product lands as +0.0f.
       const std::size_t len = std::min<std::size_t>(2 * spc,
                                                     n_samples - start);
-      for (std::size_t k = 0; k < len; ++k)
-        branch[k] = 0.0f + v * pulse[k];
+      if (is_i)
+        for (std::size_t k = 0; k < len; ++k)
+          dst[k].real(0.0f + v * pulse[k]);
+      else
+        for (std::size_t k = 0; k < len; ++k)
+          dst[k].imag(0.0f + v * pulse[k]);
     }
   }
 
   const float norm = 1.0f / std::sqrt(2.0f);
-  for (std::size_t k = 0; k < n_samples; ++k)
-    out[k] = Cf(i_branch[k] * norm, q_branch[k] * norm);
+  for (Cf& s : out) s = Cf(s.real() * norm, s.imag() * norm);
 }
 
 }  // namespace ms::kernels

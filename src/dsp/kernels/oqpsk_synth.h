@@ -7,10 +7,10 @@
 // the branch exactly — the half-sine spans two chip periods and
 // consecutive same-branch chips start two chip periods apart — every
 // covered sample is touched by exactly one pulse, so the accumulate is
-// really a store.  The fast path carves branch scratch from the
-// calling thread's SampleArena, writes each pulse once with no inner
-// bounds check (only the final Q pulse can truncate), and interleaves
-// straight into the caller's output span.
+// really a store.  The kernel zero-fills the caller's output span,
+// writes each pulse once straight into the real (I) or imaginary (Q)
+// part of its samples with no inner bounds check (only the final Q
+// pulse can truncate), and then scales the whole span.
 //
 // Why it is bit-exact:
 //   - Identical pulse table (same sin() evaluations), identical chip
@@ -21,8 +21,8 @@
 //     store would plant −0.0f where the oracle has +0.0f — invisible
 //     to ==, fatal to the golden vectors' hexfloat serialization.
 //   - Samples no pulse covers stay +0.0f via zero-fill, as in the
-//     reference; the final interleave applies the same 1/√2 scaling in
-//     the same order.
+//     reference; the final pass applies the same 1/√2 scaling to each
+//     real and imaginary part.
 #pragma once
 
 #include <cstdint>

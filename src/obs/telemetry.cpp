@@ -126,10 +126,6 @@ void TelemetryShard::observe(MetricId id, double value) {
 }
 
 void TelemetryShard::record_event(const TraceEvent& ev) {
-  if (events_.size() >= kEventCapacity) {
-    ++events_dropped_;
-    return;
-  }
   events_.push_back(ev);
 }
 
@@ -148,13 +144,11 @@ void TelemetryShard::merge_from(const TelemetryShard& src) {
     }
   }
   events_.insert(events_.end(), src.events_.begin(), src.events_.end());
-  events_dropped_ += src.events_dropped_;
 }
 
 void TelemetryShard::clear() {
   slots_.clear();
   events_.clear();
-  events_dropped_ = 0;
 }
 
 std::uint64_t TelemetryShard::counter_value(MetricId id) const {
@@ -257,8 +251,8 @@ void write_metrics_json(std::ostream& out) {
         << "}";
     first = false;
   }
-  out << (first ? "" : "\n  ") << "},\n  \"events_dropped\": "
-      << a.shard.events_dropped() << "\n}\n";
+  // ms.metrics.v1 keeps "events_dropped"; a shard stores every event.
+  out << (first ? "" : "\n  ") << "},\n  \"events_dropped\": 0\n}\n";
 }
 
 std::string metrics_json_string() {

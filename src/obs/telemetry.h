@@ -24,11 +24,6 @@ namespace ms::obs {
 
 class TelemetryShard {
  public:
-  /// Per-shard event ring capacity: events past this are counted in
-  /// events_dropped() rather than stored (the cap is per grid cell, so
-  /// drops are as deterministic as the events themselves).
-  static constexpr std::size_t kEventCapacity = 1024;
-
   void add(MetricId id, std::uint64_t n);
   void observe(MetricId id, double value);
   void record_event(const TraceEvent& ev);
@@ -48,7 +43,6 @@ class TelemetryShard {
   };
   HistogramValue histogram_value(MetricId id) const;
   const std::vector<TraceEvent>& events() const { return events_; }
-  std::uint64_t events_dropped() const { return events_dropped_; }
 
  private:
   struct Slot {
@@ -61,7 +55,6 @@ class TelemetryShard {
 
   std::vector<Slot> slots_;  ///< indexed by MetricId, grown on demand
   std::vector<TraceEvent> events_;
-  std::uint64_t events_dropped_ = 0;
 };
 
 /// Master kill switch.  When disabled, ShardScope installs nothing, so

@@ -2,25 +2,14 @@
 
 #include <atomic>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 
-#include "common/error.h"
 #include "obs/telemetry.h"
 
 namespace ms::obs {
 
 namespace {
 
-constexpr std::uint32_t kMaskUnset = 0xffffffffu;
-std::atomic<std::uint32_t> g_mask{kMaskUnset};
-
-std::uint32_t init_mask_from_env() {
-  const char* env = std::getenv("MS_TRACE");
-  const std::uint32_t mask = env ? parse_trace_mask(env) : 0;
-  g_mask.store(mask, std::memory_order_relaxed);
-  return mask;
-}
+std::atomic<bool> g_tracing{false};
 
 std::string fmt_num(double v) {
   if (v == static_cast<double>(static_cast<long long>(v)) &&
@@ -42,7 +31,6 @@ const char* subsystem_name(Subsystem s) {
     case Subsystem::Overlay: return "overlay";
     case Subsystem::Arq: return "arq";
     case Subsystem::Faults: return "faults";
-    case Subsystem::Runner: return "runner";
   }
   return "?";
 }
@@ -57,46 +45,11 @@ const char* severity_name(Severity s) {
   return "?";
 }
 
-std::uint32_t parse_trace_mask(const std::string& spec) {
-  std::uint32_t mask = 0;
-  std::size_t pos = 0;
-  while (pos < spec.size()) {
-    std::size_t end = spec.find(',', pos);
-    if (end == std::string::npos) end = spec.size();
-    const std::string tok = spec.substr(pos, end - pos);
-    pos = end + 1;
-    if (tok.empty()) continue;
-    if (tok == "all") {
-      mask |= kAllSubsystems;
-    } else if (tok == "ident") {
-      mask |= static_cast<std::uint32_t>(Subsystem::Ident);
-    } else if (tok == "overlay") {
-      mask |= static_cast<std::uint32_t>(Subsystem::Overlay);
-    } else if (tok == "arq") {
-      mask |= static_cast<std::uint32_t>(Subsystem::Arq);
-    } else if (tok == "faults") {
-      mask |= static_cast<std::uint32_t>(Subsystem::Faults);
-    } else if (tok == "runner") {
-      mask |= static_cast<std::uint32_t>(Subsystem::Runner);
-    } else {
-      throw Error("unknown MS_TRACE subsystem '" + tok +
-                  "' (expected ident, overlay, arq, faults, runner, all)");
-    }
-  }
-  return mask;
-}
-
-std::uint32_t trace_mask() {
-  const std::uint32_t m = g_mask.load(std::memory_order_relaxed);
-  return m == kMaskUnset ? init_mask_from_env() : m;
-}
-
-void set_trace_mask(std::uint32_t mask) {
-  g_mask.store(mask & kAllSubsystems, std::memory_order_relaxed);
-}
+bool tracing() { return g_tracing.load(std::memory_order_relaxed); }
+void set_tracing(bool on) { g_tracing.store(on, std::memory_order_relaxed); }
 
 Event::Event(Subsystem subsys, Severity severity, const char* name) {
-  enabled_ = trace_enabled(subsys) && detail::current_shard() != nullptr;
+  enabled_ = tracing() && detail::current_shard() != nullptr;
   if (!enabled_) return;
   ev_.subsys = subsys;
   ev_.severity = severity;

@@ -1,12 +1,11 @@
 #include "phy/ofdm/wifi_n.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 
 #include "common/error.h"
 #include "dsp/fft.h"
-#include "dsp/kernels/arena.h"
-#include "dsp/kernels/fft_plan.h"
 #include "phy/convolutional.h"
 #include "phy/interleaver.h"
 #include "phy/ofdm/mcs.h"
@@ -39,14 +38,13 @@ WifiNPhy::WifiNPhy(WifiNConfig cfg) : cfg_(cfg) {
 namespace {
 
 /// Build one time-domain OFDM symbol (CP + 64) from 48 data points,
-/// running the planned inverse FFT over arena scratch.
-Iq ofdm_symbol(std::span<const Cf> data_points, std::size_t symbol_index) {
+/// running `plan`'s inverse FFT over stack scratch.
+Iq ofdm_symbol(const FftPlan& plan, std::span<const Cf> data_points,
+               std::size_t symbol_index) {
   MS_CHECK(data_points.size() == kOfdmDataCarriers);
-  kernels::SampleArena& arena = kernels::scratch_arena();
-  kernels::SampleArena::Scope scope(arena);
   // Frequency bins, then time samples after the in-place inverse FFT.
-  const std::span<Cf> t = arena.alloc<Cf>(kOfdmFftSize);
-  std::fill(t.begin(), t.end(), Cf(0.0f, 0.0f));
+  std::array<Cf, kOfdmFftSize> t;
+  t.fill(Cf(0.0f, 0.0f));
   const auto data_idx = ofdm_data_indices();
   for (std::size_t i = 0; i < kOfdmDataCarriers; ++i)
     t[ofdm_bin(data_idx[i])] = data_points[i];
@@ -55,7 +53,7 @@ Iq ofdm_symbol(std::span<const Cf> data_points, std::size_t symbol_index) {
   const float pol = ofdm_pilot_polarity(symbol_index);
   for (std::size_t i = 0; i < kOfdmPilotCarriers; ++i)
     t[ofdm_bin(pilot_idx[i])] = Cf(pilot_val[i] * pol, 0.0f);
-  kernels::fft_plan(kOfdmFftSize).inverse(t);
+  plan.inverse(t);
   // Normalize to unit mean power over 52 active carriers.
   const float scale = static_cast<float>(kOfdmFftSize) / std::sqrt(52.0f);
   for (Cf& v : t) v *= scale;
@@ -129,12 +127,13 @@ Iq WifiNPhy::modulate_coded_symbols(std::span<const uint8_t> coded_bits,
   const unsigned ncbps = wifi_n_coded_bits_per_symbol(cfg_.modulation);
   MS_CHECK(coded_bits.size() % ncbps == 0);
   const std::size_t n_sym = coded_bits.size() / ncbps;
+  const FftPlan& plan = fft_plan(kOfdmFftSize);
   Iq out;
   out.reserve(n_sym * kOfdmSymbolLen);
   for (std::size_t s = 0; s < n_sym; ++s) {
     const Iq points = constellation_map(coded_bits.subspan(s * ncbps, ncbps),
                                         cfg_.modulation);
-    const Iq sym = ofdm_symbol(points, first_symbol_index + s);
+    const Iq sym = ofdm_symbol(plan, points, first_symbol_index + s);
     out.insert(out.end(), sym.begin(), sym.end());
   }
   return out;
@@ -157,12 +156,10 @@ Bits WifiNPhy::demodulate_symbol_bits(std::span<const Cf> iq,
   const auto data_idx = ofdm_data_indices();
   Bits out;
   out.reserve(n_symbols * wifi_n_coded_bits_per_symbol(cfg_.modulation));
-  // One arena bins buffer and the planned FFT serve every symbol.
-  kernels::SampleArena& arena = kernels::scratch_arena();
-  kernels::SampleArena::Scope scope(arena);
-  const std::span<Cf> bins = arena.alloc<Cf>(kOfdmFftSize);
-  const std::span<Cf> points = arena.alloc<Cf>(kOfdmDataCarriers);
-  const kernels::FftPlan& plan = kernels::fft_plan(kOfdmFftSize);
+  // One stack bins buffer and the planned FFT serve every symbol.
+  std::array<Cf, kOfdmFftSize> bins;
+  std::array<Cf, kOfdmDataCarriers> points;
+  const FftPlan& plan = fft_plan(kOfdmFftSize);
   for (std::size_t s = 0; s < n_symbols; ++s) {
     const auto symbol = iq.subspan(s * kOfdmSymbolLen, kOfdmSymbolLen);
     std::copy(symbol.begin() + kOfdmCpLen, symbol.end(), bins.begin());
@@ -196,10 +193,11 @@ Bits WifiNPhy::demodulate_symbol_bits(std::span<const Cf> iq,
 Iq WifiNPhy::estimate_channel(std::span<const Cf> preamble) const {
   MS_CHECK(preamble.size() >= 352);  // through both L-LTF periods
   // L-LTF periods start at 192 and 256 (after 160 STF + 32 CP).
+  const FftPlan& plan = fft_plan(kOfdmFftSize);
   Iq sum(kOfdmFftSize, Cf(0.0f, 0.0f));
   for (std::size_t rep = 0; rep < 2; ++rep) {
     Iq t(preamble.begin() + 192 + rep * 64, preamble.begin() + 256 + rep * 64);
-    fft_inplace(t);
+    plan.forward(t);
     const float scale = std::sqrt(52.0f) / static_cast<float>(kOfdmFftSize);
     for (std::size_t b = 0; b < kOfdmFftSize; ++b) sum[b] += t[b] * scale;
   }

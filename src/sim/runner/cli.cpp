@@ -166,8 +166,8 @@ std::string cli_usage(const char* prog, CliAccepts accepts) {
   u +=
       "  --out DIR          dump CSVs into DIR (created if missing)\n"
       "  --metrics-out FILE write the aggregated metrics registry as JSON\n"
-      "  --trace-out FILE   write structured trace events as JSONL; all\n"
-      "                     subsystems trace unless MS_TRACE narrows them\n";
+      "  --trace-out FILE   write structured trace events as JSONL (every\n"
+      "                     event of every subsystem)\n";
   if (accepts.waveform_cache)
     u +=
         "  --waveform-cache on|off\n"
@@ -207,10 +207,8 @@ CliOptions parse_cli_or_exit(int argc, const char* const* argv,
     std::fprintf(stderr, "error: %s\n", err->c_str());
     std::exit(2);
   }
-  // Requesting a trace file without MS_TRACE means "trace everything":
-  // an empty JSONL file from a forgotten env var is a silent footgun.
-  if (!opts.trace_out.empty() && obs::trace_mask() == 0)
-    obs::set_trace_mask(obs::kAllSubsystems);
+  // Events are recorded only when a trace file will be written.
+  obs::set_tracing(!opts.trace_out.empty());
   WaveformCache::instance().set_reuse_enabled(opts.waveform_cache);
   // The run identity covers only the knobs that change WHAT is computed
   // (obs/ledger.h).

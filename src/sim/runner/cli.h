@@ -7,8 +7,8 @@
 //   --out DIR         dump CSVs into DIR (created if missing)
 //   --seed S          override the experiment's master seed
 //   --metrics-out F   write the deterministic metrics registry to F (JSON)
-//   --trace-out F     write structured trace events to F (JSONL); enables
-//                     all trace subsystems unless MS_TRACE narrows them
+//   --trace-out F     write structured trace events to F (JSONL); the
+//                     only switch that records them (obs::set_tracing)
 //   --waveform-cache on|off
 //                     reuse synthesized identification waveforms across
 //                     trials (default on; off re-synthesizes every trial —

@@ -74,11 +74,15 @@ void ThreadPool::worker_loop(std::size_t self) {
         std::lock_guard<std::mutex> lk(job_m_);
         fn = job_fn_;
       }
-      try {
-        for (std::size_t i = r.begin; i < r.end; ++i) (*fn)(i);
-      } catch (...) {
-        std::lock_guard<std::mutex> lk(job_m_);
-        if (!error_) error_ = std::current_exception();
+      // One try per index: a throwing index must not skip the rest of
+      // its range.
+      for (std::size_t i = r.begin; i < r.end; ++i) {
+        try {
+          (*fn)(i);
+        } catch (...) {
+          std::lock_guard<std::mutex> lk(job_m_);
+          if (!error_) error_ = std::current_exception();
+        }
       }
       std::lock_guard<std::mutex> lk(job_m_);
       remaining_ -= r.end - r.begin;

@@ -39,8 +39,9 @@ class ThreadPool {
   /// Run fn(index) for every index in [0, n) across the pool and block
   /// until all calls return.  fn is invoked concurrently from pool
   /// threads and must be thread-safe.  Not reentrant: do not call
-  /// run_indexed from inside fn.  If fn throws, the first exception is
-  /// rethrown here after the job drains.
+  /// run_indexed from inside fn.  If fn throws, every other index still
+  /// runs, and the first exception is rethrown here after the job
+  /// drains.
   void run_indexed(std::size_t n, const std::function<void(std::size_t)>& fn);
 
  private:

@@ -19,13 +19,10 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <cstdio>
 #include <utility>
 #include <vector>
 
 #include "common/rng.h"
-#include "dsp/kernels/arena.h"
-#include "obs/metrics.h"
 #include "obs/telemetry.h"
 #include "obs/trace.h"
 #include "sim/runner/thread_pool.h"
@@ -54,10 +51,9 @@ class TrialRunner {
 
   /// Run fn(point, trial, rng) for every cell of the grid.  Results come
   /// back in row-major (point-major) order: out[point * trials + trial].
-  /// If a cell throws, the pool still runs its other index ranges (the
-  /// cells after the failing one in its own range are skipped), every
-  /// shard is merged, the failing cell's partial one included, and the
-  /// first exception is rethrown.
+  /// If a cell throws, every other cell still runs, every shard is
+  /// merged, the failing cell's partial one included, and the first
+  /// exception is rethrown.
   template <typename Fn>
   auto run_grid(std::size_t points, std::size_t trials, Fn&& fn) {
     using R = decltype(fn(std::size_t{0}, std::size_t{0},
@@ -68,22 +64,11 @@ class TrialRunner {
       pool_.run_indexed(points * trials, [&](std::size_t i) {
         const std::size_t point = i / trials;
         const std::size_t trial = i % trials;
-        {
-          obs::ShardScope telemetry(&shards[i]);
-          obs::set_trace_cell(static_cast<std::uint32_t>(point),
-                              static_cast<std::uint32_t>(trial));
-          // Rewind this worker's kernel scratch arena: per-cell scratch
-          // is recycled, so steady-state cells allocate nothing.
-          kernels::scratch_arena().reset();
-          Rng rng = master_.fork(point, trial);
-          out[i] = fn(point, trial, rng);
-        }
-        // Per-cell trace-ring overflow accounting: one histogram
-        // observation valued at this cell's dropped-event count, folded
-        // into the cell's own shard.
-        if (const std::uint64_t dropped = shards[i].events_dropped())
-          shards[i].observe(trace_ring_drop_metric(),
-                            static_cast<double>(dropped));
+        obs::ShardScope telemetry(&shards[i]);
+        obs::set_trace_cell(static_cast<std::uint32_t>(point),
+                            static_cast<std::uint32_t>(trial));
+        Rng rng = master_.fork(point, trial);
+        out[i] = fn(point, trial, rng);
       });
     } catch (...) {
       // Preserve what the cells recorded before the failure — the
@@ -92,7 +77,6 @@ class TrialRunner {
       throw;
     }
     merge_shards(shards);
-    warn_trace_ring_drops(shards);
     return out;
   }
 
@@ -110,44 +94,10 @@ class TrialRunner {
   }
 
  private:
-  /// The "runner.trace_ring_dropped" histogram: one observation per cell
-  /// that overflowed its trace ring, valued at that cell's dropped-event
-  /// count.  Registered on the first overflow, so sweeps that never drop
-  /// an event keep their metrics JSON unchanged (the JSON lists every
-  /// registered metric).  The bounds span "lost a couple" to "lost
-  /// nearly everything" relative to TelemetryShard::kEventCapacity.
-  static obs::MetricId trace_ring_drop_metric() {
-    static constexpr double kDropBounds[] = {1.0, 8.0, 64.0, 512.0, 4096.0};
-    static const obs::MetricId id =
-        obs::histogram("runner.trace_ring_dropped", kDropBounds);
-    return id;
-  }
-
   /// Row-major telemetry reduction, mirroring the result reduction.
   static void merge_shards(const std::vector<obs::TelemetryShard>& shards) {
     if (!obs::enabled()) return;
     for (const obs::TelemetryShard& s : shards) obs::aggregate_merge(s);
-  }
-
-  /// One-line heads-up when any cell overflowed its trace ring: the
-  /// trace JSONL is still deterministic, but it is incomplete, and the
-  /// per-cell tally lives in the runner.trace_ring_dropped histogram.
-  static void warn_trace_ring_drops(
-      const std::vector<obs::TelemetryShard>& shards) {
-    std::size_t cells = 0;
-    std::uint64_t events = 0;
-    for (const obs::TelemetryShard& s : shards)
-      if (const std::uint64_t d = s.events_dropped()) {
-        ++cells;
-        events += d;
-      }
-    if (cells > 0)
-      std::fprintf(stderr,
-                   "warning: trace ring overflow: %zu cell%s dropped %llu "
-                   "event%s (see runner.trace_ring_dropped histogram)\n",
-                   cells, cells == 1 ? "" : "s",
-                   static_cast<unsigned long long>(events),
-                   events == 1 ? "" : "s");
   }
 
   RunnerConfig cfg_;

@@ -1,5 +1,9 @@
 #include "core/ident/streaming.h"
 
+#include <algorithm>
+#include <span>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "sim/ident_experiment.h"
@@ -113,6 +117,61 @@ TEST(Streaming, AbstainRearmsFasterThanFullHoldoff) {
   // The re-trigger lands at the second packet's true onset (sample 260),
   // not after the full holdoff.
   EXPECT_EQ(events[1].trigger_sample, 260u);
+}
+
+/// A busy trace: several packets with assorted gaps, including one gap
+/// short enough to land inside the post-classification holdoff.
+Samples busy_trace(Rng& rng) {
+  IdentTrialConfig tcfg = strong_trial();
+  tcfg.jitter_max_s = 0.0;
+  const Protocol protocols[] = {Protocol::Zigbee, Protocol::WifiB,
+                                Protocol::Ble, Protocol::WifiN};
+  const std::size_t gaps[] = {3000, 120, 9000};
+  Samples t;
+  for (std::size_t i = 0; i < 4; ++i) {
+    const Samples p = make_ident_trace(protocols[i], tcfg, rng);
+    t.insert(t.end(), p.begin(), p.end());
+    if (i < 3) t.insert(t.end(), gaps[i], 0.005f);
+  }
+  return t;
+}
+
+void expect_same_events(const std::vector<IdentEvent>& a,
+                        const std::vector<IdentEvent>& b) {
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_EQ(a[i].trigger_sample, b[i].trigger_sample) << "event " << i;
+    EXPECT_EQ(a[i].protocol, b[i].protocol) << "event " << i;
+    EXPECT_EQ(a[i].scores, b[i].scores) << "event " << i;
+    EXPECT_EQ(a[i].confidence, b[i].confidence) << "event " << i;
+    EXPECT_EQ(a[i].abstained, b[i].abstained) << "event " << i;
+  }
+}
+
+TEST(Streaming, BlockSplitsMatchWholeTracePush) {
+  Rng rng(12);
+  const Samples trace = busy_trace(rng);
+
+  StreamingIdentifier whole(streaming_config());
+  const auto whole_events = whole.push(trace);
+  ASSERT_FALSE(whole_events.empty());
+
+  // Feed the same trace as many small blocks with ragged sizes, so
+  // state transitions straddle block boundaries.
+  StreamingIdentifier split(streaming_config());
+  std::vector<IdentEvent> split_events;
+  std::size_t off = 0, step = 1;
+  while (off < trace.size()) {
+    const std::size_t n = std::min(step, trace.size() - off);
+    const auto evs =
+        split.push(std::span<const float>(trace.data() + off, n));
+    split_events.insert(split_events.end(), evs.begin(), evs.end());
+    off += n;
+    step = step * 2 + 1;  // 1, 3, 7, ... ragged growth
+  }
+  expect_same_events(split_events, whole_events);
+  EXPECT_EQ(split.position(), whole.position());
+  EXPECT_EQ(split.active_fraction(), whole.active_fraction());
 }
 
 TEST(Streaming, HoldoffPreventsDoubleTrigger) {

@@ -1,11 +1,10 @@
 // Differential suite for the OFDM kernels: FftPlan vs the recurrence
-// FFT in dsp/fft, the cached interleaver permutation vs the per-bit
-// index arithmetic, and the wifi_n modulate/demodulate chains end to
-// end against the oracles in oracles.h.
+// FFT oracle, the cached interleaver permutation vs the per-bit index
+// arithmetic, and the wifi_n modulate/demodulate chains end to end
+// against the oracles in oracles.h.
 #include "diff_harness.h"
 
 #include "dsp/fft.h"
-#include "dsp/kernels/fft_plan.h"
 #include "oracles.h"
 #include "phy/interleaver.h"
 #include "phy/ofdm/subcarriers.h"
@@ -24,19 +23,19 @@ Iq random_iq(Rng& rng, std::size_t n) {
 TEST(OfdmDiff, PlannedFftMatchesReferenceAcrossSizes) {
   Rng rng(difftest::kSeed);
   for (std::size_t n : {1u, 2u, 4u, 8u, 16u, 64u, 128u, 256u}) {
-    const kernels::FftPlan& plan = kernels::fft_plan(n);
+    const FftPlan& plan = fft_plan(n);
     for (int iter = 0; iter < 4; ++iter) {
       const Iq x = random_iq(rng, n);
 
       Iq ref = x;
-      fft_inplace(ref);
+      oracle::fft_inplace(ref);
       Iq fast = x;
       plan.forward(fast);
       difftest::expect_same_samples(fast, ref, "fft_plan forward",
                                     difftest::ctx("n=%zu iter=%d", n, iter));
 
       Iq iref = x;
-      ifft_inplace(iref);
+      oracle::ifft_inplace(iref);
       Iq ifast = x;
       plan.inverse(ifast);
       difftest::expect_same_samples(ifast, iref, "fft_plan inverse",

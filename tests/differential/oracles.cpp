@@ -221,6 +221,41 @@ std::size_t interleave_index(std::size_t k, unsigned n_cbps, unsigned n_bpsc) {
   return j;
 }
 
+void transform(Iq& x, bool inverse) {
+  const std::size_t n = x.size();
+  MS_CHECK_MSG(is_pow2(n), "FFT length must be a power of two");
+
+  // Bit-reversal permutation.
+  for (std::size_t i = 1, j = 0; i < n; ++i) {
+    std::size_t bit = n >> 1;
+    for (; j & bit; bit >>= 1) j ^= bit;
+    j ^= bit;
+    if (i < j) std::swap(x[i], x[j]);
+  }
+
+  // Danielson–Lanczos butterflies.
+  for (std::size_t len = 2; len <= n; len <<= 1) {
+    const double ang = (inverse ? 2.0 : -2.0) * M_PI / static_cast<double>(len);
+    const Cf wlen(static_cast<float>(std::cos(ang)),
+                  static_cast<float>(std::sin(ang)));
+    for (std::size_t i = 0; i < n; i += len) {
+      Cf w(1.0f, 0.0f);
+      for (std::size_t k = 0; k < len / 2; ++k) {
+        const Cf u = x[i + k];
+        const Cf v = x[i + k + len / 2] * w;
+        x[i + k] = u + v;
+        x[i + k + len / 2] = u - v;
+        w *= wlen;
+      }
+    }
+  }
+
+  if (inverse) {
+    const float inv = 1.0f / static_cast<float>(n);
+    for (Cf& v : x) v *= inv;
+  }
+}
+
 /// Build one time-domain OFDM symbol (CP + 64) from 48 data points.
 Iq ofdm_symbol(std::span<const Cf> data_points, std::size_t symbol_index) {
   MS_CHECK(data_points.size() == kOfdmDataCarriers);
@@ -233,7 +268,8 @@ Iq ofdm_symbol(std::span<const Cf> data_points, std::size_t symbol_index) {
   const float pol = ofdm_pilot_polarity(symbol_index);
   for (std::size_t i = 0; i < kOfdmPilotCarriers; ++i)
     freq[ofdm_bin(pilot_idx[i])] = Cf(pilot_val[i] * pol, 0.0f);
-  Iq t = ifft(freq);
+  Iq t = freq;
+  ifft_inplace(t);
   // Normalize to unit mean power over 52 active carriers.
   const float scale = static_cast<float>(kOfdmFftSize) / std::sqrt(52.0f);
   for (Cf& v : t) v *= scale;
@@ -255,6 +291,9 @@ Iq ofdm_demod_bins(std::span<const Cf> symbol) {
 }
 
 }  // namespace
+
+void fft_inplace(Iq& x) { transform(x, /*inverse=*/false); }
+void ifft_inplace(Iq& x) { transform(x, /*inverse=*/true); }
 
 Bits interleave_11n(std::span<const uint8_t> bits, unsigned n_cbps,
                     unsigned n_bpsc) {

@@ -3,19 +3,20 @@
 // into test_differential and test_property, never into src/ or a
 // program.
 //
-// Each kernel in src/dsp/kernels/, and the packed scorer in
-// core/ident/templates.h, replaced a scalar loop that production no
-// longer runs.  That loop lives on here, verbatim, as the reference the
-// differential suites and BitpackProperty compare production against
-// bit for bit:
+// Each kernel in src/dsp/kernels/, the FFT plan in dsp/fft.h and the
+// packed scorer in core/ident/templates.h replaced a scalar loop that
+// production no longer runs.  That loop lives on here, verbatim, as
+// the reference the differential suites and BitpackProperty compare
+// production against bit for bit:
 //
 //   oracle                              production twin
 //   Zigbee::modulate_symbols            kernels::oqpsk_synthesize
 //   Zigbee::detect_symbols, cck_demap   kernels::CmacBank
 //   Ble::symbol_frequencies             kernels::gfsk_symbol_frequencies
 //   interleave_11n, deinterleave_11n    kernels::InterleavePlan
-//   WifiN::modulate_coded_symbols,      kernels::FftPlan over arena
-//     WifiN::demodulate_symbol_bits       scratch
+//   fft_inplace, ifft_inplace           FftPlan (dsp/fft.h)
+//   WifiN::modulate_coded_symbols,      FftPlan over stack scratch
+//     WifiN::demodulate_symbol_bits
 //   WifiB::demodulate_air_bits          collapse_chips + CCK bank, through
 //                                         tests/support's demodulate_air_bits
 //   one_bit_scores                      packed_one_bit_peak(s)
@@ -98,8 +99,15 @@ Bits interleave_11n(std::span<const uint8_t> bits, unsigned n_cbps,
 Bits deinterleave_11n(std::span<const uint8_t> bits, unsigned n_cbps,
                       unsigned n_bpsc);
 
-/// 802.11n OFDM: the allocating ifft() / fft_inplace() symbol chains and
-/// the deinterleave_11n oracle.
+/// Radix-2 decimation-in-time FFT that regenerates every twiddle with a
+/// `w *= wlen` complex-float recurrence, restarted per block, and
+/// multiplies through std::complex.  fft_inplace is unnormalized;
+/// ifft_inplace scales by 1/N.  Requires a power-of-two length >= 1.
+void fft_inplace(Iq& x);
+void ifft_inplace(Iq& x);
+
+/// 802.11n OFDM: the allocating symbol chains over the recurrence FFT
+/// above, and the deinterleave_11n oracle.
 class WifiN {
  public:
   explicit WifiN(WifiNConfig cfg = {});

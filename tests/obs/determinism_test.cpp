@@ -45,12 +45,12 @@ Capture run_capture(std::uint64_t seed, std::size_t threads) {
 class TelemetryDeterminism : public ::testing::Test {
  protected:
   void SetUp() override {
-    saved_mask_ = obs::trace_mask();
+    saved_tracing_ = obs::tracing();
     obs::set_enabled(true);
-    obs::set_trace_mask(obs::kAllSubsystems);
+    obs::set_tracing(true);
   }
-  void TearDown() override { obs::set_trace_mask(saved_mask_); }
-  std::uint32_t saved_mask_ = 0;
+  void TearDown() override { obs::set_tracing(saved_tracing_); }
+  bool saved_tracing_ = false;
 };
 
 TEST_F(TelemetryDeterminism, ByteIdenticalAcrossThreadCounts) {

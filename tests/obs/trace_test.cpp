@@ -1,10 +1,9 @@
-// Structured tracing: mask parsing, the deterministic clock, event JSON
-// rendering, and the per-shard ring-buffer drop accounting.
+// Structured tracing: the on/off switch, the deterministic clock and
+// event JSON rendering.
 #include <string>
 
 #include <gtest/gtest.h>
 
-#include "common/error.h"
 #include "obs/telemetry.h"
 #include "obs/trace.h"
 
@@ -13,50 +12,14 @@ namespace {
 
 class TraceTest : public ::testing::Test {
  protected:
-  void SetUp() override { saved_mask_ = trace_mask(); }
-  void TearDown() override { set_trace_mask(saved_mask_); }
-  std::uint32_t saved_mask_ = 0;
+  void SetUp() override { saved_tracing_ = tracing(); }
+  void TearDown() override { set_tracing(saved_tracing_); }
+  bool saved_tracing_ = false;
 };
-
-TEST_F(TraceTest, ParseMaskTokens) {
-  EXPECT_EQ(parse_trace_mask(""), 0u);
-  EXPECT_EQ(parse_trace_mask("ident"),
-            static_cast<std::uint32_t>(Subsystem::Ident));
-  EXPECT_EQ(parse_trace_mask("ident,arq,faults"),
-            static_cast<std::uint32_t>(Subsystem::Ident) |
-                static_cast<std::uint32_t>(Subsystem::Arq) |
-                static_cast<std::uint32_t>(Subsystem::Faults));
-  EXPECT_EQ(parse_trace_mask("all"), kAllSubsystems);
-}
-
-TEST_F(TraceTest, ParseMaskRejectsUnknownToken) {
-  try {
-    parse_trace_mask("ident,bogus");
-    FAIL() << "expected ms::Error";
-  } catch (const Error& e) {
-    EXPECT_NE(std::string(e.what()).find("bogus"), std::string::npos)
-        << "error should name the offending token: " << e.what();
-  }
-}
-
-TEST_F(TraceTest, MaskGatesEmission) {
-  const TelemetryShard empty;
-  TelemetryShard s;
-  set_trace_mask(static_cast<std::uint32_t>(Subsystem::Arq));
-  {
-    ShardScope scope(&s);
-    set_trace_cell(0, 0);
-    Event(Subsystem::Ident, Severity::Info, "test.masked").emit();
-    Event(Subsystem::Arq, Severity::Info, "test.passed").emit();
-  }
-  ASSERT_EQ(s.events().size(), 1u);
-  EXPECT_STREQ(s.events()[0].name, "test.passed");
-  (void)empty;
-}
 
 TEST_F(TraceTest, EventsCarryTheDeterministicClock) {
   TelemetryShard s;
-  set_trace_mask(kAllSubsystems);
+  set_tracing(true);
   {
     ShardScope scope(&s);
     set_trace_cell(3, 7);
@@ -75,7 +38,7 @@ TEST_F(TraceTest, EventsCarryTheDeterministicClock) {
 
 TEST_F(TraceTest, EventJsonRendering) {
   TelemetryShard s;
-  set_trace_mask(kAllSubsystems);
+  set_tracing(true);
   {
     ShardScope scope(&s);
     set_trace_cell(1, 2);
@@ -97,35 +60,16 @@ TEST_F(TraceTest, EventJsonRendering) {
   EXPECT_NE(json.find("\"mode\": \"ordered\""), std::string::npos) << json;
 }
 
-TEST_F(TraceTest, RingOverflowCountsDrops) {
-  TelemetryShard s;
-  set_trace_mask(kAllSubsystems);
-  {
-    ShardScope scope(&s);
-    set_trace_cell(0, 0);
-    for (std::size_t i = 0; i < TelemetryShard::kEventCapacity + 10; ++i)
-      Event(Subsystem::Runner, Severity::Debug, "test.flood").emit();
-  }
-  EXPECT_EQ(s.events().size(), TelemetryShard::kEventCapacity);
-  EXPECT_EQ(s.events_dropped(), 10u);
-
-  // Drops survive the merge.
-  TelemetryShard merged;
-  merged.merge_from(s);
-  EXPECT_EQ(merged.events_dropped(), 10u);
-}
-
 TEST_F(TraceTest, DisabledMaskIsAllNoOps) {
   TelemetryShard s;
-  set_trace_mask(0);
+  set_tracing(false);
   {
     ShardScope scope(&s);
-    Event(Subsystem::Ident, Severity::Error, "test.silent")
-        .f("x", 1.0)
-        .emit();
+    for (Subsystem sub : {Subsystem::Ident, Subsystem::Overlay,
+                          Subsystem::Arq, Subsystem::Faults})
+      Event(sub, Severity::Error, "test.silent").f("x", 1.0).emit();
   }
   EXPECT_TRUE(s.events().empty());
-  EXPECT_EQ(s.events_dropped(), 0u);
 }
 
 TEST_F(TraceTest, SubsystemAndSeverityNames) {
@@ -133,7 +77,6 @@ TEST_F(TraceTest, SubsystemAndSeverityNames) {
   EXPECT_STREQ(subsystem_name(Subsystem::Overlay), "overlay");
   EXPECT_STREQ(subsystem_name(Subsystem::Arq), "arq");
   EXPECT_STREQ(subsystem_name(Subsystem::Faults), "faults");
-  EXPECT_STREQ(subsystem_name(Subsystem::Runner), "runner");
   EXPECT_STREQ(severity_name(Severity::Debug), "debug");
   EXPECT_STREQ(severity_name(Severity::Error), "error");
 }

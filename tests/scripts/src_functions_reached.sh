@@ -16,9 +16,9 @@
 #
 # KNOWN_UNREACHED lists functions still waiting for a production caller,
 # by demangled name without parameters, each with a reason tag:
-#   item2  one of the three modules that src_modules_reached.sh also
-#          lists (the frequency shift, OFDM sync and the tag device),
-#          waiting for the single-receiver chain to call them;
+#   item2  one of the two modules that src_modules_reached.sh also
+#          lists (the frequency shift and OFDM sync), waiting for the
+#          single-receiver chain to call them;
 #   seam   a test's way to reset or read back process-global state,
 #          which goes once the runs pass an explicit context.
 # The check also fails when a listed function is reached or deleted, so
@@ -34,11 +34,6 @@ KNOWN_UNREACHED=(
   "item2 ms::frequency_shift"
   "item2 ms::ofdm_synchronize"
   "item2 ms::ofdm_correct_cfo"
-  "item2 ms::TagDevice::TagDevice"
-  "item2 ms::TagDevice::active_power_w"
-  "item2 ms::TagDevice::step"
-  "item2 ms::TagDevice::run"
-  "item2 ms::TagDevice::avg_exchange_time_s"
   "seam ms::obs::aggregate"
   "seam ms::obs::reset_aggregate"
   "seam ms::obs::TelemetryShard::clear"
@@ -49,7 +44,6 @@ KNOWN_UNREACHED=(
   "seam ms::obs::ledger::write_deterministic_json"
   "seam ms::WaveformCache::entries"
   "seam ms::WaveformCache::reuse_enabled"
-  "seam ms::StreamingIdentifier::set_stream_chunk"
 )
 
 PROGRAMS=(

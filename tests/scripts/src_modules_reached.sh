@@ -15,7 +15,6 @@ set -euo pipefail
 
 KNOWN_UNREACHED=(
   core/overlay/freq_shift
-  core/tag/tag_device
   phy/ofdm/sync
 )
 

@@ -2,13 +2,12 @@
 // byte-identical output at any worker count; different seed ⇒ different
 // output.  Plus ThreadPool/TrialRunner mechanics (full index coverage,
 // work stealing under skew, exception propagation, merge order, the
-// telemetry of a throwing cell and of a cell that overflows its trace
-// ring).
+// telemetry of a throwing cell and the trace of a cell that emits many
+// events).
 #include <atomic>
 #include <cstdio>
 #include <fstream>
 #include <numeric>
-#include <optional>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -55,17 +54,21 @@ TEST(ThreadPool, SurvivesBackToBackJobs) {
 
 TEST(ThreadPool, PropagatesTaskExceptions) {
   ThreadPool pool(4);
-  std::atomic<int> calls{0};
-  EXPECT_THROW(pool.run_indexed(64,
-                                [&](std::size_t i) {
-                                  calls.fetch_add(1);
-                                  if (i == 17)
-                                    throw std::runtime_error("task 17");
-                                }),
-               std::runtime_error);
-  // The job drains before the rethrow: every index ran, the throwing
-  // one included (17 ends its two-index range, so nothing is skipped).
-  EXPECT_EQ(calls.load(), 64);
+  // 4 workers and 64 indices deal two-index ranges: 17 ends its range
+  // [16, 18), and 16 starts it, so a throw at 16 must not skip 17.
+  for (const std::size_t thrower : {std::size_t{17}, std::size_t{16}}) {
+    std::atomic<int> calls{0};
+    EXPECT_THROW(pool.run_indexed(64,
+                                  [&](std::size_t i) {
+                                    calls.fetch_add(1);
+                                    if (i == thrower)
+                                      throw std::runtime_error("task");
+                                  }),
+                 std::runtime_error);
+    // The job drains before the rethrow: every index ran, the throwing
+    // one included.
+    EXPECT_EQ(calls.load(), 64) << "throw at " << thrower;
+  }
   // Pool must still be usable after a failed job.
   std::atomic<int> count{0};
   pool.run_indexed(10, [&](std::size_t) { count.fetch_add(1); });
@@ -137,8 +140,7 @@ TEST(TrialRunner, SameSeedIdenticalAcrossThreadCounts) {
 }
 
 TEST(TrialRunner, ThrowingCellRethrowsAndKeepsPartialTelemetry) {
-  // 3 x 2 cells: every pool range holds one cell at these thread counts,
-  // so the throw skips no sibling and all six cells run.
+  // 3 x 2 cells: the throw skips no other cell, so all six run.
   const obs::MetricId cells = obs::counter("test.runner.throwing_grid_cells");
   for (std::size_t threads : {1u, 2u, 4u}) {
     obs::reset_aggregate();
@@ -162,46 +164,30 @@ TEST(TrialRunner, ThrowingCellRethrowsAndKeepsPartialTelemetry) {
   obs::reset_aggregate();
 }
 
-std::optional<obs::MetricId> registered_metric(const std::string& name) {
-  for (obs::MetricId id = 0; id < obs::metric_count(); ++id)
-    if (obs::metric_def(id).name == name) return id;
-  return std::nullopt;
-}
-
-TEST(TrialRunner, TraceRingOverflowIsOneObservationOfTheDroppedCount) {
-  const std::uint32_t saved_mask = obs::trace_mask();
-  obs::set_trace_mask(obs::kAllSubsystems);
+TEST(TrialRunner, TraceKeepsEveryEventOfACell) {
+  const bool saved_tracing = obs::tracing();
+  obs::set_tracing(true);
   obs::reset_aggregate();
   TrialRunner runner({2, 3});
-  auto flood = [&](std::size_t flooded_point) {
-    runner.run_grid(3, 2, [&](std::size_t point, std::size_t trial, Rng&) {
-      const std::size_t n = point == flooded_point && trial == 1
-                                ? obs::TelemetryShard::kEventCapacity + 10
-                                : 1;
-      for (std::size_t k = 0; k < n; ++k)
-        obs::Event(obs::Subsystem::Runner, obs::Severity::Debug,
-                   "test.flood")
-            .emit();
-      return 0;
-    });
-  };
-  // No cell overflows: the histogram stays unregistered, so the metrics
-  // JSON of a sweep that drops nothing has no key for it.
-  flood(/*flooded_point=*/99);
-  EXPECT_FALSE(registered_metric("runner.trace_ring_dropped").has_value());
-
-  obs::reset_aggregate();
-  flood(/*flooded_point=*/2);
-  obs::set_trace_mask(saved_mask);
-  const auto id = registered_metric("runner.trace_ring_dropped");
-  ASSERT_TRUE(id.has_value());
-  EXPECT_EQ(obs::metric_def(*id).bounds,
-            (std::vector<double>{1.0, 8.0, 64.0, 512.0, 4096.0}));
-  const auto h = obs::aggregate().histogram_value(*id);
-  EXPECT_EQ(h.n, 1u);
-  EXPECT_EQ(h.sum, 10.0);
-  EXPECT_EQ(h.counts, (std::vector<std::uint64_t>{0, 0, 1, 0, 0, 0}));
-  EXPECT_EQ(obs::aggregate().events_dropped(), 10u);
+  runner.run_grid(3, 2, [&](std::size_t point, std::size_t trial, Rng&) {
+    const std::size_t n = point == 2 && trial == 1 ? 2000 : 1;
+    for (std::size_t k = 0; k < n; ++k)
+      obs::Event(obs::Subsystem::Arq, obs::Severity::Debug, "test.flood")
+          .f("k", k)
+          .emit();
+    return 0;
+  });
+  obs::set_tracing(saved_tracing);
+  // The flooded cell, last in row-major order, keeps all 2,000 events in
+  // emission order after the five one-event cells before it.
+  const std::vector<obs::TraceEvent>& events = obs::aggregate().events();
+  ASSERT_EQ(events.size(), 2005u);
+  for (std::size_t k = 0; k < 2000; ++k) {
+    const obs::TraceEvent& ev = events[5 + k];
+    ASSERT_EQ(ev.point, 2u);
+    ASSERT_EQ(ev.trial, 1u);
+    ASSERT_EQ(ev.fields[0].num, static_cast<double>(k));
+  }
   obs::reset_aggregate();
 }
 

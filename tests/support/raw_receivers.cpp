@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "common/error.h"
-#include "dsp/kernels/arena.h"
 #include "phy/dsss/barker.h"
 #include "phy/dsss/cck.h"
 
@@ -22,10 +21,8 @@ Bits demodulate_air_bits(const WifiBPhy& phy, std::span<const Cf> iq,
   Bits out;
   out.reserve(n_bits);
   Cf prev = init_ref;
-  // One arena scratch buffer holds every symbol's collapsed chips.
-  kernels::SampleArena& arena = kernels::scratch_arena();
-  kernels::SampleArena::Scope scope(arena);
-  const std::span<Cf> chips = arena.alloc<Cf>(cps);
+  // One scratch buffer holds every symbol's collapsed chips.
+  Iq chips(cps);
   for (std::size_t s = 0; s < n_sym; ++s) {
     collapse_chips(iq.subspan(s * sps, sps), phy.config().samples_per_chip,
                    chips);

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "common/error.h"
-#include "dsp/kernels/arena.h"
 
 namespace ms {
 
@@ -39,13 +38,12 @@ void superpose_tags_into(std::span<const SuperposedSource> sources,
                          std::span<Cf> out, std::size_t chunk_samples) {
   MS_CHECK(out.size() >= superposed_length(sources));
   if (out.empty()) return;
+  MS_CHECK(chunk_samples > 0);
   // Chunk-outer / source-inner: every output sample still accumulates
   // its contributions in ascending source order, so the result is
   // bit-identical to the naive whole-buffer loop for any chunk size.
-  kernels::ChunkedSpan<Cf> chunks(out, chunk_samples);
-  std::size_t begin = 0;
-  for (std::span<Cf> chunk : chunks) {
-    const std::size_t end = begin + chunk.size();
+  for (std::size_t begin = 0; begin < out.size(); begin += chunk_samples) {
+    const std::size_t end = std::min(out.size(), begin + chunk_samples);
     for (const SuperposedSource& s : sources) {
       const std::size_t s_begin = s.channel.delay_samples;
       const std::size_t s_end = s_begin + s.wave.size();
@@ -54,9 +52,8 @@ void superpose_tags_into(std::span<const SuperposedSource> sources,
       if (lo >= hi) continue;
       const Cf c = tag_channel_coefficient(s.channel);
       for (std::size_t i = lo; i < hi; ++i)
-        chunk[i - begin] += c * s.wave[i - s_begin];
+        out[i] += c * s.wave[i - s_begin];
     }
-    begin = end;
   }
 }
 

@@ -56,9 +56,9 @@ Iq apply_tag_channel(std::span<const Cf> wave, const TagChannel& ch,
 
 /// Accumulate every source into `out` (must be superposed_length() long
 /// and zero-initialized by the caller).  Walks the buffer in fixed-size
-/// chunks (kernels::ChunkedSpan) so long composites stream through the
-/// cache, but the per-sample accumulation order is always ascending
-/// source index — the chunk size cannot change a single output bit.
+/// chunks so long composites stream through the cache, but the
+/// per-sample accumulation order is always ascending source index —
+/// the chunk size cannot change a single output bit.
 void superpose_tags_into(std::span<const SuperposedSource> sources,
                          std::span<Cf> out, std::size_t chunk_samples = 4096);
 

@@ -120,7 +120,7 @@ void validate_trace_line(const std::string& line) {
   check_nonneg_number(ev, "t");
   // Token sets mirror src/obs/trace.cpp subsystem_name/severity_name.
   static const std::set<std::string> kSubsystems = {
-      "ident", "overlay", "arq", "faults", "runner"};
+      "ident", "overlay", "arq", "faults"};
   static const std::set<std::string> kSeverities = {"debug", "info", "warn",
                                                     "error"};
   const Json& subsys =
